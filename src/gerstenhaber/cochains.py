@@ -140,10 +140,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def total_degree(self) -> int:
-        """Maximum total degree; 0 for the zero polynomial."""
-        return max((sum(e) for e, _ in self._terms), default=0)
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)

@@ -67,10 +67,6 @@ def decompose_by_bigrade(c: Cochain) -> dict[tuple[Index, Index], Cochain]:
     return {bg: Cochain(c.dimension, pairs) for bg, pairs in sorted(buckets.items())}
 
 
-def is_weight_homogeneous(c: Cochain) -> bool:
-    return len({weight_of(t) for t, _ in c.items()}) <= 1
-
-
 def scaling_field(dimension: int, i: int) -> Cochain:
     """The vector field ``x_i d_i`` whose brackets read off weights (1-based i)."""
     if not 1 <= i <= dimension:

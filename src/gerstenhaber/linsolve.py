@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Plain Gauss-Jordan elimination on Fraction matrices.  The particular
-solution pins every free variable to zero, which makes the solver a
-deterministic function of its input; callers rely on that for reproducible
-output.
+Sparse exact elimination: rows are ``{column: Fraction}`` dicts, each row is
+reduced against the echelon rows found so far, and back-substitution sets
+every free variable to zero.  The pivot columns of any echelon form are those
+of the reduced row echelon form, so the solution is the reduced-echelon
+particular solution; callers rely on that for reproducible output.
 """
 
 from __future__ import annotations
@@ -12,34 +13,43 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 
-def rref(matrix: list[list[Fraction]]) -> list[int]:
-    """Reduce ``matrix`` in place to reduced row echelon form.
-
-    Returns the list of pivot column indices.  Rows may be shorter than the
-    widest row only if the caller guarantees a rectangular input; no checks.
-    """
-    if not matrix:
-        return []
-    rows = len(matrix)
-    cols = len(matrix[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if matrix[i][c]), None)
-        if pivot_row is None:
+def _eliminate(
+    matrix: Sequence[Sequence], rhs: Sequence
+) -> Optional[tuple[list[Fraction], int]]:
+    """The solution with free variables zero and the rank; None when inconsistent."""
+    if len(matrix) != len(rhs):
+        raise ValueError("matrix and right-hand side sizes differ")
+    n = len(matrix[0]) if matrix else 0
+    echelon: dict[int, dict[int, Fraction]] = {}  # pivot column -> row with 1 there
+    for coeffs, b in zip(matrix, rhs):
+        row = {j: Fraction(v) for j, v in enumerate(coeffs) if v}
+        if b:
+            row[n] = Fraction(b)  # the right-hand side sits in column n
+        while row:
+            lead = min(row)
+            pivot_row = echelon.get(lead)
+            if pivot_row is None:
+                break
+            factor = row[lead]
+            for j, v in pivot_row.items():
+                w = row.get(j, 0) - factor * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+        if not row:
             continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        inv = 1 / matrix[r][c]
-        matrix[r] = [v * inv for v in matrix[r]]
-        for i in range(rows):
-            if i != r and matrix[i][c]:
-                factor = matrix[i][c]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
+        if lead == n:
+            return None  # 0 = nonzero: inconsistent
+        inv = 1 / row[lead]
+        echelon[lead] = {j: v * inv for j, v in row.items()}
+    solution = [Fraction(0)] * n
+    for lead in sorted(echelon, reverse=True):
+        row = echelon[lead]
+        solution[lead] = row.get(n, Fraction(0)) - sum(
+            v * solution[j] for j, v in row.items() if lead < j < n
+        )
+    return solution, len(echelon)
 
 
 def solve_particular(
@@ -50,28 +60,13 @@ def solve_particular(
     Returns the reduced-echelon particular solution with all free variables
     set to zero.
     """
-    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    if len(rows) != len(matrix) or len(rows) != len(rhs):
-        raise ValueError("matrix and right-hand side sizes differ")
-    if not rows:
-        return []
-    n_cols = len(matrix[0])
-    pivots = rref(rows)
-    if n_cols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    solution = [Fraction(0)] * n_cols
-    for r, c in enumerate(pivots):
-        solution[c] = rows[r][n_cols]
-    return solution
+    solved = _eliminate(matrix, rhs)
+    return None if solved is None else solved[0]
 
 
 def solve_unique(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
     """Solve ``matrix @ x = rhs`` when the solution is unique; else None."""
-    if not matrix:
+    solved = _eliminate(matrix, rhs)
+    if not matrix or solved is None or solved[1] < len(matrix[0]):
         return None
-    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    n_cols = len(matrix[0])
-    pivots = rref(rows)
-    if n_cols in pivots or len(pivots) != n_cols:
-        return None
-    return [rows[r][n_cols] for r in range(n_cols)]
+    return solved[0]
