@@ -14,7 +14,18 @@ Three layers:
 
 All three are immutable and hashable, and are stored in canonical form: zero
 coefficients dropped, like terms merged, deterministic term ordering (arity,
-then the x-exponent, then the slot list).
+then the x-exponent, then the slot list).  ``Polynomial`` and ``Cochain``
+share that store, ``_TermStore``: a sorted tuple of ``(key, Fraction)`` pairs.
+
+Validation happens at the input boundary only.  The public constructors
+``Polynomial(...)``, ``BasisTerm(...)`` and ``Cochain(...)`` check the
+dimension, index lengths, integer and nonnegative index entries, exact
+coefficient types and term types and dimensions.  The package's own
+operations build their results with the trusted constructors
+``BasisTerm._trusted`` and ``_TermStore._trusted``, which skip those checks.
+They take only terms derived from valid terms -- sums of nonnegative indices,
+differences that cannot go negative, concatenated slot lists -- with
+``Fraction`` coefficients, so their results satisfy the same invariant.
 """
 
 from __future__ import annotations
@@ -23,10 +34,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
 from math import factorial, perm
+from operator import add as _add, sub as _sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Index = tuple[int, ...]
 Scalar = Union[int, Fraction]
+
+_ZERO = Fraction(0)
 
 
 class DimensionMismatchError(ValueError):
@@ -42,11 +56,11 @@ def zero_index(dimension: int) -> Index:
 
 
 def index_add(a: Index, b: Index) -> Index:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def index_sub(a: Index, b: Index) -> Index:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(_sub, a, b))
 
 
 def _check_dimension(dimension: int) -> None:
@@ -74,40 +88,112 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-def _term_pairs(terms) -> Iterable[tuple]:
-    if isinstance(terms, Mapping):
-        return terms.items()
-    return terms
+class _TermStore:
+    """Sparse "key -> exact coefficient" store shared by Polynomial and Cochain.
+
+    ``_terms`` is a tuple of ``(key, Fraction)`` pairs with no zero
+    coefficient and no repeated key, sorted by the class's ``_sort_key``.
+    The public constructor validates every key and coefficient;
+    ``_trusted`` takes an already merged ``{key: Fraction}`` dict of valid
+    keys and only drops zeros and sorts.
+    """
+
+    __slots__ = ("dimension", "_terms")
+    _sort_key = None  # None: sort by the key itself
+
+    def __init__(self, dimension: int, terms=()):
+        _check_dimension(dimension)
+        acc: dict = {}
+        for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+            key = self._check_key(key, dimension)
+            value = _as_fraction(coeff)
+            acc[key] = value if (old := acc.get(key)) is None else old + value
+        self._store(dimension, acc)
+
+    @classmethod
+    def _trusted(cls, dimension: int, acc: dict):
+        """A value from a merged dict of keys built from valid keys; nothing is checked."""
+        self = object.__new__(cls)
+        self._store(dimension, acc)
+        return self
+
+    def _store(self, dimension: int, acc: dict) -> None:
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(
+            self, "_terms", tuple(sorted([item for item in acc.items() if item[1]], key=self._sort_key))
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, dimension: int):
+        return cls(dimension)
+
+    def items(self) -> Iterator[tuple]:
+        return iter(self._terms)
+
+    def coefficient(self, key) -> Fraction:
+        for k, c in self._terms:
+            if k == key:
+                return c
+        return _ZERO
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.dimension == other.dimension
+            and self._terms == other._terms
+        )
+
+    def __hash__(self):
+        return hash((self.dimension, self._terms))
+
+    def _check_same_dimension(self, other: _TermStore) -> None:
+        if self.dimension != other.dimension:
+            raise DimensionMismatchError(
+                f"{type(self).__name__.lower()} dimensions differ: {self.dimension} vs {other.dimension}"
+            )
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_same_dimension(other)
+        acc = dict(self._terms)
+        for k, c in other._terms:
+            acc[k] = c if (old := acc.get(k)) is None else old + c
+        return self._trusted(self.dimension, acc)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._trusted(self.dimension, {k: -c for k, c in self._terms})
+
+    def __mul__(self, scalar):
+        s = _as_fraction(scalar)
+        return self._trusted(self.dimension, {k: c * s for k, c in self._terms})
+
+    def __rmul__(self, scalar):
+        return self.__mul__(scalar)
 
 
-class Polynomial:
+class Polynomial(_TermStore):
     """Sparse polynomial over the rationals in ``dimension`` variables.
 
     Terms map exponent tuples to nonzero coefficients; the zero polynomial
     stores no terms.  Instances are immutable.
     """
 
-    __slots__ = ("dimension", "_terms")
+    __slots__ = ()
 
-    def __init__(self, dimension: int, terms=()):
-        _check_dimension(dimension)
-        acc: dict[Index, Fraction] = {}
-        for expo, coeff in _term_pairs(terms):
-            expo = _check_index(expo, dimension, nonnegative=True)
-            c = acc.get(expo, _ZERO) + _as_fraction(coeff)
-            if c:
-                acc[expo] = c
-            else:
-                acc.pop(expo, None)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def zero(cls, dimension: int) -> Polynomial:
-        return cls(dimension)
+    @staticmethod
+    def _check_key(expo: Sequence[int], dimension: int) -> Index:
+        return _check_index(expo, dimension, nonnegative=True)
 
     @classmethod
     def constant(cls, dimension: int, value: Scalar) -> Polynomial:
@@ -126,60 +212,26 @@ class Polynomial:
     def monomial(cls, dimension: int, expo: Sequence[int], coeff: Scalar = 1) -> Polynomial:
         return cls(dimension, {tuple(expo): coeff})
 
-    def items(self) -> Iterator[tuple[Index, Fraction]]:
-        return iter(self._terms)
-
     def coefficient(self, expo: Sequence[int]) -> Fraction:
-        expo = tuple(expo)
-        for e, c in self._terms:
-            if e == expo:
-                return c
-        return _ZERO
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.dimension == other.dimension
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.dimension, self._terms))
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        self._check_same_dimension(other)
-        acc = dict(self._terms)
-        for e, c in other._terms:
-            acc[e] = acc.get(e, _ZERO) + c
-        return Polynomial(self.dimension, acc)
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial(self.dimension, {e: -c for e, c in self._terms})
+        return super().coefficient(tuple(expo))
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            self._check_same_dimension(other)
-            acc: dict[Index, Fraction] = {}
-            for e1, c1 in self._terms:
-                for e2, c2 in other._terms:
-                    e = index_add(e1, e2)
-                    acc[e] = acc.get(e, _ZERO) + c1 * c2
-            return Polynomial(self.dimension, acc)
-        return Polynomial(self.dimension, {e: c * _as_fraction(other) for e, c in self._terms})
-
-    def __rmul__(self, other) -> Polynomial:
-        return self.__mul__(other)
+        if not isinstance(other, Polynomial):
+            return super().__mul__(other)
+        self._check_same_dimension(other)
+        acc: dict[Index, Fraction] = {}
+        for e1, c1 in self._terms:
+            for e2, c2 in other._terms:
+                e = index_add(e1, e2)
+                value = c1 * c2
+                acc[e] = value if (old := acc.get(e)) is None else old + value
+        return Polynomial._trusted(self.dimension, acc)
 
     def derive(self, a: Sequence[int]) -> Polynomial:
         """Apply the mixed partial derivative ``d^a = d1^(a1) ... dn^(an)``."""
-        a = _check_index(a, self.dimension, nonnegative=True)
+        return self._derive(_check_index(a, self.dimension, nonnegative=True))
+
+    def _derive(self, a: Index) -> Polynomial:
         acc: dict[Index, Fraction] = {}
         for e, c in self._terms:
             coeff = 1
@@ -190,13 +242,7 @@ class Polynomial:
                 coeff *= perm(ei, ai)
             if coeff:
                 acc[index_sub(e, a)] = c * coeff
-        return Polynomial(self.dimension, acc)
-
-    def _check_same_dimension(self, other: Polynomial) -> None:
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError(
-                f"polynomial dimensions differ: {self.dimension} vs {other.dimension}"
-            )
+        return Polynomial._trusted(self.dimension, acc)
 
     def __repr__(self):
         if not self._terms:
@@ -211,9 +257,6 @@ class Polynomial:
             else:
                 parts.append(f"{c}*" + "*".join(factors))
         return " + ".join(parts)
-
-
-_ZERO = Fraction(0)
 
 
 class BasisTerm:
@@ -233,6 +276,15 @@ class BasisTerm:
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "x_part", x_part)
         object.__setattr__(self, "slots", slots)
+
+    @classmethod
+    def _trusted(cls, dimension: int, x_part: Index, slots: tuple[Index, ...]) -> BasisTerm:
+        """A term from indices derived from valid terms' indices; nothing is checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "x_part", x_part)
+        object.__setattr__(self, "slots", slots)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("BasisTerm is immutable")
@@ -256,9 +308,6 @@ class BasisTerm:
     def __hash__(self):
         return hash((self.dimension, self.x_part, self.slots))
 
-    def __lt__(self, other: BasisTerm):
-        return self.sort_key < other.sort_key
-
     def __repr__(self):
         factors = []
         if any(self.x_part):
@@ -267,58 +316,29 @@ class BasisTerm:
         return "(x)".join(factors) if factors else "1"
 
 
-class Cochain:
+class Cochain(_TermStore):
     """Finite rational combination of basis terms, kept in canonical form.
 
     Construction merges duplicate terms, drops zero coefficients and orders
     terms deterministically, so ``==`` decides mathematical equality.
     """
 
-    __slots__ = ("dimension", "_terms")
+    __slots__ = ()
+    _sort_key = staticmethod(lambda item: item[0].sort_key)
 
-    def __init__(self, dimension: int, terms=()):
-        _check_dimension(dimension)
-        acc: dict[BasisTerm, Fraction] = {}
-        for term, coeff in _term_pairs(terms):
-            if not isinstance(term, BasisTerm):
-                raise TypeError(f"cochain terms must be BasisTerm, got {type(term).__name__}")
-            if term.dimension != dimension:
-                raise DimensionMismatchError(
-                    f"term dimension {term.dimension} does not match cochain dimension {dimension}"
-                )
-            c = acc.get(term, _ZERO) + _as_fraction(coeff)
-            if c:
-                acc[term] = c
-            else:
-                acc.pop(term, None)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(
-            self, "_terms", tuple(sorted(acc.items(), key=lambda item: item[0].sort_key))
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cochain is immutable")
-
-    @classmethod
-    def zero(cls, dimension: int) -> Cochain:
-        return cls(dimension)
+    @staticmethod
+    def _check_key(term: BasisTerm, dimension: int) -> BasisTerm:
+        if not isinstance(term, BasisTerm):
+            raise TypeError(f"cochain terms must be BasisTerm, got {type(term).__name__}")
+        if term.dimension != dimension:
+            raise DimensionMismatchError(
+                f"term dimension {term.dimension} does not match cochain dimension {dimension}"
+            )
+        return term
 
     @classmethod
     def single(cls, term: BasisTerm, coeff: Scalar = 1) -> Cochain:
         return cls(term.dimension, {term: coeff})
-
-    def items(self) -> Iterator[tuple[BasisTerm, Fraction]]:
-        return iter(self._terms)
-
-    def coefficient(self, term: BasisTerm) -> Fraction:
-        for t, c in self._terms:
-            if t == term:
-                return c
-        return _ZERO
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def arities(self) -> tuple[int, ...]:
         return tuple(sorted({t.arity for t, _ in self._terms}))
@@ -331,10 +351,10 @@ class Cochain:
         return arities[0]
 
     def components_by_arity(self) -> dict[int, Cochain]:
-        buckets: dict[int, list] = {}
+        buckets: dict[int, dict] = {}
         for t, c in self._terms:
-            buckets.setdefault(t.arity, []).append((t, c))
-        return {p: Cochain(self.dimension, pairs) for p, pairs in sorted(buckets.items())}
+            buckets.setdefault(t.arity, {})[t] = c
+        return {p: Cochain._trusted(self.dimension, part) for p, part in sorted(buckets.items())}
 
     def apply(self, args: Sequence[Polynomial]) -> Polynomial:
         """Evaluate on a tuple of polynomials, one per slot.
@@ -354,56 +374,19 @@ class Cochain:
         for term, coeff in self._terms:
             if term.arity != p:
                 raise ArityError(f"term of arity {term.arity} applied to {p} arguments")
-            value = Polynomial.monomial(self.dimension, term.x_part, coeff)
+            value = Polynomial._trusted(self.dimension, {term.x_part: coeff})
             for slot, u in zip(term.slots, args):
                 if value.is_zero:
                     break
-                value = value * u.derive(slot)
+                value = value * u._derive(slot)
             for e, c in value.items():
-                acc[e] = acc.get(e, _ZERO) + c
-        return Polynomial(self.dimension, acc)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.dimension == other.dimension
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.dimension, self._terms))
-
-    def __add__(self, other: Cochain) -> Cochain:
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError(
-                f"cochain dimensions differ: {self.dimension} vs {other.dimension}"
-            )
-        acc = dict(self._terms)
-        for t, c in other._terms:
-            acc[t] = acc.get(t, _ZERO) + c
-        return Cochain(self.dimension, acc)
-
-    def __sub__(self, other: Cochain) -> Cochain:
-        return self + (-other)
-
-    def __neg__(self) -> Cochain:
-        return Cochain(self.dimension, {t: -c for t, c in self._terms})
-
-    def __mul__(self, scalar) -> Cochain:
-        s = _as_fraction(scalar)
-        return Cochain(self.dimension, {t: c * s for t, c in self._terms})
-
-    def __rmul__(self, scalar) -> Cochain:
-        return self.__mul__(scalar)
+                acc[e] = c if (old := acc.get(e)) is None else old + c
+        return Polynomial._trusted(self.dimension, acc)
 
     def __repr__(self):
         if not self._terms:
             return "0"
-        return " + ".join(
-            repr(t) if c == 1 else f"{c}*{t!r}" for t, c in self._terms
-        )
+        return " + ".join(repr(t) if c == 1 else f"{c}*{t!r}" for t, c in self._terms)
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .cochains import BasisTerm, Cochain, DimensionMismatchError, Index, index_add, zero_index
+from .cochains import BasisTerm, Cochain, DimensionMismatchError, Index, index_add, index_sub, zero_index
 from .linsolve import solve_unique
 
 YES = "yes"
@@ -39,7 +39,7 @@ def weight_of(term: BasisTerm) -> Index:
     """x-exponent minus the sum of slot orders, an integer vector."""
     total = term.x_part
     for s in term.slots:
-        total = tuple(t - v for t, v in zip(total, s))
+        total = index_sub(total, s)
     return total
 
 
@@ -48,23 +48,23 @@ def bigrade_of(term: BasisTerm) -> tuple[Index, Index]:
     down = term.x_part
     up = term.x_part
     for s in term.slots:
-        down = tuple(d - v for d, v in zip(down, s))
-        up = tuple(u + v for u, v in zip(up, s))
+        down = index_sub(down, s)
+        up = index_add(up, s)
     return down, up
 
 
 def decompose_by_weight(c: Cochain) -> dict[Index, Cochain]:
-    buckets: dict[Index, list] = {}
+    buckets: dict[Index, dict] = {}
     for t, coeff in c.items():
-        buckets.setdefault(weight_of(t), []).append((t, coeff))
-    return {w: Cochain(c.dimension, pairs) for w, pairs in sorted(buckets.items())}
+        buckets.setdefault(weight_of(t), {})[t] = coeff
+    return {w: Cochain._trusted(c.dimension, part) for w, part in sorted(buckets.items())}
 
 
 def decompose_by_bigrade(c: Cochain) -> dict[tuple[Index, Index], Cochain]:
-    buckets: dict[tuple[Index, Index], list] = {}
+    buckets: dict[tuple[Index, Index], dict] = {}
     for t, coeff in c.items():
-        buckets.setdefault(bigrade_of(t), []).append((t, coeff))
-    return {bg: Cochain(c.dimension, pairs) for bg, pairs in sorted(buckets.items())}
+        buckets.setdefault(bigrade_of(t), {})[t] = coeff
+    return {bg: Cochain._trusted(c.dimension, part) for bg, part in sorted(buckets.items())}
 
 
 def scaling_field(dimension: int, i: int) -> Cochain:
@@ -300,7 +300,7 @@ def theta_apply(c: Cochain, indices: Sequence[int]) -> Cochain:
         w = weight_of(t)
         parity = sum(w[i - 1] for i in idx)
         out[t] = -coeff if parity % 2 else coeff
-    return Cochain(c.dimension, out)
+    return Cochain._trusted(c.dimension, out)
 
 
 def theta_split(c: Cochain, indices: Sequence[int]) -> tuple[Cochain, Cochain]:

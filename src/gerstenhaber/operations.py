@@ -7,6 +7,11 @@ operator's x-part and slots by the generalized Leibniz rule.  The coboundary
 is implemented twice on purpose: directly from its defining sum, and as
 ``-bracket(f, m)`` where ``m`` is the multiplication cochain; agreement of
 the two code paths is one of the verified laws.
+
+Insertion structure constants are integers.  ``bracket`` sums them, with
+their signs, over all insertions of one pair of terms, then multiplies by the
+pair's coefficient once per term.  Every term here is built from valid terms,
+so results go through the trusted constructors, which skip validation.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import perm
+from operator import gt
 
 from .cochains import (
     BasisTerm,
@@ -26,9 +32,6 @@ from .cochains import (
     leibniz_split,
     zero_index,
 )
-
-_ZERO = Fraction(0)
-
 
 def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
@@ -57,9 +60,10 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
     acc: dict[BasisTerm, Fraction] = {}
     for tf, cf in f.items():
         for tg, cg in g.items():
-            term = BasisTerm(f.dimension, index_add(tf.x_part, tg.x_part), tf.slots + tg.slots)
-            acc[term] = acc.get(term, _ZERO) + cf * cg
-    return Cochain(f.dimension, acc)
+            term = BasisTerm._trusted(f.dimension, index_add(tf.x_part, tg.x_part), tf.slots + tg.slots)
+            value = cf * cg
+            acc[term] = value if (old := acc.get(term)) is None else old + value
+    return Cochain._trusted(f.dimension, acc)
 
 
 @lru_cache(maxsize=200_000)
@@ -69,40 +73,33 @@ def _insert_term(tf: BasisTerm, k: int, tg: BasisTerm) -> tuple[tuple[BasisTerm,
     The slot's derivative ``d^(a_k)`` distributes over ``tg``'s x-part and
     each of ``tg``'s slot outputs; the x-part absorbs part of the derivative
     with falling-factorial coefficients, the rest lands on ``tg``'s slots.
-    Structure constants are integers.
+    Structure constants are integers.  Only ``c0 <= b0`` is subtracted, so
+    every index stays nonnegative.
     """
     n = tf.dimension
     q = tg.arity
     a_k = tf.slots[k - 1]
     b0 = tg.x_part
-    acc: dict[BasisTerm, int] = {}
+    head, tail = tf.slots[: k - 1], tf.slots[k:]
+    # Distinct splits give distinct terms, so nothing needs merging.
     if not any(b0):
         # x-part is 1: the whole derivative distributes over tg's slots.
-        for pieces, mult in index_splits(a_k, q):
-            slots = (
-                tf.slots[: k - 1]
-                + tuple(index_add(tg.slots[j], pieces[j]) for j in range(q))
-                + tf.slots[k:]
-            )
-            term = BasisTerm(n, tf.x_part, slots)
-            acc[term] = acc.get(term, 0) + mult
-    else:
-        for pieces, mult in index_splits(a_k, q + 1):
-            c0 = pieces[0]
-            if any(c0[i] > b0[i] for i in range(n)):
-                continue
-            fall = mult
-            for i in range(n):
-                fall *= perm(b0[i], c0[i])
-            x_part = index_add(tf.x_part, index_sub(b0, c0))
-            slots = (
-                tf.slots[: k - 1]
-                + tuple(index_add(tg.slots[j], pieces[j + 1]) for j in range(q))
-                + tf.slots[k:]
-            )
-            term = BasisTerm(n, x_part, slots)
-            acc[term] = acc.get(term, 0) + fall
-    return tuple(item for item in acc.items() if item[1])
+        return tuple(
+            (BasisTerm._trusted(n, tf.x_part, head + tuple(map(index_add, tg.slots, pieces)) + tail), mult)
+            for pieces, mult in index_splits(a_k, q)
+        )
+    out = []
+    for pieces, mult in index_splits(a_k, q + 1):
+        c0 = pieces[0]
+        if any(map(gt, c0, b0)):
+            continue
+        fall = mult
+        for b, c in zip(b0, c0):
+            fall *= perm(b, c)
+        x_part = index_add(tf.x_part, index_sub(b0, c0))
+        slots = head + tuple(map(index_add, tg.slots, pieces[1:])) + tail
+        out.append((BasisTerm._trusted(n, x_part, slots), fall))
+    return tuple(out)
 
 
 def insert(f: Cochain, k: int, g: Cochain) -> Cochain:
@@ -126,8 +123,9 @@ def insert(f: Cochain, k: int, g: Cochain) -> Cochain:
         for tg, cg in g.items():
             scale = cf * cg
             for term, structure in _insert_term(tf, k, tg):
-                acc[term] = acc.get(term, _ZERO) + scale * structure
-    return Cochain(f.dimension, acc)
+                value = scale * structure
+                acc[term] = value if (old := acc.get(term)) is None else old + value
+    return Cochain._trusted(f.dimension, acc)
 
 
 def bracket(f: Cochain, g: Cochain) -> Cochain:
@@ -143,17 +141,22 @@ def bracket(f: Cochain, g: Cochain) -> Cochain:
     for tf, cf in f.items():
         for tg, cg in g.items():
             p, q = tf.arity, tg.arity
-            scale = cf * cg
+            pair: dict[BasisTerm, int] = {}
             for k in range(1, p + 1):
-                s = _sign((k - 1) * (q - 1)) * scale
+                s = _sign((k - 1) * (q - 1))
                 for term, structure in _insert_term(tf, k, tg):
-                    acc[term] = acc.get(term, _ZERO) + s * structure
+                    pair[term] = pair.get(term, 0) + s * structure
             swap = -_sign((p - 1) * (q - 1))
             for k in range(1, q + 1):
-                s = swap * _sign((k - 1) * (p - 1)) * scale
+                s = swap * _sign((k - 1) * (p - 1))
                 for term, structure in _insert_term(tg, k, tf):
-                    acc[term] = acc.get(term, _ZERO) + s * structure
-    return Cochain(f.dimension, acc)
+                    pair[term] = pair.get(term, 0) + s * structure
+            scale = cf * cg
+            for term, total in pair.items():
+                if total:
+                    value = scale * total
+                    acc[term] = value if (old := acc.get(term)) is None else old + value
+    return Cochain._trusted(f.dimension, acc)
 
 
 @lru_cache(maxsize=200_000)
@@ -172,13 +175,13 @@ def _delta_term(t: BasisTerm) -> tuple[tuple[BasisTerm, int], ...]:
     def add(term: BasisTerm, c: int) -> None:
         acc[term] = acc.get(term, 0) + c
 
-    add(BasisTerm(n, t.x_part, (zero,) + t.slots), 1)
-    add(BasisTerm(n, t.x_part, t.slots + (zero,)), _sign(p + 1))
+    add(BasisTerm._trusted(n, t.x_part, (zero,) + t.slots), 1)
+    add(BasisTerm._trusted(n, t.x_part, t.slots + (zero,)), _sign(p + 1))
     for k in range(1, p + 1):
         sk = _sign(k)
         for b, rest, coeff in leibniz_split(t.slots[k - 1]):
             slots = t.slots[: k - 1] + (b, rest) + t.slots[k:]
-            add(BasisTerm(n, t.x_part, slots), sk * coeff)
+            add(BasisTerm._trusted(n, t.x_part, slots), sk * coeff)
     return tuple(item for item in acc.items() if item[1])
 
 
@@ -187,8 +190,9 @@ def hochschild_delta(f: Cochain) -> Cochain:
     acc: dict[BasisTerm, Fraction] = {}
     for t, c in f.items():
         for term, structure in _delta_term(t):
-            acc[term] = acc.get(term, _ZERO) + c * structure
-    return Cochain(f.dimension, acc)
+            value = c * structure
+            acc[term] = value if (old := acc.get(term)) is None else old + value
+    return Cochain._trusted(f.dimension, acc)
 
 
 def delta_via_bracket(f: Cochain) -> Cochain:

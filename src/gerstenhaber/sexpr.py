@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from reprlib import repr as _brief  # depth- and length-bounded repr for error messages
 from typing import Union
 
 from .cochains import BasisTerm, Cochain, Polynomial
@@ -86,32 +87,32 @@ def _atom(token: str, line: int, col: int) -> Node:
 
 
 def parse_sexpr(text: str) -> Node:
-    """Parse one s-expression; trailing content is an error."""
+    """Parse one s-expression; trailing content is an error.
+
+    Iterative, with a stack of open lists, so any nesting depth parses.
+    """
     tokens = list(_tokenize(text))
     if not tokens:
         raise SexprError("empty input", 1, 1)
-    pos = 0
-
-    def read() -> Node:
-        nonlocal pos
-        token, line, col = tokens[pos]
-        pos += 1
+    stack: list[tuple[list, int, int]] = []  # open lists: items, '(' line and column
+    for pos, (token, line, col) in enumerate(tokens):
         if token == "(":
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise SexprError("unexpected end of input inside list", line, col)
-                if tokens[pos][0] == ")":
-                    pos += 1
-                    return tuple(items)
-                items.append(read())
+            stack.append(([], line, col))
+            continue
         if token == ")":
-            raise SexprError("unexpected ')'", line, col)
-        return _atom(token, line, col)
-
-    node = read()
-    if pos != len(tokens):
-        token, line, col = tokens[pos]
+            if not stack:
+                raise SexprError("unexpected ')'", line, col)
+            node = tuple(stack.pop()[0])
+        else:
+            node = _atom(token, line, col)
+        if not stack:
+            break
+        stack[-1][0].append(node)
+    else:
+        _, line, col = stack[-1]
+        raise SexprError("unexpected end of input inside list", line, col)
+    if pos + 1 != len(tokens):
+        token, line, col = tokens[pos + 1]
         raise SexprError(f"unexpected trailing content {token!r}", line, col)
     return node
 
@@ -146,14 +147,14 @@ class Document:
 
 def _expect_list(node: Node, what: str) -> tuple:
     if not isinstance(node, tuple):
-        raise ValueError(f"expected a list for {what}, got {node!r}")
+        raise ValueError(f"expected a list for {what}, got {_brief(node)}")
     return node
 
 
 def _node_to_index(node: Node, dimension: int) -> tuple[int, ...]:
     node = _expect_list(node, "index")
     if len(node) != dimension or not all(isinstance(v, int) for v in node):
-        raise ValueError(f"index {node!r} is not {dimension} integers")
+        raise ValueError(f"index {_brief(node)} is not {dimension} integers")
     return tuple(node)
 
 
@@ -161,10 +162,10 @@ def _node_to_terms(nodes, dimension: int, *, min_indices: int):
     for node in nodes:
         node = _expect_list(node, "term")
         if len(node) < 2 + min_indices or node[0] != "term":
-            raise ValueError(f"malformed term {node!r}")
+            raise ValueError(f"malformed term {_brief(node)}")
         coeff = node[1]
         if not isinstance(coeff, (int, Fraction)):
-            raise ValueError(f"term coefficient {coeff!r} is not rational")
+            raise ValueError(f"term coefficient {_brief(coeff)} is not rational")
         indices = [_node_to_index(x, dimension) for x in node[2:]]
         yield coeff, indices
 
@@ -172,7 +173,7 @@ def _node_to_terms(nodes, dimension: int, *, min_indices: int):
 def node_to_cochain(node: Node) -> Cochain:
     node = _expect_list(node, "cochain")
     if len(node) < 2 or node[0] != "cochain" or not isinstance(node[1], int):
-        raise ValueError(f"malformed cochain document {node!r}")
+        raise ValueError(f"malformed cochain document {_brief(node)}")
     dimension = node[1]
     pairs = []
     for coeff, indices in _node_to_terms(node[2:], dimension, min_indices=1):
@@ -190,7 +191,7 @@ def cochain_to_node(c: Cochain) -> Node:
 def node_to_polynomial(node: Node) -> Polynomial:
     node = _expect_list(node, "poly")
     if len(node) < 2 or node[0] != "poly" or not isinstance(node[1], int):
-        raise ValueError(f"malformed poly document {node!r}")
+        raise ValueError(f"malformed poly document {_brief(node)}")
     dimension = node[1]
     pairs = []
     for coeff, indices in _node_to_terms(node[2:], dimension, min_indices=1):
@@ -213,16 +214,16 @@ def node_to_deformation(node: Node) -> Deformation:
         or not isinstance(node[1], int)
         or not (isinstance(node[2], tuple) and len(node[2]) == 2 and node[2][0] == "order")
     ):
-        raise ValueError(f"malformed deformation document {node!r}")
+        raise ValueError(f"malformed deformation document {_brief(node)}")
     dimension = node[1]
     order = node[2][1]
     if not isinstance(order, int) or order < 1:
-        raise ValueError(f"malformed deformation order {order!r}")
+        raise ValueError(f"malformed deformation order {_brief(order)}")
     by_order: dict[int, Cochain] = {}
     for entry in node[3:]:
         entry = _expect_list(entry, "deformation coefficient")
         if len(entry) < 2 or entry[0] != "pk" or not isinstance(entry[1], int):
-            raise ValueError(f"malformed deformation coefficient {entry!r}")
+            raise ValueError(f"malformed deformation coefficient {_brief(entry)}")
         k = entry[1]
         if not 1 <= k <= order or k in by_order:
             raise ValueError(f"deformation coefficient order {k} out of range or repeated")

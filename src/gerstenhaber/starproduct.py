@@ -85,6 +85,8 @@ class Deformation:
 def obstruction(deformation: Deformation, k: int) -> Cochain:
     """The arity-3 term ``1/2 sum_{i+j=k, i,j>=1} [p_i, p_j]``.
 
+    The bracket is symmetric on arity-2 cochains, so this is computed as
+    ``sum_{i<j} [p_i, p_j] + 1/2 [p_(k/2), p_(k/2)]``, one bracket per pair.
     Needs ``p_1 .. p_(k-1)``; well-defined for ``k`` up to order + 1.
     """
     if k < 1:
@@ -95,9 +97,12 @@ def obstruction(deformation: Deformation, k: int) -> Cochain:
             f"deformation stops at {deformation.order}"
         )
     total = Cochain.zero(deformation.dimension)
-    for i in range(1, k):
+    for i in range(1, (k + 1) // 2):
         total = total + bracket(deformation.coefficient(i), deformation.coefficient(k - i))
-    return total * HALF
+    if k % 2 == 0:
+        middle = deformation.coefficient(k // 2)
+        total = total + bracket(middle, middle) * HALF
+    return total
 
 
 @dataclass(frozen=True)

@@ -130,3 +130,55 @@ def test_cli_verify_axioms_json(capsys):
     payload = json.loads(out)
     assert payload["kind"] == "report"
     assert ["seed", 1] in payload["body"]
+
+
+def test_parser_handles_nesting_beyond_the_recursion_limit():
+    depth = 100_000
+    node = parse_sexpr("(" * depth + "x" + ")" * depth)
+    for _ in range(depth):
+        assert isinstance(node, tuple) and len(node) == 1
+        node = node[0]
+    assert node == "x"
+
+
+def _run_cli(*args):
+    import os
+    import subprocess
+    import sys
+
+    import gerstenhaber
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gerstenhaber.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "gerstenhaber.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("command", ["bigrade", "bracket", "mc-solve"])
+def test_cli_deep_nesting_exits_one_without_traceback(tmp_path, command):
+    depth = 100_000
+    unclosed = tmp_path / "unclosed.sexp"
+    unclosed.write_text("(" * depth, encoding="utf-8")
+    balanced = tmp_path / "balanced.sexp"
+    balanced.write_text(
+        "(cochain 2 (term 1 (0 0) " + "(" * depth + ")" * depth + "))", encoding="utf-8"
+    )
+    for path, head, tail in (
+        (unclosed, f"error: line 1, column {depth}: ", "unexpected end of input inside list"),
+        # The offending node is shown depth-bounded, on one short line.
+        (balanced, "error: index (((", "...),),),),),),) is not 2 integers"),
+    ):
+        if command == "bracket":
+            args = ["bracket", str(path), str(path)]
+        elif command == "mc-solve":
+            args = ["mc-solve", "--pi1", str(path), "--order", "2"]
+        else:
+            args = [command, str(path)]
+        result = _run_cli(*args)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(head) and line.endswith(tail) and len(line) < 100

@@ -67,6 +67,39 @@ def test_obstruction_needs_lower_orders():
         obstruction(d, 3)
 
 
+def x1x2_bivector():
+    return Cochain(2, {term((1, 1), (1, 0), (0, 1)): 1, term((1, 1), (0, 1), (1, 0)): -1})
+
+
+def _seeded_deformation(seed, order):
+    rng = random.Random(seed)
+    return Deformation(
+        dimension=2,
+        cochains=tuple(random_homogeneous_cochain(rng, arity=2, max_terms=3) for _ in range(order)),
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: solve_maurer_cartan(constant_bivector(), 7),
+        lambda: solve_maurer_cartan(linear_bivector(), 7),
+        # k = 8 for x1*x2 would need p_7, a half-minute solve; its obstructions stop at k = 6.
+        lambda: solve_maurer_cartan(x1x2_bivector(), 5),
+        lambda: _seeded_deformation(17, 7),
+    ],
+    ids=["constant", "x1", "x1*x2", "seeded"],
+)
+def test_obstruction_equals_literal_half_sum(make):
+    """One bracket per pair {i, j} gives the literal 1/2 sum_{i+j=k} [p_i, p_j]."""
+    d = make()
+    for k in range(1, d.order + 2):
+        literal = Cochain.zero(2)
+        for i in range(1, k):
+            literal = literal + bracket(d.coefficient(i), d.coefficient(k - i))
+        assert obstruction(d, k) == literal * Fraction(1, 2)
+
+
 def test_obstructions_closed_for_solver_output():
     d = solve_maurer_cartan(constant_bivector(), 4)
     for k in range(2, 5):

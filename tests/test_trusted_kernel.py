@@ -1,0 +1,138 @@
+"""The trusted construction path gives the same values as the validating one.
+
+Operations build their results without revalidating terms derived from
+valid terms.  For random valid operands, every result must equal its rebuild
+through the public constructors, hold only nonzero ``Fraction``
+coefficients, and list its terms strictly increasing in the canonical key.
+The public constructors must still reject invalid input.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gerstenhaber import BasisTerm, Cochain, Polynomial
+from gerstenhaber.cochains import DimensionMismatchError
+from gerstenhaber.grading import decompose_by_bigrade, decompose_by_weight, theta_apply
+from gerstenhaber.operations import bracket, cup, delta_via_bracket, hochschild_delta, insert
+
+DIM = 2
+SETTINGS = settings(max_examples=60, deadline=None)
+
+EXPONENT = st.tuples(*[st.integers(0, 2)] * DIM)
+COEFF = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+SCALAR = st.one_of(st.integers(-2, 2), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+def terms_of_arity(arity):
+    return st.builds(lambda x, slots: BasisTerm(DIM, x, slots), EXPONENT, st.tuples(*[EXPONENT] * arity))
+
+
+def cochains_of_arity(arity):
+    return st.lists(st.tuples(terms_of_arity(arity), COEFF), max_size=3).map(lambda p: Cochain(DIM, p))
+
+
+ANY_COCHAIN = st.lists(
+    st.tuples(st.integers(0, 2).flatmap(terms_of_arity), COEFF), max_size=3
+).map(lambda p: Cochain(DIM, p))
+POLYNOMIAL = st.lists(st.tuples(EXPONENT, COEFF), max_size=3).map(lambda p: Polynomial(DIM, p))
+
+
+def assert_canonical(value):
+    """Equal to its validating rebuild, Fraction coefficients, strictly sorted keys."""
+    pairs = list(value.items())
+    for _, c in pairs:
+        assert type(c) is Fraction and c != 0
+    if isinstance(value, Cochain):
+        rebuilt = Cochain(
+            value.dimension, [(BasisTerm(t.dimension, t.x_part, t.slots), c) for t, c in pairs]
+        )
+        keys = [t.sort_key for t, _ in pairs]
+        for t, _ in pairs:
+            assert type(t.x_part) is tuple and all(type(s) is tuple for s in t.slots)
+    else:
+        rebuilt = Polynomial(value.dimension, pairs)
+        keys = [e for e, _ in pairs]
+        assert all(type(e) is tuple for e in keys)
+    assert rebuilt == value
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@SETTINGS
+@given(ANY_COCHAIN, ANY_COCHAIN, SCALAR)
+def test_cochain_arithmetic_and_products(f, g, s):
+    for result in (cup(f, g), bracket(f, g), f + g, f - g, -f, f * s, s * f):
+        assert_canonical(result)
+    for result in (hochschild_delta(f), delta_via_bracket(f), theta_apply(f, (1,))):
+        assert_canonical(result)
+    for part in (*f.components_by_arity().values(), *decompose_by_weight(f).values(),
+                 *decompose_by_bigrade(f).values()):
+        assert_canonical(part)
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(cochains_of_arity), st.integers(0, 2).flatmap(cochains_of_arity),
+       st.integers(1, 2))
+def test_insertion(f, g, k):
+    if f.is_zero or k > f.homogeneous_arity():
+        k = 1
+    assert_canonical(insert(f, k, g))
+
+
+@SETTINGS
+@given(POLYNOMIAL, POLYNOMIAL, SCALAR, EXPONENT)
+def test_polynomial_arithmetic(u, v, s, a):
+    for result in (u * v, u + v, u - v, -u, u * s, s * u, u.derive(a)):
+        assert_canonical(result)
+
+
+@SETTINGS
+@given(st.integers(0, 2).flatmap(
+    lambda p: st.tuples(cochains_of_arity(p), st.lists(POLYNOMIAL, min_size=p, max_size=p))
+))
+def test_apply(case):
+    f, args = case
+    assert_canonical(f.apply(args))
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(ValueError):
+        Polynomial(2, {(-1, 0): 1})
+    with pytest.raises(ValueError):
+        BasisTerm(2, (0, 0), ((0, -1),))
+    with pytest.raises(ValueError):
+        BasisTerm(2, (1.0, 0), ())
+    with pytest.raises(DimensionMismatchError):
+        BasisTerm(2, (0, 0, 0), ())
+    with pytest.raises(DimensionMismatchError):
+        Polynomial(2, {(1,): 1})
+    with pytest.raises(TypeError):
+        Polynomial(2, {(1, 0): 0.5})
+    with pytest.raises(TypeError):
+        Cochain(2, {BasisTerm(2, (0, 0), ()): 0.5})
+    with pytest.raises(TypeError):
+        Cochain(2, {(0, 0): 1})
+    with pytest.raises(DimensionMismatchError):
+        Cochain(2, {BasisTerm(3, (0, 0, 0), ()): 1})
+    with pytest.raises(DimensionMismatchError):
+        Polynomial.variable(2, 1) + Polynomial.variable(3, 1)
+    with pytest.raises(DimensionMismatchError):
+        Polynomial.variable(2, 1).derive((1,))
+    with pytest.raises(TypeError):
+        Polynomial.variable(2, 1) * 0.5
+
+
+def test_polynomial_and_cochain_do_not_mix():
+    p = Polynomial.variable(2, 1)
+    c = Cochain.single(BasisTerm(2, (1, 0), ()))
+    with pytest.raises(TypeError):
+        p + c
+    with pytest.raises(TypeError):
+        c + p
+    with pytest.raises(TypeError):
+        p - c
+    with pytest.raises(TypeError):
+        p * c
+    assert p != c and Polynomial.zero(2) != Cochain.zero(2)
