@@ -25,7 +25,6 @@ from .grading import (
     filtration_contains,
     filtration_index,
     in_ideal,
-    in_subalgebra,
     project_subalgebra,
     semigroup_member,
     theta_apply,
@@ -84,6 +83,11 @@ def _semigroup_from_args(args, dimension: int) -> SemigroupSpec:
         generators=tuple(_parse_vector(g, "--gen") for g in args.gen),
         search_cap=args.cap,
     )
+
+
+def _require_positive(count: int, flag: str) -> None:
+    if count < 1:
+        raise ValueError(f"{flag} must be at least 1")
 
 
 def _emit(doc: sexpr.Document, as_json: bool) -> None:
@@ -181,15 +185,10 @@ def _cmd_ideal_member(args) -> int:
 
 def _cmd_project(args) -> int:
     c = _load(args.cochain, "cochain")
-    spec = _semigroup_from_args(args, c.dimension)
-    decision = in_subalgebra(c, spec)
-    if decision.status == "inconclusive":
-        raise InconclusiveMembershipError(
-            f"membership undecided within search cap {spec.search_cap}"
-        )
-    projected = project_subalgebra(c, spec)
+    projected = project_subalgebra(c, _semigroup_from_args(args, c.dimension))
+    member = "yes" if projected == c else "no"
     _emit(
-        _report(c.dimension, ("member", decision.status), ("projection",) + _cochain_terms(projected)),
+        _report(c.dimension, ("member", member), ("projection",) + _cochain_terms(projected)),
         args.json,
     )
     return EXIT_OK
@@ -233,14 +232,9 @@ def _cmd_filtration(args) -> int:
 
 
 def _cmd_mc_solve(args) -> int:
+    _require_positive(args.assoc_trials, "--assoc-trials")
     pi1 = _load(args.pi1, "cochain")
-    spec = None
-    if args.gen:
-        spec = SemigroupSpec(
-            dimension=pi1.dimension,
-            generators=tuple(_parse_vector(g, "--gen") for g in args.gen),
-            search_cap=args.cap,
-        )
+    spec = _semigroup_from_args(args, pi1.dimension) if args.gen else None
     deformation = solve_maurer_cartan(
         pi1, args.order, delta_spec=spec, slot_order_cap=args.slot_cap
     )
@@ -276,6 +270,7 @@ def _cmd_assoc_defect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_positive(args.trials, "--trials")
     if args.law:
         known = {name for name, _ in axioms.ALL_LAWS}
         unknown = sorted(set(args.law) - known)
@@ -333,21 +328,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bigrade", _cmd_bigrade, "bigrade decomposition of a cochain")
     p.add_argument("cochain")
 
+    def add_semigroup(p):
+        p.add_argument("--gen", action="append", default=[], help="semigroup generator; use --gen=-1,-1")
+        p.add_argument("--cap", type=int, default=32, help="search cap on representation length")
+
     p = add("member", _cmd_member, "semigroup membership of a weight vector")
     p.add_argument("--weight", required=True, help="comma-separated integers; use --weight=-3,-3")
-    p.add_argument("--gen", action="append", default=[], help="semigroup generator; use --gen=-1,-1")
-    p.add_argument("--cap", type=int, default=32, help="search cap on representation length")
+    add_semigroup(p)
 
     p = add("ideal-member", _cmd_ideal_member, "membership of a cochain in the r-fold ideal")
     p.add_argument("cochain")
-    p.add_argument("--gen", action="append", default=[])
-    p.add_argument("--cap", type=int, default=32)
+    add_semigroup(p)
     p.add_argument("--fold", "-r", type=int, default=2, help="how many semigroup summands")
 
     p = add("project", _cmd_project, "membership in and projection onto a weight subalgebra")
     p.add_argument("cochain")
-    p.add_argument("--gen", action="append", default=[])
-    p.add_argument("--cap", type=int, default=32)
+    add_semigroup(p)
 
     p = add("theta", _cmd_theta, "parity involution for a coordinate index set")
     p.add_argument("cochain")
@@ -365,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("mc-solve", _cmd_mc_solve, "solve the star-product recursion from a Poisson bivector")
     p.add_argument("--pi1", required=True, help="cochain document for the bivector")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--gen", action="append", default=[], help="weight semigroup generator (optional)")
-    p.add_argument("--cap", type=int, default=32)
+    add_semigroup(p)
     p.add_argument("--slot-cap", type=int, default=64, help="hard cap on slot-order growth")
     p.add_argument("--check-assoc", action="store_true", help="verify associativity of the output")
     p.add_argument("--assoc-trials", type=int, default=10)

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cochains import BasisTerm, Cochain, DimensionMismatchError, Index, index_add, index_sub, zero_index
 from .linsolve import solve_unique
@@ -87,7 +88,9 @@ class SemigroupSpec:
     Membership means a nonempty nonnegative integer combination of the
     generators; the zero vector belongs only if the generators can cancel.
     ``search_cap`` bounds the total number of generator uses the membership
-    search will try.
+    search will try.  The lattice basis and the convex hull's minimum-norm
+    point depend only on the generators; each is computed on first use and
+    kept on the spec.
     """
 
     dimension: int
@@ -108,6 +111,16 @@ class SemigroupSpec:
         object.__setattr__(self, "generators", tuple(sorted(set(gens))))
         if self.search_cap < 1:
             raise ValueError("search_cap must be positive")
+
+    @cached_property
+    def _basis(self) -> list[list[int]]:
+        """Integer echelon basis of the subgroup the generators span."""
+        return _lattice_basis(self.generators, self.dimension)
+
+    @cached_property
+    def _hull(self) -> tuple[tuple[Fraction, ...], Fraction]:
+        """Minimum-norm point of the generators' convex hull and its squared norm."""
+        return _min_norm_hull_point(self.generators)
 
 
 @dataclass(frozen=True)
@@ -187,9 +200,9 @@ def semigroup_member(spec: SemigroupSpec, a: Sequence[int], min_count: int = 1) 
     gens = spec.generators
     if not gens:
         return Membership(NO)
-    if not _in_lattice(a, _lattice_basis(gens, spec.dimension)):
+    if not _in_lattice(a, spec._basis):
         return Membership(NO)
-    w, wsq = _min_norm_hull_point(gens)
+    w, wsq = spec._hull
     if wsq:
         dot = sum(Fraction(x) * y for x, y in zip(a, w))
         bound = dot / wsq
@@ -227,13 +240,17 @@ def _combine_statuses(statuses: Iterable[str]) -> str:
     return worst
 
 
-def in_subalgebra(c: Cochain, spec: SemigroupSpec) -> Membership:
-    """Whether every weight component of ``c`` has weight in the semigroup."""
+def _weight_statuses(c: Cochain, spec: SemigroupSpec, min_count: int) -> Iterator[tuple[Index, str]]:
+    """Each distinct weight of ``c`` in sorted order, with its membership status."""
     if c.dimension != spec.dimension:
         raise DimensionMismatchError("cochain and semigroup dimensions differ")
-    return Membership(
-        _combine_statuses(semigroup_member(spec, w).status for w in decompose_by_weight(c))
-    )
+    for w in sorted({weight_of(t) for t, _ in c.items()}):
+        yield w, semigroup_member(spec, w, min_count).status
+
+
+def in_subalgebra(c: Cochain, spec: SemigroupSpec) -> Membership:
+    """Whether every weight component of ``c`` has weight in the semigroup."""
+    return Membership(_combine_statuses(s for _, s in _weight_statuses(c, spec, 1)))
 
 
 def project_subalgebra(c: Cochain, spec: SemigroupSpec) -> Cochain:
@@ -243,18 +260,15 @@ def project_subalgebra(c: Cochain, spec: SemigroupSpec) -> Cochain:
     decided within the search cap; an undecided component is never silently
     kept or dropped.
     """
-    if c.dimension != spec.dimension:
-        raise DimensionMismatchError("cochain and semigroup dimensions differ")
-    kept = Cochain.zero(c.dimension)
-    for w, component in decompose_by_weight(c).items():
-        decision = semigroup_member(spec, w)
-        if decision.status == INCONCLUSIVE:
+    kept = set()
+    for w, status in _weight_statuses(c, spec, 1):
+        if status == INCONCLUSIVE:
             raise InconclusiveMembershipError(
                 f"membership of weight {w} undecided within search cap {spec.search_cap}"
             )
-        if decision.is_yes:
-            kept = kept + component
-    return kept
+        if status == YES:
+            kept.add(w)
+    return Cochain._trusted(c.dimension, {t: coeff for t, coeff in c.items() if weight_of(t) in kept})
 
 
 def in_ideal(c: Cochain, spec: SemigroupSpec, fold: int = 2) -> Membership:
@@ -266,13 +280,7 @@ def in_ideal(c: Cochain, spec: SemigroupSpec, fold: int = 2) -> Membership:
     """
     if fold < 1:
         raise ValueError("fold must be at least 1")
-    if c.dimension != spec.dimension:
-        raise DimensionMismatchError("cochain and semigroup dimensions differ")
-    return Membership(
-        _combine_statuses(
-            semigroup_member(spec, w, min_count=fold).status for w in decompose_by_weight(c)
-        )
-    )
+    return Membership(_combine_statuses(s for _, s in _weight_statuses(c, spec, fold)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +362,6 @@ class SubgroupReport:
         return False
 
 
-def _candidate_status(spec: SemigroupSpec, v: Index) -> str:
-    if not any(v):
-        return YES
-    return semigroup_member(spec, v).status
-
-
 def _lattice_basis(vectors: Sequence[Index], n: int) -> list[list[int]]:
     """Integer echelon basis of the subgroup generated by the vectors."""
     rows = [list(v) for v in vectors if any(v)]
@@ -427,19 +429,19 @@ def subgroup_complement_check(
     from .operations import bracket, cup
     import random
 
-    statuses = [_candidate_status(spec, tuple(-x for x in g)) for g in spec.generators]
-    is_subgroup = _combine_statuses(statuses) if spec.generators else NO
+    def candidate_status(v: Index) -> str:
+        return semigroup_member(spec, v).status if any(v) else YES
+
+    negatives = (candidate_status(tuple(-x for x in g)) for g in spec.generators)
+    is_subgroup = _combine_statuses(negatives) if spec.generators else NO
 
     if is_subgroup == YES:
-        basis = _lattice_basis(spec.generators, spec.dimension)
 
         def status(v: Index) -> str:
-            return YES if _in_lattice(v, basis) else NO
+            return YES if _in_lattice(v, spec._basis) else NO
 
     else:
-
-        def status(v: Index) -> str:
-            return _candidate_status(spec, v)
+        status = candidate_status
 
     window = _window(spec.dimension, window_radius)
     outside = [v for v in window if status(v) == NO]

@@ -117,15 +117,15 @@ def parse_sexpr(text: str) -> Node:
     return node
 
 
-def format_sexpr(node: Node, *, pretty: bool = True) -> str:
-    """Deterministic text for a node; pretty mode breaks top-level items."""
+def format_sexpr(node: Node) -> str:
+    """Deterministic text for a node, one line per nested top-level item."""
 
     def flat(n: Node) -> str:
         if isinstance(n, tuple):
             return "(" + " ".join(flat(x) for x in n) + ")"
         return str(n)
 
-    if not pretty or not isinstance(node, tuple):
+    if not isinstance(node, tuple):
         return flat(node)
     head = [flat(x) for x in node if not isinstance(x, tuple)]
     body = [flat(x) for x in node if isinstance(x, tuple)]
@@ -268,8 +268,8 @@ def document_to_node(doc: Document) -> Node:
     raise ValueError(f"unknown document kind {doc.kind!r}")
 
 
-def print_document(doc: Document, *, pretty: bool = True) -> str:
-    return format_sexpr(document_to_node(doc), pretty=pretty)
+def print_document(doc: Document) -> str:
+    return format_sexpr(document_to_node(doc))
 
 
 def node_to_json(node: Node):
@@ -296,8 +296,8 @@ def parse_cochain(text: str) -> Cochain:
     return doc.payload
 
 
-def print_cochain(c: Cochain, *, pretty: bool = True) -> str:
-    return print_document(Document("cochain", c.dimension, c), pretty=pretty)
+def print_cochain(c: Cochain) -> str:
+    return print_document(Document("cochain", c.dimension, c))
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -307,8 +307,8 @@ def parse_polynomial(text: str) -> Polynomial:
     return doc.payload
 
 
-def print_polynomial(p: Polynomial, *, pretty: bool = True) -> str:
-    return print_document(Document("poly", p.dimension, p), pretty=pretty)
+def print_polynomial(p: Polynomial) -> str:
+    return print_document(Document("poly", p.dimension, p))
 
 
 def parse_deformation(text: str) -> Deformation:
@@ -318,5 +318,5 @@ def parse_deformation(text: str) -> Deformation:
     return doc.payload
 
 
-def print_deformation(d: Deformation, *, pretty: bool = True) -> str:
-    return print_document(Document("deformation", d.dimension, d), pretty=pretty)
+def print_deformation(d: Deformation) -> str:
+    return print_document(Document("deformation", d.dimension, d))

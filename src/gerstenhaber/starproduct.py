@@ -135,7 +135,6 @@ def _block_data(bigrade: tuple[Index, Index], dimension: int) -> tuple[Index, In
     return tuple(x_part), tuple(slot_total)
 
 
-@lru_cache(maxsize=None)
 def block_basis(bigrade: tuple[Index, Index], dimension: int, arity: int) -> tuple[BasisTerm, ...]:
     """All basis terms of the given arity and bigrade, lexicographically ordered."""
     x_part, slot_total = _block_data(bigrade, dimension)
@@ -174,7 +173,7 @@ def solve_delta(target: Cochain) -> Cochain:
         return Cochain.zero(target.dimension)
     if target.arities() != (3,):
         raise ArityError("solve_delta expects an arity-3 cochain")
-    solution = Cochain.zero(target.dimension)
+    solution: dict[BasisTerm, Fraction] = {}
     for bigrade, component in decompose_by_bigrade(target).items():
         block = build_block(bigrade, target.dimension)
         position = {t: i for i, t in enumerate(block.basis3)}
@@ -184,10 +183,9 @@ def solve_delta(target: Cochain) -> Cochain:
         x = solve_particular(block.matrix, rhs)
         if x is None:
             raise CoboundaryError(bigrade)
-        solution = solution + Cochain(
-            target.dimension, {t: c for t, c in zip(block.basis2, x) if c}
-        )
-    return solution
+        # Blocks have distinct bigrades, so their basis terms never overlap.
+        solution.update(zip(block.basis2, x))
+    return Cochain._trusted(target.dimension, solution)
 
 
 def _max_slot_order(c: Cochain) -> int:

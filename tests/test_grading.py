@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerstenhaber import (
     BasisTerm,
@@ -23,6 +25,7 @@ from gerstenhaber import (
     theta_split,
     weight_of,
 )
+from gerstenhaber import grading
 from gerstenhaber.grading import (
     filtration_contains,
     filtration_index,
@@ -152,6 +155,61 @@ def test_projection_propagates_inconclusive():
     far = single((30, 0), (0, 0), (0, 0))
     with pytest.raises(InconclusiveMembershipError):
         project_subalgebra(far, spec)
+
+
+SMALL = st.tuples(st.integers(0, 3), st.integers(0, 3))
+SMALL_COCHAIN = st.lists(
+    st.tuples(
+        st.integers(0, 2).flatmap(lambda k: st.tuples(SMALL, st.tuples(*[SMALL] * k))),
+        st.integers(-3, 3),
+    ),
+    max_size=12,
+).map(lambda pairs: Cochain(2, [(BasisTerm(2, x, slots), c) for (x, slots), c in pairs]))
+SMALL_SPEC = st.builds(
+    lambda gens, cap: SemigroupSpec(dimension=2, generators=tuple(gens), search_cap=cap),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=4),
+    st.integers(3, 8),
+)
+
+
+def combined_status(statuses):
+    if "no" in statuses:
+        return "no"
+    return "inconclusive" if "inconclusive" in statuses else "yes"
+
+
+@settings(max_examples=80, deadline=None)
+@given(SMALL_COCHAIN, SMALL_SPEC, st.integers(1, 3))
+def test_weight_pass_matches_per_component_reference(c, spec, fold):
+    components = decompose_by_weight(c)
+    plain = {w: semigroup_member(spec, w).status for w in components}
+    folded = [semigroup_member(spec, w, min_count=fold).status for w in components]
+    assert list(grading._weight_statuses(c, spec, fold)) == list(zip(components, folded))
+    assert in_subalgebra(c, spec).status == combined_status(plain.values())
+    assert in_ideal(c, spec, fold=fold).status == combined_status(folded)
+    if "inconclusive" in plain.values():
+        with pytest.raises(InconclusiveMembershipError):
+            project_subalgebra(c, spec)
+    else:
+        expected = Cochain.zero(2)
+        for w, part in components.items():
+            if plain[w] == "yes":
+                expected = expected + part
+        assert project_subalgebra(c, spec) == expected
+
+
+def test_generator_invariants_computed_once_per_spec(monkeypatch):
+    calls = []
+    for name in ("_min_norm_hull_point", "_lattice_basis"):
+        original = getattr(grading, name)
+        monkeypatch.setattr(grading, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a))
+    spec = SemigroupSpec(dimension=2, generators=((-1, 0), (0, -1), (1, -2)))
+    c = Cochain(2, {term((i, j), (2, 3)): 1 for i in range(5) for j in range(5)})
+    assert len(decompose_by_weight(c)) >= 20
+    project_subalgebra(c, spec)
+    in_subalgebra(c, spec)
+    in_ideal(c, spec, fold=2)
+    assert sorted(calls) == ["_lattice_basis", "_min_norm_hull_point"]
 
 
 def test_ideal_membership_examples():

@@ -182,3 +182,21 @@ def test_cli_deep_nesting_exits_one_without_traceback(tmp_path, command):
         assert "Traceback" not in result.stderr
         (line,) = result.stderr.splitlines()
         assert line.startswith(head) and line.endswith(tail) and len(line) < 100
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["verify-axioms", "--trials=-3"], "--trials"),
+        (["mc-solve", "--order", "2", "--check-assoc", "--assoc-trials", "0"], "--assoc-trials"),
+    ],
+)
+def test_cli_refuses_counts_below_one(tmp_path, args, flag):
+    pi1 = tmp_path / "pi1.sexp"
+    pi1.write_text("(cochain 2 (term 1 (0 0) (1 0) (0 1)) (term -1 (0 0) (0 1) (1 0)))")
+    if args[0] == "mc-solve":
+        args = args + ["--pi1", str(pi1)]
+    result = _run_cli(*args)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {flag} must be at least 1"]

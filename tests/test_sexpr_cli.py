@@ -77,10 +77,10 @@ def test_comments_and_whitespace_ignored():
 
 def test_print_emits_canonical_order():
     c = Cochain(2, {term((0, 0), (0, 1), (1, 0)): -1, term((0, 0), (1, 0), (0, 1)): 1})
-    text = print_cochain(c, pretty=False)
+    text = print_cochain(c)
     # canonical order sorts slot lists lexicographically, whatever the input order
-    assert text == "(cochain 2 (term -1 (0 0) (0 1) (1 0)) (term 1 (0 0) (1 0) (0 1)))"
-    assert print_cochain(parse_cochain(BIVECTOR_TEXT), pretty=False) == text
+    assert text == "(cochain 2\n  (term -1 (0 0) (0 1) (1 0))\n  (term 1 (0 0) (1 0) (0 1)))"
+    assert print_cochain(parse_cochain(BIVECTOR_TEXT)) == text
 
 
 def test_roundtrip_500_random_cochains():
@@ -205,6 +205,15 @@ def test_cli_project(files, capsys):
     assert ("member", "no") in doc.payload
     projection = next(entry for entry in doc.payload if entry[0] == "projection")
     assert projection[1:] == (("term", 1, (0, 0), (1, 0), (0, 1)),)
+
+
+def test_cli_project_names_the_undecided_weight(files, capsys):
+    # (1, 0) is a member; (40, 0) needs 40 generator uses, beyond the cap of 3
+    c = files("c.sexp", "(cochain 2 (term 1 (1 0)) (term 1 (40 0)))")
+    code, out, err = run_cli(capsys, "project", c, "--gen=1,0", "--gen=-1,0", "--cap=3")
+    assert code == 3
+    assert out == ""
+    assert err == "inconclusive: membership of weight (40, 0) undecided within search cap 3\n"
 
 
 def test_cli_ideal_member(files, capsys):
