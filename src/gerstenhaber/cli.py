@@ -85,9 +85,10 @@ def _semigroup_from_args(args, dimension: int) -> SemigroupSpec:
     )
 
 
-def _require_positive(count: int, flag: str) -> None:
-    if count < 1:
-        raise ValueError(f"{flag} must be at least 1")
+def _require_at_least(count: int, flag: str, minimum: int = 1) -> None:
+    """Refuse a budget or count flag before any work, naming the flag."""
+    if count < minimum:
+        raise ValueError(f"{flag} must be at least {minimum}")
 
 
 def _emit(doc: sexpr.Document, as_json: bool) -> None:
@@ -168,6 +169,7 @@ def _cmd_bigrade(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    _require_at_least(args.cap, "--cap")
     target = _parse_vector(args.weight, "weight")
     spec = _semigroup_from_args(args, len(target))
     decision = semigroup_member(spec, target, min_count=1)
@@ -176,6 +178,8 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_ideal_member(args) -> int:
+    _require_at_least(args.cap, "--cap")
+    _require_at_least(args.fold, "--fold")
     c = _load(args.cochain, "cochain")
     spec = _semigroup_from_args(args, c.dimension)
     decision = in_ideal(c, spec, fold=args.fold)
@@ -184,6 +188,7 @@ def _cmd_ideal_member(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    _require_at_least(args.cap, "--cap")
     c = _load(args.cochain, "cochain")
     projected = project_subalgebra(c, _semigroup_from_args(args, c.dimension))
     member = "yes" if projected == c else "no"
@@ -232,7 +237,11 @@ def _cmd_filtration(args) -> int:
 
 
 def _cmd_mc_solve(args) -> int:
-    _require_positive(args.assoc_trials, "--assoc-trials")
+    _require_at_least(args.order, "--order")
+    _require_at_least(args.slot_cap, "--slot-cap", 0)
+    _require_at_least(args.assoc_trials, "--assoc-trials")
+    if args.gen:
+        _require_at_least(args.cap, "--cap")
     pi1 = _load(args.pi1, "cochain")
     spec = _semigroup_from_args(args, pi1.dimension) if args.gen else None
     deformation = solve_maurer_cartan(
@@ -270,7 +279,7 @@ def _cmd_assoc_defect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require_positive(args.trials, "--trials")
+    _require_at_least(args.trials, "--trials")
     if args.law:
         known = {name for name, _ in axioms.ALL_LAWS}
         unknown = sorted(set(args.law) - known)

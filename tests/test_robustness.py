@@ -185,18 +185,29 @@ def test_cli_deep_nesting_exits_one_without_traceback(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "args, flag",
+    "args, message",
     [
-        (["verify-axioms", "--trials=-3"], "--trials"),
-        (["mc-solve", "--order", "2", "--check-assoc", "--assoc-trials", "0"], "--assoc-trials"),
+        (["verify-axioms", "--trials=-3"], "--trials must be at least 1"),
+        (
+            ["mc-solve", "--pi1", "DOC", "--order", "2", "--check-assoc", "--assoc-trials", "0"],
+            "--assoc-trials must be at least 1",
+        ),
+        (["mc-solve", "--pi1", "DOC", "--order", "0"], "--order must be at least 1"),
+        (["mc-solve", "--pi1", "DOC", "--order", "2", "--slot-cap=-1"], "--slot-cap must be at least 0"),
+        (["mc-solve", "--pi1", "DOC", "--order", "2", "--gen=0,-1", "--cap=0"], "--cap must be at least 1"),
+        (["member", "--weight=-1,-1", "--gen=-1,-1", "--cap=0"], "--cap must be at least 1"),
+        (["ideal-member", "DOC", "--gen=-1,-1", "--cap=0"], "--cap must be at least 1"),
+        (["ideal-member", "DOC", "--gen=-1,-1", "--fold=0"], "--fold must be at least 1"),
+        (["project", "DOC", "--gen=-1,-1", "--cap=-2"], "--cap must be at least 1"),
     ],
+    ids=lambda value: value.split()[0] if isinstance(value, str) else None,  # name the flag
 )
-def test_cli_refuses_counts_below_one(tmp_path, args, flag):
-    pi1 = tmp_path / "pi1.sexp"
-    pi1.write_text("(cochain 2 (term 1 (0 0) (1 0) (0 1)) (term -1 (0 0) (0 1) (1 0)))")
-    if args[0] == "mc-solve":
-        args = args + ["--pi1", str(pi1)]
-    result = _run_cli(*args)
+def test_cli_refuses_counts_below_one(tmp_path, args, message):
+    """Budget and count flags are refused before any work, naming the flag.
+    The document does not exist, so a refusal that came after reading it
+    would report the missing file instead."""
+    missing = str(tmp_path / "missing.sexp")
+    result = _run_cli(*(missing if a == "DOC" else a for a in args))
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr.splitlines() == [f"error: {flag} must be at least 1"]
+    assert result.stderr.splitlines() == [f"error: {message}"]

@@ -1,10 +1,19 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from gerstenhaber import BasisTerm, Cochain, Deformation, Polynomial, solve_maurer_cartan
+from gerstenhaber import (
+    BasisTerm,
+    Cochain,
+    Deformation,
+    Polynomial,
+    bracket,
+    hochschild_delta,
+    solve_maurer_cartan,
+)
 from gerstenhaber.axioms import random_cochain, random_polynomial
 from gerstenhaber.cli import main
 from gerstenhaber.sexpr import (
@@ -400,3 +409,37 @@ def test_cli_verify_axioms_small(capsys):
     # the subgroup law always reports the violating pair for the ray candidate
     witness = laws["subgroup-criterion"][4]
     assert witness[0] == "witness" and witness[1] == (1, 0) and witness[2] == (-1, 0)
+
+
+@pytest.mark.parametrize(
+    "attr, broken, failed, digest",
+    [
+        (
+            "bracket",
+            lambda f, g: bracket(f, g) * 2,
+            {"evaluation-coherence": 1, "weight-eigenvalue": 2},
+            "7bc7e3b5392b4fd2b9b6cd9762ac7fdfa31a545c8d564aad10c2e89de68123b7",
+        ),
+        (
+            "hochschild_delta",
+            lambda f: hochschild_delta(f) + f,
+            {
+                "delta-squared-zero": 0,
+                "delta-bracket-agreement": 1,
+                "mc-order-correctness": 2,
+                "moyal-agreement": 3,
+            },
+            "c155e2b5214b0b9f43dbccf7f10ed5d0aea83d570fbd6064482b034777c30f07",
+        ),
+    ],
+)
+def test_cli_verify_axioms_reports_broken_operation(capsys, monkeypatch, attr, broken, failed, digest):
+    """A wrong operation fails the laws that detect it, each with its check
+    count and witness; the whole report is pinned byte for byte."""
+    monkeypatch.setattr(f"gerstenhaber.axioms.{attr}", broken)
+    code, out, _ = run_cli(capsys, "verify-axioms", "--seed", "3", "--trials", "8")
+    assert code == 2
+    laws = [e for e in parse_document(out).payload if e[0] == "law"]
+    assert {e[1]: e[3] for e in laws if e[2] == "fail"} == failed
+    assert all(e[4][0] == "counterexample" for e in laws if e[2] == "fail")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
