@@ -12,6 +12,10 @@ Insertion structure constants are integers.  ``bracket`` sums them, with
 their signs, over all insertions of one pair of terms, then multiplies by the
 pair's coefficient once per term.  Every term here is built from valid terms,
 so results go through the trusted constructors, which skip validation.
+
+Both operations carry the outer term's x-part through unchanged, so it stays
+out of the cached kernels: ``_insert_term`` keys on the receiving slot and
+the inserted term, ``_delta_term`` on a slot list, and callers add it back.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import perm
 from operator import gt
+from typing import Iterator
 
 from .cochains import (
     BasisTerm,
     Cochain,
     DimensionMismatchError,
     ArityError,
+    Index,
     index_add,
     index_splits,
     index_sub,
@@ -67,39 +73,35 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
 
 
 @lru_cache(maxsize=200_000)
-def _insert_term(tf: BasisTerm, k: int, tg: BasisTerm) -> tuple[tuple[BasisTerm, int], ...]:
-    """Substitute basis term ``tg`` into slot ``k`` (1-based) of ``tf``.
+def _insert_term(a: Index, tg: BasisTerm) -> tuple[tuple[Index, tuple[Index, ...], int], ...]:
+    """Apply ``d^a`` to the output of basis term ``tg``.
 
-    The slot's derivative ``d^(a_k)`` distributes over ``tg``'s x-part and
-    each of ``tg``'s slot outputs; the x-part absorbs part of the derivative
-    with falling-factorial coefficients, the rest lands on ``tg``'s slots.
-    Structure constants are integers.  Only ``c0 <= b0`` is subtracted, so
-    every index stays nonnegative.
+    The derivative distributes over ``tg``'s x-part and each of its slot
+    outputs; the x-part absorbs part of it with falling-factorial
+    coefficients.  Returns (what is left of ``tg``'s x-part, ``tg``'s
+    differentiated slots, integer multiplicity) triples.  Only ``c0 <= b0``
+    is subtracted, so every index stays nonnegative.
     """
-    n = tf.dimension
-    q = tg.arity
-    a_k = tf.slots[k - 1]
     b0 = tg.x_part
-    head, tail = tf.slots[: k - 1], tf.slots[k:]
-    # Distinct splits give distinct terms, so nothing needs merging.
-    if not any(b0):
-        # x-part is 1: the whole derivative distributes over tg's slots.
-        return tuple(
-            (BasisTerm._trusted(n, tf.x_part, head + tuple(map(index_add, tg.slots, pieces)) + tail), mult)
-            for pieces, mult in index_splits(a_k, q)
-        )
+    # Distinct splits give distinct triples, so nothing needs merging.
     out = []
-    for pieces, mult in index_splits(a_k, q + 1):
+    for pieces, mult in index_splits(a, tg.arity + 1):
         c0 = pieces[0]
         if any(map(gt, c0, b0)):
             continue
         fall = mult
         for b, c in zip(b0, c0):
             fall *= perm(b, c)
-        x_part = index_add(tf.x_part, index_sub(b0, c0))
-        slots = head + tuple(map(index_add, tg.slots, pieces[1:])) + tail
-        out.append((BasisTerm._trusted(n, x_part, slots), fall))
+        out.append((index_sub(b0, c0), tuple(map(index_add, tg.slots, pieces[1:])), fall))
     return tuple(out)
+
+
+def _inserted(tf: BasisTerm, k: int, tg: BasisTerm) -> Iterator[tuple[BasisTerm, int]]:
+    """``tg`` substituted into slot ``k`` (1-based) of ``tf``: terms and integer structure constants."""
+    n = tf.dimension
+    head, tail = tf.slots[: k - 1], tf.slots[k:]
+    for x_left, middle, mult in _insert_term(tf.slots[k - 1], tg):
+        yield BasisTerm._trusted(n, index_add(tf.x_part, x_left), head + middle + tail), mult
 
 
 def insert(f: Cochain, k: int, g: Cochain) -> Cochain:
@@ -122,7 +124,7 @@ def insert(f: Cochain, k: int, g: Cochain) -> Cochain:
     for tf, cf in f.items():
         for tg, cg in g.items():
             scale = cf * cg
-            for term, structure in _insert_term(tf, k, tg):
+            for term, structure in _inserted(tf, k, tg):
                 value = scale * structure
                 acc[term] = value if (old := acc.get(term)) is None else old + value
     return Cochain._trusted(f.dimension, acc)
@@ -144,12 +146,12 @@ def bracket(f: Cochain, g: Cochain) -> Cochain:
             pair: dict[BasisTerm, int] = {}
             for k in range(1, p + 1):
                 s = _sign((k - 1) * (q - 1))
-                for term, structure in _insert_term(tf, k, tg):
+                for term, structure in _inserted(tf, k, tg):
                     pair[term] = pair.get(term, 0) + s * structure
             swap = -_sign((p - 1) * (q - 1))
             for k in range(1, q + 1):
                 s = swap * _sign((k - 1) * (p - 1))
-                for term, structure in _insert_term(tg, k, tf):
+                for term, structure in _inserted(tg, k, tf):
                     pair[term] = pair.get(term, 0) + s * structure
             scale = cf * cg
             for term, total in pair.items():
@@ -160,28 +162,26 @@ def bracket(f: Cochain, g: Cochain) -> Cochain:
 
 
 @lru_cache(maxsize=200_000)
-def _delta_term(t: BasisTerm) -> tuple[tuple[BasisTerm, int], ...]:
-    """Coboundary of a basis term, straight from the defining sum.
+def _delta_term(n: int, slots: tuple[Index, ...]) -> tuple[tuple[tuple[Index, ...], int], ...]:
+    """Coboundary of a basis term with these slots, straight from the defining sum.
 
     The outer summands prepend and append an identity slot; the k-th inner
     summand splits slot k over two arguments with binomial coefficients and
-    sign (-1)^k.
+    sign (-1)^k.  Every summand keeps the x-part, so this returns slot lists.
     """
-    n = t.dimension
-    p = t.arity
+    p = len(slots)
     zero = zero_index(n)
-    acc: dict[BasisTerm, int] = {}
+    acc: dict[tuple[Index, ...], int] = {}
 
-    def add(term: BasisTerm, c: int) -> None:
-        acc[term] = acc.get(term, 0) + c
+    def add(image: tuple[Index, ...], c: int) -> None:
+        acc[image] = acc.get(image, 0) + c
 
-    add(BasisTerm._trusted(n, t.x_part, (zero,) + t.slots), 1)
-    add(BasisTerm._trusted(n, t.x_part, t.slots + (zero,)), _sign(p + 1))
+    add((zero,) + slots, 1)
+    add(slots + (zero,), _sign(p + 1))
     for k in range(1, p + 1):
         sk = _sign(k)
-        for b, rest, coeff in leibniz_split(t.slots[k - 1]):
-            slots = t.slots[: k - 1] + (b, rest) + t.slots[k:]
-            add(BasisTerm._trusted(n, t.x_part, slots), sk * coeff)
+        for b, rest, coeff in leibniz_split(slots[k - 1]):
+            add(slots[: k - 1] + (b, rest) + slots[k:], sk * coeff)
     return tuple(item for item in acc.items() if item[1])
 
 
@@ -189,7 +189,8 @@ def hochschild_delta(f: Cochain) -> Cochain:
     """Hochschild coboundary, raising arity by one; linear in ``f``."""
     acc: dict[BasisTerm, Fraction] = {}
     for t, c in f.items():
-        for term, structure in _delta_term(t):
+        for slots, structure in _delta_term(f.dimension, t.slots):
+            term = BasisTerm._trusted(f.dimension, t.x_part, slots)
             value = c * structure
             acc[term] = value if (old := acc.get(term)) is None else old + value
     return Cochain._trusted(f.dimension, acc)

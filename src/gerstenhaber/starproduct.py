@@ -10,7 +10,9 @@ and associativity through order N is equivalent to the coboundary equations
 builds each ``B_k``, checks it is closed, and inverts the coboundary on the
 finite bigrade blocks it touches: the coboundary preserves the bigrade, and
 a fixed bigrade pins both the x-exponent and the total slot order, leaving
-finitely many basis terms per arity.  Block systems are solved by exact
+finitely many basis terms per arity.  The coboundary carries the x-exponent
+through, so a block's matrix depends only on its slot total and is built
+once per slot total from slot lists.  Block systems are solved by exact
 rational elimination with free variables pinned to zero, so the output is a
 deterministic function of the input (no cocycle is ever added).
 
@@ -41,7 +43,7 @@ from .grading import (
     in_subalgebra,
 )
 from .linsolve import solve_particular
-from .operations import bracket, hochschild_delta
+from .operations import _delta_term, bracket, hochschild_delta
 
 HALF = Fraction(1, 2)
 
@@ -107,57 +109,35 @@ def obstruction(deformation: Deformation, k: int) -> Cochain:
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """The coboundary restricted to one bigrade block, as an exact matrix.
+    """The coboundary from arity-2 to arity-3 slot lists of one slot total.
 
-    ``matrix[r][c]`` is the coefficient of ``basis3[r]`` in the coboundary of
-    ``basis2[c]``; entries are integers (structure constants).
+    The coboundary keeps a term's x-part, so every bigrade block with this
+    slot total has this matrix.  ``matrix[r][c]`` is the coefficient of the
+    arity-3 slot list in row ``r`` in the coboundary of ``slots2[c]``;
+    entries are integers (structure constants).  ``row_of`` maps each
+    arity-3 slot list to its row, in row order.
     """
 
-    bigrade: tuple[Index, Index]
-    basis2: tuple[BasisTerm, ...]
-    basis3: tuple[BasisTerm, ...]
+    slot_total: Index
+    slots2: tuple[tuple[Index, ...], ...]
+    row_of: dict[tuple[Index, ...], int]
     matrix: tuple[tuple[int, ...], ...]
 
 
-def _block_data(bigrade: tuple[Index, Index], dimension: int) -> tuple[Index, Index]:
-    down, up = bigrade
-    down = tuple(down)
-    up = tuple(up)
-    if len(down) != dimension or len(up) != dimension:
-        raise DimensionMismatchError(f"bigrade {bigrade} does not match dimension {dimension}")
-    x_part = []
-    slot_total = []
-    for d, u in zip(down, up):
-        if (d + u) % 2 or (u - d) % 2 or d + u < 0 or u - d < 0:
-            raise ValueError(f"invalid bigrade {bigrade}: parity or sign constraint violated")
-        x_part.append((d + u) // 2)
-        slot_total.append((u - d) // 2)
-    return tuple(x_part), tuple(slot_total)
-
-
-def block_basis(bigrade: tuple[Index, Index], dimension: int, arity: int) -> tuple[BasisTerm, ...]:
-    """All basis terms of the given arity and bigrade, lexicographically ordered."""
-    x_part, slot_total = _block_data(bigrade, dimension)
-    slot_lists = sorted(pieces for pieces, _ in index_splits(slot_total, arity))
-    return tuple(BasisTerm(dimension, x_part, slots) for slots in slot_lists)
-
-
 @lru_cache(maxsize=None)
-def build_block(bigrade: tuple[Index, Index], dimension: int) -> BlockSystem:
-    """Assemble the coboundary matrix from arity-2 to arity-3 terms of one bigrade."""
-    basis2 = block_basis(bigrade, dimension, 2)
-    basis3 = block_basis(bigrade, dimension, 3)
-    position = {t: i for i, t in enumerate(basis3)}
-    columns = []
-    for e in basis2:
-        col = [0] * len(basis3)
-        for term, coeff in hochschild_delta(Cochain.single(e)).items():
-            col[position[term]] = int(coeff)
-        columns.append(col)
-    matrix = tuple(
-        tuple(columns[c][r] for c in range(len(basis2))) for r in range(len(basis3))
-    )
-    return BlockSystem(bigrade=bigrade, basis2=basis2, basis3=basis3, matrix=matrix)
+def build_block(slot_total: Index) -> BlockSystem:
+    """The coboundary matrix on the sorted two- and three-slot splits of ``slot_total``."""
+    if any(s < 0 for s in slot_total):
+        raise ValueError(f"invalid slot total {slot_total}: entries must be nonnegative")
+    n = len(slot_total)
+    slots2 = tuple(sorted(pieces for pieces, _ in index_splits(slot_total, 2)))
+    slots3 = sorted(pieces for pieces, _ in index_splits(slot_total, 3))
+    row_of = {slots: r for r, slots in enumerate(slots3)}
+    matrix = [[0] * len(slots2) for _ in slots3]
+    for c, slots in enumerate(slots2):
+        for image, coeff in _delta_term(n, slots):
+            matrix[row_of[image]][c] = coeff
+    return BlockSystem(slot_total, slots2, row_of, tuple(map(tuple, matrix)))
 
 
 def solve_delta(target: Cochain) -> Cochain:
@@ -173,19 +153,21 @@ def solve_delta(target: Cochain) -> Cochain:
         return Cochain.zero(target.dimension)
     if target.arities() != (3,):
         raise ArityError("solve_delta expects an arity-3 cochain")
+    n = target.dimension
     solution: dict[BasisTerm, Fraction] = {}
     for bigrade, component in decompose_by_bigrade(target).items():
-        block = build_block(bigrade, target.dimension)
-        position = {t: i for i, t in enumerate(block.basis3)}
-        rhs = [Fraction(0)] * len(block.basis3)
+        down, up = bigrade
+        x_part = tuple((d + u) // 2 for d, u in zip(down, up))
+        block = build_block(tuple((u - d) // 2 for d, u in zip(down, up)))
+        rhs = [Fraction(0)] * len(block.row_of)
         for term, coeff in component.items():
-            rhs[position[term]] = coeff
+            rhs[block.row_of[term.slots]] = coeff
         x = solve_particular(block.matrix, rhs)
         if x is None:
             raise CoboundaryError(bigrade)
         # Blocks have distinct bigrades, so their basis terms never overlap.
-        solution.update(zip(block.basis2, x))
-    return Cochain._trusted(target.dimension, solution)
+        solution.update((BasisTerm._trusted(n, x_part, slots), v) for slots, v in zip(block.slots2, x))
+    return Cochain._trusted(n, solution)
 
 
 def _max_slot_order(c: Cochain) -> int:

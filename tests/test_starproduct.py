@@ -110,29 +110,28 @@ def test_obstructions_closed_for_solver_output():
 
 
 def test_block_composition_count():
-    block = build_block(((-2, -2), (2, 2)), 2)
-    assert len(block.basis2) == 9  # ordered pairs summing to (2, 2)
-    assert len(block.basis3) == 36
+    block = build_block((2, 2))
+    assert len(block.slots2) == 9  # ordered pairs summing to (2, 2)
+    assert len(block.row_of) == 36
 
 
 def test_diagonal_block_is_single_term():
-    block = build_block(((3, 1), (3, 1)), 2)
-    assert block.basis2 == (term((3, 1), (0, 0), (0, 0)),)
+    block = build_block((0, 0))  # the slot total of every bigrade (w, w)
+    assert block.slots2 == (((0, 0), (0, 0)),)
 
 
 def test_block_columns_are_coboundary_coordinates():
-    block = build_block(((-1, -1), (1, 1)), 2)
-    for c, e in enumerate(block.basis2):
-        image = hochschild_delta(Cochain.single(e))
-        for r, t in enumerate(block.basis3):
-            assert image.coefficient(t) == block.matrix[r][c]
+    block = build_block((1, 1))
+    for x_part in ((0, 0), (3, 1)):
+        for c, slots in enumerate(block.slots2):
+            image = hochschild_delta(Cochain.single(term(x_part, *slots)))
+            column = [(term(x_part, *s), block.matrix[r][c]) for s, r in block.row_of.items()]
+            assert image == Cochain(2, column)
 
 
-def test_invalid_bigrade_rejected():
+def test_negative_slot_total_rejected():
     with pytest.raises(ValueError):
-        build_block(((0, 0), (1, 0)), 2)  # parity violation
-    with pytest.raises(ValueError):
-        build_block(((-1, 0), (-3, 0)), 2)  # negative slot total
+        build_block((-1, 0))
 
 
 # -- solve_delta ---------------------------------------------------------------

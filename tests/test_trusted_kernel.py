@@ -17,6 +17,7 @@ from gerstenhaber import BasisTerm, Cochain, Polynomial
 from gerstenhaber.cochains import DimensionMismatchError
 from gerstenhaber.grading import decompose_by_bigrade, decompose_by_weight, theta_apply
 from gerstenhaber.operations import bracket, cup, delta_via_bracket, hochschild_delta, insert
+from gerstenhaber.starproduct import solve_delta
 
 DIM = 2
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -79,6 +80,24 @@ def test_insertion(f, g, k):
     if f.is_zero or k > f.homogeneous_arity():
         k = 1
     assert_canonical(insert(f, k, g))
+
+
+def shift(e, c):
+    """``c`` with ``x^e`` multiplied into every term's x-part."""
+    return cup(Cochain.single(BasisTerm(DIM, e, ())), c)
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(cochains_of_arity), st.integers(0, 2).flatmap(cochains_of_arity),
+       st.integers(1, 2), EXPONENT, cochains_of_arity(2))
+def test_outer_x_part_passes_through_the_cached_kernels(f, g, k, e, y):
+    """Multiplying every x-part by ``x^e`` commutes with the kernels, so their caches key on slots."""
+    if f.is_zero or k > f.homogeneous_arity():
+        k = 1
+    assert insert(shift(e, f), k, g) == shift(e, insert(f, k, g))
+    assert hochschild_delta(shift(e, f)) == shift(e, hochschild_delta(f))
+    b = hochschild_delta(y)
+    assert solve_delta(shift(e, b)) == shift(e, solve_delta(b))
 
 
 @SETTINGS
