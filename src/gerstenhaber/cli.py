@@ -29,7 +29,6 @@ from .grading import (
     semigroup_member,
     theta_apply,
     theta_split,
-    validate_filtration_index,
 )
 from .operations import bracket, cup, hochschild_delta
 from .starproduct import (
@@ -103,7 +102,7 @@ def _report(dimension: int, *body) -> sexpr.Document:
 
 
 def _poly_terms(p: Polynomial) -> tuple:
-    return tuple(("term", c, e) for e, c in p.items())
+    return sexpr.polynomial_to_node(p)[2:]
 
 
 def _cochain_terms(c: Cochain) -> tuple:
@@ -225,7 +224,7 @@ def _cmd_theta_split(args) -> int:
 def _cmd_filtration(args) -> int:
     c = _load(args.cochain, "cochain")
     if args.alpha is not None:
-        alpha = validate_filtration_index(_parse_alpha(args.alpha), c.dimension)
+        alpha = _parse_alpha(args.alpha)
         verdict = "yes" if filtration_contains(c, alpha, mode=args.mode) else "no"
         _emit(_report(c.dimension, ("mode", args.mode), ("contains", verdict)), args.json)
         return EXIT_OK

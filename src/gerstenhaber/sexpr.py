@@ -16,8 +16,10 @@ s-expression structure one-to-one, with rationals as strings.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from reprlib import repr as _brief  # depth- and length-bounded repr for error messages
 from typing import Union
 
@@ -38,51 +40,35 @@ class SexprError(ValueError):
         self.column = column
 
 
-def _tokenize(text: str):
-    line, col = 1, 0
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        col += 1
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == ";":
-            while i < length and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            yield ch, line, col
-            i += 1
-            continue
-        start = i
-        start_col = col
-        while i < length and text[i] not in " \t\r\n();":
-            i += 1
-            col += 1
-        col -= 1  # loop above advanced one past the last atom character
-        yield text[start:i], line, start_col
+# A comment, a parenthesis or an atom.  Only space, tab, CR and LF separate
+# tokens; every other character (VT, NBSP, ...) is part of an atom.
+_TOKEN = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
 
 
-def _atom(token: str, line: int, col: int) -> Node:
-    body = token[1:] if token[:1] in "+-" else token
-    if body.isdigit():
+def _error(message: str, text: str, index: int) -> SexprError:
+    """The error at token ``index`` of ``text`` (comments not counted).
+
+    Tokens keep no positions; only a failing parse scans the text again to
+    find one.  CR and tab count as one column each.
+    """
+    tokens = (m for m in _TOKEN.finditer(text) if m.group()[0] != ";")
+    pos = next(islice(tokens, index, None)).start()
+    line = text.count("\n", 0, pos) + 1
+    return SexprError(message, line, pos - text.rfind("\n", 0, pos))
+
+
+def _atom(token: str, text: str, index: int) -> Node:
+    # isdecimal, not isdigit: int() rejects superscript digits such as '²'.
+    body = token[1:] if token[0] in "+-" else token
+    if body.isdecimal():
         return int(token)
     if "/" in token:
         num, _, den = token.partition("/")
         num_body = num[1:] if num[:1] in "+-" else num
-        if num_body.isdigit() and den.isdigit():
+        if num_body.isdecimal() and den.isdecimal():
             if int(den) == 0:
-                raise SexprError("rational with zero denominator", line, col)
+                raise _error("rational with zero denominator", text, index)
             return Fraction(int(num), int(den))
-    if not token:
-        raise SexprError("empty atom", line, col)
     return token
 
 
@@ -91,29 +77,27 @@ def parse_sexpr(text: str) -> Node:
 
     Iterative, with a stack of open lists, so any nesting depth parses.
     """
-    tokens = list(_tokenize(text))
+    tokens = [token for token in _TOKEN.findall(text) if token[0] != ";"]
     if not tokens:
         raise SexprError("empty input", 1, 1)
-    stack: list[tuple[list, int, int]] = []  # open lists: items, '(' line and column
-    for pos, (token, line, col) in enumerate(tokens):
+    stack: list[tuple[list, int]] = []  # open lists: items, token index of their '('
+    for index, token in enumerate(tokens):
         if token == "(":
-            stack.append(([], line, col))
+            stack.append(([], index))
             continue
         if token == ")":
             if not stack:
-                raise SexprError("unexpected ')'", line, col)
+                raise _error("unexpected ')'", text, index)
             node = tuple(stack.pop()[0])
         else:
-            node = _atom(token, line, col)
+            node = _atom(token, text, index)
         if not stack:
             break
         stack[-1][0].append(node)
     else:
-        _, line, col = stack[-1]
-        raise SexprError("unexpected end of input inside list", line, col)
-    if pos + 1 != len(tokens):
-        token, line, col = tokens[pos + 1]
-        raise SexprError(f"unexpected trailing content {token!r}", line, col)
+        raise _error("unexpected end of input inside list", text, stack[-1][1])
+    if index + 1 != len(tokens):
+        raise _error(f"unexpected trailing content {tokens[index + 1]!r}", text, index + 1)
     return node
 
 
@@ -286,7 +270,7 @@ def document_to_json(doc: Document):
     return {"kind": doc.kind, "dimension": doc.dimension, "body": node_to_json(node[2:])}
 
 
-# Convenience text-level round trips used by the CLI and the tests.
+# Text-level round trips for library callers and the tests; the CLI uses its own `_load`.
 
 
 def parse_cochain(text: str) -> Cochain:

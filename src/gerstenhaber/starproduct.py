@@ -36,12 +36,7 @@ from .cochains import (
     Polynomial,
     index_splits,
 )
-from .grading import (
-    SemigroupSpec,
-    decompose_by_bigrade,
-    in_ideal,
-    in_subalgebra,
-)
+from .grading import SemigroupSpec, bigrade_of, in_ideal, in_subalgebra
 from .linsolve import solve_particular
 from .operations import _delta_term, bracket, hochschild_delta
 
@@ -154,14 +149,18 @@ def solve_delta(target: Cochain) -> Cochain:
     if target.arities() != (3,):
         raise ArityError("solve_delta expects an arity-3 cochain")
     n = target.dimension
+    components: dict[tuple[Index, Index], dict] = {}
+    for term, coeff in target.items():
+        components.setdefault(bigrade_of(term), {})[term.slots] = coeff
     solution: dict[BasisTerm, Fraction] = {}
-    for bigrade, component in decompose_by_bigrade(target).items():
+    # Sorted, so CoboundaryError names the same first block on every run.
+    for bigrade, component in sorted(components.items()):
         down, up = bigrade
         x_part = tuple((d + u) // 2 for d, u in zip(down, up))
         block = build_block(tuple((u - d) // 2 for d, u in zip(down, up)))
         rhs = [Fraction(0)] * len(block.row_of)
-        for term, coeff in component.items():
-            rhs[block.row_of[term.slots]] = coeff
+        for slots, coeff in component.items():
+            rhs[block.row_of[slots]] = coeff
         x = solve_particular(block.matrix, rhs)
         if x is None:
             raise CoboundaryError(bigrade)

@@ -184,6 +184,19 @@ def test_cli_deep_nesting_exits_one_without_traceback(tmp_path, command):
         assert line.startswith(head) and line.endswith(tail) and len(line) < 100
 
 
+@pytest.mark.parametrize("coefficient", ["²1", "1/²"])
+def test_cli_superscript_digit_coefficient_is_not_rational(tmp_path, coefficient):
+    """str.isdigit accepts '²' but int() does not; such a token is a symbol."""
+    path = tmp_path / "c.sexp"
+    path.write_text(f"(cochain 2 (term {coefficient} (0 0)))", encoding="utf-8")
+    result = _run_cli("bigrade", str(path))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: term coefficient '{coefficient}' is not rational"
+    ]
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

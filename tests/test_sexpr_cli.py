@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerstenhaber import (
     BasisTerm,
@@ -69,6 +71,36 @@ def test_syntax_error_carries_position():
         parse_sexpr("(poly 2) trailing")
     with pytest.raises(SexprError):
         parse_sexpr("(term 1/0 (0 0))")
+
+
+# Token separators: blanks, a lone CR (one column, not a line end), CRLF and
+# comments, which run to the next LF.
+SEPARATORS = (" ", "\t", "  \t ", "\r", "\r\n", "\n\t", " ; note (\r\n", ";;)\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_error_position_is_the_offending_token(seed, data):
+    printed = print_cochain(random_cochain(random.Random(seed)))
+    tokens = printed.replace("(", " ( ").replace(")", " ) ").split()
+    seps = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    pieces = [seps[0]]  # pieces[2k + 1] is tokens[k]; separators around them
+    for token, sep in zip(tokens, seps[1:]):
+        pieces += [token, sep]
+    # Insert after the separator that follows `where` tokens; after the last
+    # one the atom trails the document.
+    where = data.draw(st.integers(0, len(tokens)))
+    before = "".join(pieces[: 2 * where + 1])
+    text = before + "1/0 " + "".join(pieces[2 * where + 1:])
+    with pytest.raises(SexprError) as err:
+        parse_sexpr(text)
+    lines = before.split("\n")
+    assert (err.value.line, err.value.column) == (len(lines), len(lines[-1]) + 1)
+    if where == len(tokens):
+        assert str(err.value).endswith("unexpected trailing content '1/0'")
+    else:
+        assert str(err.value).endswith("rational with zero denominator")
 
 
 def test_dimension_mismatch_in_document():
