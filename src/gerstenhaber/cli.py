@@ -12,6 +12,7 @@ decision was required but came back inconclusive.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from typing import Optional, Sequence
@@ -47,9 +48,13 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _read_text(path: str) -> str:
+    # newline="": CR and CRLF reach the parser as written, so an error's line
+    # and column are those parse_sexpr gives for the same text.
     if path == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(newline="")
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         return handle.read()
 
 

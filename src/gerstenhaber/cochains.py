@@ -26,6 +26,10 @@ operations build their results with the trusted constructors
 They take only terms derived from valid terms -- sums of nonnegative indices,
 differences that cannot go negative, concatenated slot lists -- with
 ``Fraction`` coefficients, so their results satisfy the same invariant.
+
+``Polynomial.__mul__`` and ``Cochain.apply`` compute on integer numerators
+over one common denominator and divide once per output monomial; the
+``Fraction`` built there is reduced, so the results are the same values.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from math import factorial, perm
+from math import factorial, lcm, perm
 from operator import add as _add, sub as _sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -78,6 +82,36 @@ def _check_index(a: Sequence[int], dimension: int, *, nonnegative: bool) -> Inde
         if nonnegative and entry < 0:
             raise ValueError(f"exponent index must be nonnegative, got {a}")
     return a
+
+
+def _numerators(terms) -> tuple[list, int]:
+    """``([(key, numerator), ...], d)``: the coefficients as integers over their lcm ``d``."""
+    d = lcm(*[c.denominator for _, c in terms])
+    return [(k, c.numerator * (d // c.denominator)) for k, c in terms], d
+
+
+def _product(f, g) -> dict[Index, int]:
+    """The product of two ``(exponent, int)`` term lists, summed per exponent."""
+    acc: dict[Index, int] = {}
+    for e1, c1 in f:
+        for e2, c2 in g:
+            e = index_add(e1, e2)
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return acc
+
+
+def _derive_terms(terms, a: Index) -> list:
+    """``d^a`` of ``(exponent, coefficient)`` pairs; ``int`` or ``Fraction`` coefficients."""
+    out = []
+    for e, c in terms:
+        factor = 1
+        for ei, ai in zip(e, a):
+            if ei < ai:
+                break
+            factor *= perm(ei, ai)
+        else:
+            out.append((index_sub(e, a), c * factor))
+    return out
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -219,30 +253,21 @@ class Polynomial(_TermStore):
         if not isinstance(other, Polynomial):
             return super().__mul__(other)
         self._check_same_dimension(other)
-        acc: dict[Index, Fraction] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                e = index_add(e1, e2)
-                value = c1 * c2
-                acc[e] = value if (old := acc.get(e)) is None else old + value
-        return Polynomial._trusted(self.dimension, acc)
+        f, d1 = _numerators(self._terms)
+        g, d2 = _numerators(other._terms)
+        return Polynomial._over(self.dimension, _product(f, g), d1 * d2)
 
     def derive(self, a: Sequence[int]) -> Polynomial:
         """Apply the mixed partial derivative ``d^a = d1^(a1) ... dn^(an)``."""
         return self._derive(_check_index(a, self.dimension, nonnegative=True))
 
     def _derive(self, a: Index) -> Polynomial:
-        acc: dict[Index, Fraction] = {}
-        for e, c in self._terms:
-            coeff = 1
-            for ei, ai in zip(e, a):
-                if ei < ai:
-                    coeff = 0
-                    break
-                coeff *= perm(ei, ai)
-            if coeff:
-                acc[index_sub(e, a)] = c * coeff
-        return Polynomial._trusted(self.dimension, acc)
+        return Polynomial._trusted(self.dimension, dict(_derive_terms(self._terms, a)))
+
+    @classmethod
+    def _over(cls, dimension: int, numerators: dict, d: int) -> Polynomial:
+        """The polynomial with coefficients ``numerators[e] / d``; zeros are dropped."""
+        return cls._trusted(dimension, {e: Fraction(c, d) for e, c in numerators.items() if c})
 
     def __repr__(self):
         if not self._terms:
@@ -370,18 +395,28 @@ class Cochain(_TermStore):
                     f"argument dimension {u.dimension} does not match cochain dimension {self.dimension}"
                 )
         p = len(args)
-        acc: dict[Index, Fraction] = {}
-        for term, coeff in self._terms:
+        for term, _ in self._terms:
             if term.arity != p:
                 raise ArityError(f"term of arity {term.arity} applied to {p} arguments")
-            value = Polynomial._trusted(self.dimension, {term.x_part: coeff})
-            for slot, u in zip(term.slots, args):
-                if value.is_zero:
-                    break
-                value = value * u._derive(slot)
+        # Integer numerators throughout; one division per output monomial.
+        terms, d = _numerators(self._terms)
+        numerators = []
+        for u in args:
+            num, den = _numerators(u._terms)
+            numerators.append(num)
+            d *= den
+        derived: list[dict] = [{} for _ in args]  # per argument: slot -> its derivative
+        acc: dict[Index, int] = {}
+        for term, coeff in terms:
+            value = {term.x_part: coeff}
+            for slot, num, cache in zip(term.slots, numerators, derived):
+                du = cache.get(slot)
+                if du is None:
+                    du = cache[slot] = _derive_terms(num, slot)
+                value = _product(value.items(), du)
             for e, c in value.items():
-                acc[e] = c if (old := acc.get(e)) is None else old + c
-        return Polynomial._trusted(self.dimension, acc)
+                acc[e] = acc.get(e, 0) + c
+        return Polynomial._over(self.dimension, acc, d)
 
     def __repr__(self):
         if not self._terms:

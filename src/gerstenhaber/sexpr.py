@@ -17,6 +17,7 @@ s-expression structure one-to-one, with rationals as strings.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -57,15 +58,33 @@ def _error(message: str, text: str, index: int) -> SexprError:
     return SexprError(message, line, pos - text.rfind("\n", 0, pos))
 
 
+# int() refuses numerals of more than sys.get_int_max_str_digits() digits
+# (Python 3.10.7 and later).  That limit is 0 (none) or at least 640, so
+# shorter numerals never need the check.
+_SAFE_DIGITS = 640
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _check_digits(digits: str, text: str, index: int) -> None:
+    limit = _digit_limit()
+    if limit and len(digits) > limit:
+        raise _error(f"integer literal of {len(digits)} digits exceeds the limit of {limit}", text, index)
+
+
 def _atom(token: str, text: str, index: int) -> Node:
     # isdecimal, not isdigit: int() rejects superscript digits such as '²'.
     body = token[1:] if token[0] in "+-" else token
     if body.isdecimal():
+        if len(body) > _SAFE_DIGITS:
+            _check_digits(body, text, index)
         return int(token)
     if "/" in token:
         num, _, den = token.partition("/")
         num_body = num[1:] if num[:1] in "+-" else num
         if num_body.isdecimal() and den.isdecimal():
+            if len(token) > _SAFE_DIGITS:
+                _check_digits(num_body, text, index)
+                _check_digits(den, text, index)
             if int(den) == 0:
                 raise _error("rational with zero denominator", text, index)
             return Fraction(int(num), int(den))

@@ -141,7 +141,7 @@ def test_parser_handles_nesting_beyond_the_recursion_limit():
     assert node == "x"
 
 
-def _run_cli(*args):
+def _run_cli(*args, stdin=None):
     import os
     import subprocess
     import sys
@@ -152,7 +152,7 @@ def _run_cli(*args):
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, "-m", "gerstenhaber.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, input=stdin,
     )
 
 
@@ -195,6 +195,45 @@ def test_cli_superscript_digit_coefficient_is_not_rational(tmp_path, coefficient
     assert result.stderr.splitlines() == [
         f"error: term coefficient '{coefficient}' is not rational"
     ]
+
+
+@pytest.mark.parametrize(
+    "coefficient, digits",
+    [("7" * 5000, 5000), ("-" + "7" * 4301, 4301), ("1/" + "3" * 4400, 4400), ("9" * 4500 + "/7", 4500)],
+    ids=["integer", "negative", "denominator", "numerator"],
+)
+def test_cli_overlong_integer_literal_is_refused_with_its_position(tmp_path, coefficient, digits):
+    """int() refuses numerals over 4300 digits (Python's default limit); the
+    parser refuses them first, naming the token's line and column."""
+    path = tmp_path / "c.sexp"
+    path.write_text(f"(cochain 2\n  (term {coefficient} (0 0)))", encoding="utf-8")
+    result = _run_cli("bigrade", str(path))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: line 2, column 9: integer literal of {digits} digits exceeds the limit of 4300"
+    ]
+
+
+def test_integer_literal_at_the_digit_limit_parses():
+    assert parse_sexpr("(term " + "7" * 4300 + ")") == ("term", int("7" * 4300))
+    assert parse_sexpr("(term 1/" + "3" * 4300 + ")") == ("term", Fraction(1, int("3" * 4300)))
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n", "\n"], ids=["CR", "CRLF", "LF"])
+def test_cli_and_parser_report_the_same_error_position(tmp_path, newline):
+    """Files and standard input reach the parser untranslated, so a lone CR
+    counts as one column on every route, not as a line end."""
+    text = f"(cochain 2{newline}(term 1/0 (0 0)))"
+    with pytest.raises(SexprError) as err:
+        parse_sexpr(text)
+    if newline == "\r":
+        assert (err.value.line, err.value.column) == (1, 18)
+    path = tmp_path / "c.sexp"
+    path.write_bytes(text.encode("utf-8"))
+    for result in (_run_cli("bigrade", str(path)), _run_cli("bigrade", "-", stdin=text)):
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"error: {err.value}"]
 
 
 @pytest.mark.parametrize(

@@ -475,3 +475,43 @@ def test_cli_verify_axioms_reports_broken_operation(capsys, monkeypatch, attr, b
     assert {e[1]: e[3] for e in laws if e[2] == "fail"} == failed
     assert all(e[4][0] == "counterexample" for e in laws if e[2] == "fail")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Degree 8 to 10 operands with pairwise coprime denominators up to ~10^6
+# (1000003 and 999983 are prime), so products and derivatives of them carry
+# large numerators and reduce nontrivially.
+EVAL_F = "(poly 2 (term 3/7 (8 0)) (term -5/11 (3 6)) (term 2 (0 9)) (term 13/1000003 (5 5)))"
+EVAL_G = "(poly 2 (term -1/6 (1 8)) (term 7/999983 (9 1)) (term 4/9 (4 4)))"
+EVAL_H = "(poly 2 (term 1/2 (2 7)) (term -3/5 (6 2)) (term 1 (10 0)))"
+X1_BIVECTOR_TEXT = "(cochain 2 (term 1 (1 0) (1 0) (0 1)) (term -1 (1 0) (0 1) (1 0)))"
+
+
+def test_cli_evaluation_golden_bytes(files, capsys):
+    """``star-apply`` and ``assoc-defect`` output under the order-4 deformation
+    of the ``x1`` bivector is pinned byte for byte on degree 8+ operands.
+    The second ``assoc-defect`` run drops the order-2 coefficient, so its
+    defect is a nonzero series rather than ``(zero yes)``."""
+    pi1 = files("pi1.sexp", X1_BIVECTOR_TEXT)
+    code, solved, _ = run_cli(capsys, "mc-solve", "--pi1", pi1, "--order", "4")
+    assert code == 0
+    deformation = files("def.sexp", solved)
+    d = parse_deformation(solved)
+    broken = Deformation(dimension=2, cochains=(d.coefficient(1), Cochain.zero(2), *d.cochains[2:]))
+    broken_path = files("broken.sexp", print_deformation(broken))
+    f, g, h = files("f.sexp", EVAL_F), files("g.sexp", EVAL_G), files("h.sexp", EVAL_H)
+    runs = {
+        "star-apply": ["star-apply", "--deformation", deformation, f, g],
+        "assoc-defect": ["assoc-defect", "--deformation", deformation, f, g, h],
+        "assoc-defect broken": ["assoc-defect", "--deformation", broken_path, f, g, h],
+    }
+    outputs = {}
+    for name, argv in runs.items():
+        code, outputs[name], _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert ("zero", "yes") in parse_document(outputs["assoc-defect"]).payload
+    assert ("zero", "no") in parse_document(outputs["assoc-defect broken"]).payload
+    assert {name: hashlib.sha256(out.encode()).hexdigest() for name, out in outputs.items()} == {
+        "star-apply": "76acf83cb4ea8006eeeccc4486b6a47a7c465f98685b97d56fa40e8388fc1c72",
+        "assoc-defect": "0f2dc5828c997c3b310ea166d20d2d5062b5ac44926643f1e5f5d171d154a7d4",
+        "assoc-defect broken": "a161caa56e5cc40c62fdbb0cc28684c45333614d9d26f12579c704c79bbc9b17",
+    }

@@ -8,16 +8,18 @@ The public constructors must still reject invalid input.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gerstenhaber import BasisTerm, Cochain, Polynomial
-from gerstenhaber.cochains import DimensionMismatchError
+from gerstenhaber.cochains import ArityError, DimensionMismatchError
 from gerstenhaber.grading import decompose_by_bigrade, decompose_by_weight, theta_apply
 from gerstenhaber.operations import bracket, cup, delta_via_bracket, hochschild_delta, insert
 from gerstenhaber.starproduct import solve_delta
+from oracle_sympy import cochain_eval, expr_to_poly, poly_to_expr
 
 DIM = 2
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -46,6 +48,7 @@ def assert_canonical(value):
     pairs = list(value.items())
     for _, c in pairs:
         assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
     if isinstance(value, Cochain):
         rebuilt = Cochain(
             value.dimension, [(BasisTerm(t.dimension, t.x_part, t.slots), c) for t, c in pairs]
@@ -116,7 +119,90 @@ def test_apply(case):
     assert_canonical(f.apply(args))
 
 
+# -- the integer kernel of apply and Polynomial.__mul__ against sympy -----------
+
+# Pairwise coprime denominators up to ~10^6 (the large ones are primes), so a
+# result's common denominator is a product of several of them and every
+# output coefficient needs a real reduction.
+BIG_COEFF = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6).filter(bool),
+    st.sampled_from([1, 2, 3, 7, 999983, 999979, 1000003, 999961]),
+)
+LOW_EXPONENT = st.tuples(*[st.integers(0, 3)] * DIM)
+# Degree 8 or more: at least one term of total degree 8 to 12.
+HIGH_EXPONENT = st.integers(8, 12).flatmap(lambda d: st.integers(0, d).map(lambda a: (a, d - a)))
+HIGH_POLYNOMIAL = st.tuples(
+    st.tuples(HIGH_EXPONENT, BIG_COEFF), st.lists(st.tuples(LOW_EXPONENT | HIGH_EXPONENT, BIG_COEFF), max_size=3)
+).map(lambda p: Polynomial(DIM, [p[0], *p[1]]))
+SLOT = st.tuples(*[st.integers(0, 4)] * DIM)
+
+
+def big_cochains(arity):
+    term = st.builds(lambda x, slots: BasisTerm(DIM, x, slots), LOW_EXPONENT, st.tuples(*[SLOT] * arity))
+    return st.lists(st.tuples(term, BIG_COEFF), max_size=3).map(lambda p: Cochain(DIM, p))
+
+
+def assert_matches_oracle(result, expr):
+    assert_canonical(result)
+    # == on the stores compares each Fraction's numerator and denominator,
+    # so an unreduced coefficient fails here even where sympy reduces it.
+    assert result == expr_to_poly(expr)
+
+
+KERNEL_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@KERNEL_SETTINGS
+@given(st.integers(0, 2).flatmap(
+    lambda p: st.tuples(big_cochains(p), st.lists(HIGH_POLYNOMIAL, min_size=p, max_size=p))
+))
+def test_apply_matches_oracle_on_large_denominators(case):
+    f, args = case
+    assert_matches_oracle(f.apply(args), cochain_eval(f, [poly_to_expr(u) for u in args]))
+
+
+@KERNEL_SETTINGS
+@given(HIGH_POLYNOMIAL, BIG_COEFF, LOW_EXPONENT, SLOT, SLOT, st.integers(0, 3))
+def test_apply_cancels_to_zero(u, c, x, s1, s2, arity):
+    """An antisymmetric bivector vanishes on equal arguments, the zero
+    cochain on any number of arguments."""
+    pair = Cochain(DIM, [(BasisTerm(DIM, x, (s1, s2)), c), (BasisTerm(DIM, x, (s2, s1)), -c)])
+    assert_matches_oracle(pair.apply([u, u]), 0)
+    assert_matches_oracle(Cochain.zero(DIM).apply([u] * arity), 0)
+
+
+@KERNEL_SETTINGS
+@given(HIGH_POLYNOMIAL, HIGH_POLYNOMIAL, BIG_COEFF, HIGH_EXPONENT)
+def test_polynomial_product_matches_oracle(u, v, c, e):
+    assert_matches_oracle(u * v, poly_to_expr(u) * poly_to_expr(v))
+    # The cross terms of (u + m)(u - m) cancel inside one product.
+    m = Polynomial.monomial(DIM, e, c)
+    assert_matches_oracle((u + m) * (u - m), poly_to_expr(u) ** 2 - poly_to_expr(m) ** 2)
+    assert_matches_oracle(u * Polynomial.zero(DIM), 0)
+
+
+def test_apply_and_product_refusals_keep_their_messages():
+    c = Cochain.single(BasisTerm(DIM, (0, 0), ((1, 0),)))
+    x = Polynomial.variable(DIM, 1)
+    cases = [
+        (lambda: c.apply([1]), TypeError, "apply expects Polynomial arguments"),
+        (
+            lambda: c.apply([Polynomial.variable(3, 1)]),
+            DimensionMismatchError,
+            "argument dimension 3 does not match cochain dimension 2",
+        ),
+        (lambda: c.apply([x, x]), ArityError, "term of arity 1 applied to 2 arguments"),
+        (lambda: x * Polynomial.variable(3, 1), DimensionMismatchError, "polynomial dimensions differ: 2 vs 3"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_public_constructors_still_validate():
+
     with pytest.raises(ValueError):
         Polynomial(2, {(-1, 0): 1})
     with pytest.raises(ValueError):
