@@ -15,6 +15,7 @@ import argparse
 import io
 import json
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cochains import ArityError, Cochain, DimensionMismatchError, Polynomial
@@ -47,13 +48,19 @@ EXIT_VERIFY = 2
 EXIT_INCONCLUSIVE = 3
 
 
+@lru_cache(maxsize=1)
+def _stdin_text() -> str:
+    """Standard input, read once per ``main`` call, so ``-`` may be given twice."""
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(newline="")
+    return sys.stdin.read()
+
+
 def _read_text(path: str) -> str:
     # newline="": CR and CRLF reach the parser as written, so an error's line
     # and column are those parse_sexpr gives for the same text.
     if path == "-":
-        if isinstance(sys.stdin, io.TextIOWrapper):
-            sys.stdin.reconfigure(newline="")
-        return sys.stdin.read()
+        return _stdin_text()
     with open(path, "r", encoding="utf-8", newline="") as handle:
         return handle.read()
 
@@ -403,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _stdin_text.cache_clear()
     try:
         return args.handler(args)
     except InconclusiveMembershipError as err:

@@ -27,9 +27,10 @@ They take only terms derived from valid terms -- sums of nonnegative indices,
 differences that cannot go negative, concatenated slot lists -- with
 ``Fraction`` coefficients, so their results satisfy the same invariant.
 
-``Polynomial.__mul__`` and ``Cochain.apply`` compute on integer numerators
-over one common denominator and divide once per output monomial; the
-``Fraction`` built there is reduced, so the results are the same values.
+``Polynomial.__mul__``, ``Cochain.apply`` and the cochain operations in
+``operations`` compute on integer numerators over one common denominator and
+divide once per output term (``_TermStore._over``); the ``Fraction`` built
+there is reduced, so the results are the same values.
 """
 
 from __future__ import annotations
@@ -129,7 +130,9 @@ class _TermStore:
     coefficient and no repeated key, sorted by the class's ``_sort_key``.
     The public constructor validates every key and coefficient;
     ``_trusted`` takes an already merged ``{key: Fraction}`` dict of valid
-    keys and only drops zeros and sorts.
+    keys and only drops zeros and sorts.  ``_over`` takes integer numerators
+    keyed on raw keys (an exponent; an ``(x_part, slots)`` pair) and their
+    one denominator.
     """
 
     __slots__ = ("dimension", "_terms")
@@ -159,6 +162,18 @@ class _TermStore:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _over(cls, dimension: int, numerators: dict, d: int):
+        """The value with coefficients ``numerators[raw] / d``; zeros are dropped.
+
+        ``numerators`` is keyed on raw keys, which the class's ``_from_raw``
+        turns into its keys; each coefficient is one reduced ``Fraction``.
+        """
+        key = cls._from_raw
+        return cls._trusted(
+            dimension, {key(dimension, k): Fraction(c, d) for k, c in numerators.items() if c}
+        )
 
     @classmethod
     def zero(cls, dimension: int):
@@ -224,6 +239,7 @@ class Polynomial(_TermStore):
     """
 
     __slots__ = ()
+    _from_raw = staticmethod(lambda dimension, expo: expo)
 
     @staticmethod
     def _check_key(expo: Sequence[int], dimension: int) -> Index:
@@ -263,11 +279,6 @@ class Polynomial(_TermStore):
 
     def _derive(self, a: Index) -> Polynomial:
         return Polynomial._trusted(self.dimension, dict(_derive_terms(self._terms, a)))
-
-    @classmethod
-    def _over(cls, dimension: int, numerators: dict, d: int) -> Polynomial:
-        """The polynomial with coefficients ``numerators[e] / d``; zeros are dropped."""
-        return cls._trusted(dimension, {e: Fraction(c, d) for e, c in numerators.items() if c})
 
     def __repr__(self):
         if not self._terms:
@@ -350,6 +361,7 @@ class Cochain(_TermStore):
 
     __slots__ = ()
     _sort_key = staticmethod(lambda item: item[0].sort_key)
+    _from_raw = staticmethod(lambda dimension, key: BasisTerm._trusted(dimension, *key))
 
     @staticmethod
     def _check_key(term: BasisTerm, dimension: int) -> BasisTerm:

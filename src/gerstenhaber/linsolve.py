@@ -1,38 +1,52 @@
 """Exact linear algebra over the rationals.
 
-Sparse exact elimination: rows are ``{column: Fraction}`` dicts, each row is
-reduced against the echelon rows found so far, and back-substitution sets
-every free variable to zero.  The pivot columns of any echelon form are those
-of the reduced row echelon form, so the solution is the reduced-echelon
+Sparse exact elimination on integers: each row, right-hand side included,
+is scaled by the lcm of its own denominators to a ``{column: int}`` dict and
+reduced against the echelon rows found so far with integer row operations.
+Echelon rows are stored primitive (divided by the gcd of their entries) with
+a positive pivot.  Back-substitution runs in ``Fraction``s and sets every
+free variable to zero.  The pivot columns of any echelon form are those of
+the reduced row echelon form, so the solution is the reduced-echelon
 particular solution; callers rely on that for reproducible output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 
 def _eliminate(
     matrix: Sequence[Sequence], rhs: Sequence
 ) -> Optional[tuple[list[Fraction], int]]:
-    """The solution with free variables zero and the rank; None when inconsistent."""
+    """The solution with free variables zero and the rank; None when inconsistent.
+
+    Entries are ``int`` or ``Fraction``; both have ``numerator`` and ``denominator``.
+    """
     if len(matrix) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
     n = len(matrix[0]) if matrix else 0
-    echelon: dict[int, dict[int, Fraction]] = {}  # pivot column -> row with 1 there
+    echelon: dict[int, dict[int, int]] = {}  # pivot column -> primitive row, positive there
     for coeffs, b in zip(matrix, rhs):
-        row = {j: Fraction(v) for j, v in enumerate(coeffs) if v}
+        entries = [(j, v) for j, v in enumerate(coeffs) if v]
         if b:
-            row[n] = Fraction(b)  # the right-hand side sits in column n
+            entries.append((n, b))  # the right-hand side sits in column n
+        scale = lcm(*[v.denominator for _, v in entries])
+        row = {j: v.numerator * (scale // v.denominator) for j, v in entries}
         while row:
             lead = min(row)
             pivot_row = echelon.get(lead)
             if pivot_row is None:
                 break
-            factor = row[lead]
+            # row * (p/g) - (a/g) * pivot_row clears column lead.
+            p, a = pivot_row[lead], row[lead]
+            g = gcd(p, a)
+            p, a = p // g, a // g
+            if p != 1:
+                row = {j: v * p for j, v in row.items()}
             for j, v in pivot_row.items():
-                w = row.get(j, 0) - factor * v
+                w = row.get(j, 0) - a * v
                 if w:
                     row[j] = w
                 else:
@@ -41,14 +55,18 @@ def _eliminate(
             continue
         if lead == n:
             return None  # 0 = nonzero: inconsistent
-        inv = 1 / row[lead]
-        echelon[lead] = {j: v * inv for j, v in row.items()}
+        content = gcd(*row.values())
+        if row[lead] < 0:
+            content = -content
+        echelon[lead] = {j: v // content for j, v in row.items()}
     solution = [Fraction(0)] * n
     for lead in sorted(echelon, reverse=True):
         row = echelon[lead]
-        solution[lead] = row.get(n, Fraction(0)) - sum(
-            v * solution[j] for j, v in row.items() if lead < j < n
-        )
+        value = Fraction(row.get(n, 0))
+        for j, v in row.items():
+            if lead < j < n and solution[j]:
+                value -= v * solution[j]
+        solution[lead] = value / row[lead]
     return solution, len(echelon)
 
 

@@ -8,10 +8,13 @@ is implemented twice on purpose: directly from its defining sum, and as
 ``-bracket(f, m)`` where ``m`` is the multiplication cochain; agreement of
 the two code paths is one of the verified laws.
 
-Insertion structure constants are integers.  ``bracket`` sums them, with
-their signs, over all insertions of one pair of terms, then multiplies by the
-pair's coefficient once per term.  Every term here is built from valid terms,
-so results go through the trusted constructors, which skip validation.
+Insertion and coboundary structure constants are integers.  Each operation
+turns its operands' coefficients into integer numerators over one common
+denominator (``cochains._numerators``), adds ``numerator x structure
+constant`` into a dict keyed on raw ``(x_part, slots)`` tuples, and builds
+one ``BasisTerm`` and one reduced ``Fraction`` per nonzero output term
+(``Cochain._over``).  Every term here is built from valid terms, so no
+result is validated again.
 
 Both operations carry the outer term's x-part through unchanged, so it stays
 out of the cached kernels: ``_insert_term`` keys on the receiving slot and
@@ -20,7 +23,6 @@ the inserted term, ``_delta_term`` on a slot list, and callers add it back.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import perm
 from operator import gt
@@ -32,6 +34,7 @@ from .cochains import (
     DimensionMismatchError,
     ArityError,
     Index,
+    _numerators,
     index_add,
     index_splits,
     index_sub,
@@ -63,13 +66,14 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
     second on the trailing slots, multiplying the results.
     """
     _check_dims(f, g)
-    acc: dict[BasisTerm, Fraction] = {}
-    for tf, cf in f.items():
-        for tg, cg in g.items():
-            term = BasisTerm._trusted(f.dimension, index_add(tf.x_part, tg.x_part), tf.slots + tg.slots)
-            value = cf * cg
-            acc[term] = value if (old := acc.get(term)) is None else old + value
-    return Cochain._trusted(f.dimension, acc)
+    fs, d1 = _numerators(f._terms)
+    gs, d2 = _numerators(g._terms)
+    acc: dict[tuple, int] = {}
+    for tf, cf in fs:
+        for tg, cg in gs:
+            key = (index_add(tf.x_part, tg.x_part), tf.slots + tg.slots)
+            acc[key] = acc.get(key, 0) + cf * cg
+    return Cochain._over(f.dimension, acc, d1 * d2)
 
 
 @lru_cache(maxsize=200_000)
@@ -96,12 +100,14 @@ def _insert_term(a: Index, tg: BasisTerm) -> tuple[tuple[Index, tuple[Index, ...
     return tuple(out)
 
 
-def _inserted(tf: BasisTerm, k: int, tg: BasisTerm) -> Iterator[tuple[BasisTerm, int]]:
-    """``tg`` substituted into slot ``k`` (1-based) of ``tf``: terms and integer structure constants."""
-    n = tf.dimension
+def _inserted(tf: BasisTerm, k: int, tg: BasisTerm) -> Iterator[tuple[tuple, int]]:
+    """``tg`` substituted into slot ``k`` (1-based) of ``tf``.
+
+    Yields raw ``(x_part, slots)`` keys with integer structure constants.
+    """
     head, tail = tf.slots[: k - 1], tf.slots[k:]
     for x_left, middle, mult in _insert_term(tf.slots[k - 1], tg):
-        yield BasisTerm._trusted(n, index_add(tf.x_part, x_left), head + middle + tail), mult
+        yield (index_add(tf.x_part, x_left), head + middle + tail), mult
 
 
 def insert(f: Cochain, k: int, g: Cochain) -> Cochain:
@@ -120,14 +126,15 @@ def insert(f: Cochain, k: int, g: Cochain) -> Cochain:
         raise ArityError("insertion needs at least one slot in the outer cochain")
     if not 1 <= k <= p:
         raise ArityError(f"slot position {k} out of range 1..{p}")
-    acc: dict[BasisTerm, Fraction] = {}
-    for tf, cf in f.items():
-        for tg, cg in g.items():
+    fs, d1 = _numerators(f._terms)
+    gs, d2 = _numerators(g._terms)
+    acc: dict[tuple, int] = {}
+    for tf, cf in fs:
+        for tg, cg in gs:
             scale = cf * cg
-            for term, structure in _inserted(tf, k, tg):
-                value = scale * structure
-                acc[term] = value if (old := acc.get(term)) is None else old + value
-    return Cochain._trusted(f.dimension, acc)
+            for key, structure in _inserted(tf, k, tg):
+                acc[key] = acc.get(key, 0) + scale * structure
+    return Cochain._over(f.dimension, acc, d1 * d2)
 
 
 def bracket(f: Cochain, g: Cochain) -> Cochain:
@@ -139,26 +146,23 @@ def bracket(f: Cochain, g: Cochain) -> Cochain:
                  - (-1)^((p-1)(q-1)) sum_k (-1)^((k-1)(p-1)) g o_k f
     """
     _check_dims(f, g)
-    acc: dict[BasisTerm, Fraction] = {}
-    for tf, cf in f.items():
-        for tg, cg in g.items():
+    fs, d1 = _numerators(f._terms)
+    gs, d2 = _numerators(g._terms)
+    acc: dict[tuple, int] = {}
+    for tf, cf in fs:
+        for tg, cg in gs:
             p, q = tf.arity, tg.arity
-            pair: dict[BasisTerm, int] = {}
+            scale = cf * cg
             for k in range(1, p + 1):
-                s = _sign((k - 1) * (q - 1))
-                for term, structure in _inserted(tf, k, tg):
-                    pair[term] = pair.get(term, 0) + s * structure
-            swap = -_sign((p - 1) * (q - 1))
+                s = scale * _sign((k - 1) * (q - 1))
+                for key, structure in _inserted(tf, k, tg):
+                    acc[key] = acc.get(key, 0) + s * structure
+            swap = -scale * _sign((p - 1) * (q - 1))
             for k in range(1, q + 1):
                 s = swap * _sign((k - 1) * (p - 1))
-                for term, structure in _inserted(tg, k, tf):
-                    pair[term] = pair.get(term, 0) + s * structure
-            scale = cf * cg
-            for term, total in pair.items():
-                if total:
-                    value = scale * total
-                    acc[term] = value if (old := acc.get(term)) is None else old + value
-    return Cochain._trusted(f.dimension, acc)
+                for key, structure in _inserted(tg, k, tf):
+                    acc[key] = acc.get(key, 0) + s * structure
+    return Cochain._over(f.dimension, acc, d1 * d2)
 
 
 @lru_cache(maxsize=200_000)
@@ -187,13 +191,13 @@ def _delta_term(n: int, slots: tuple[Index, ...]) -> tuple[tuple[tuple[Index, ..
 
 def hochschild_delta(f: Cochain) -> Cochain:
     """Hochschild coboundary, raising arity by one; linear in ``f``."""
-    acc: dict[BasisTerm, Fraction] = {}
-    for t, c in f.items():
+    terms, d = _numerators(f._terms)
+    acc: dict[tuple, int] = {}
+    for t, c in terms:
         for slots, structure in _delta_term(f.dimension, t.slots):
-            term = BasisTerm._trusted(f.dimension, t.x_part, slots)
-            value = c * structure
-            acc[term] = value if (old := acc.get(term)) is None else old + value
-    return Cochain._trusted(f.dimension, acc)
+            key = (t.x_part, slots)
+            acc[key] = acc.get(key, 0) + c * structure
+    return Cochain._over(f.dimension, acc, d)
 
 
 def delta_via_bracket(f: Cochain) -> Cochain:

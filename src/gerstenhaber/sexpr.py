@@ -71,6 +71,25 @@ def _check_digits(digits: str, text: str, index: int) -> None:
         raise _error(f"integer literal of {len(digits)} digits exceeds the limit of {limit}", text, index)
 
 
+def _digit_count(m: int) -> int:
+    """Decimal digits of ``m >= 1``, counted without converting it to text."""
+    k = (m.bit_length() - 1) * 30102 // 100000 + 1  # a lower bound: log10(2) > 0.30102
+    while m >= 10**k:
+        k += 1
+    return k
+
+
+def _decimal(value: Union[int, Fraction, str]) -> str:
+    """``str(value)``, refusing with the limit named when an integer is too long to print."""
+    try:
+        return str(value)
+    except ValueError:
+        digits = max(_digit_count(abs(value.numerator)), _digit_count(value.denominator))
+        raise ValueError(
+            f"output integer of {digits} digits exceeds the limit of {_digit_limit()}"
+        ) from None
+
+
 def _atom(token: str, text: str, index: int) -> Node:
     # isdecimal, not isdigit: int() rejects superscript digits such as '²'.
     body = token[1:] if token[0] in "+-" else token
@@ -126,7 +145,7 @@ def format_sexpr(node: Node) -> str:
     def flat(n: Node) -> str:
         if isinstance(n, tuple):
             return "(" + " ".join(flat(x) for x in n) + ")"
-        return str(n)
+        return _decimal(n)
 
     if not isinstance(node, tuple):
         return flat(node)
@@ -279,7 +298,9 @@ def node_to_json(node: Node):
     if isinstance(node, tuple):
         return [node_to_json(x) for x in node]
     if isinstance(node, Fraction):
-        return str(node)
+        return _decimal(node)
+    if isinstance(node, int):
+        _decimal(node)  # json.dumps converts it the same way; refuse here, naming the limit
     return node
 
 

@@ -2,7 +2,9 @@
 
 The reference solution is read off ``Matrix.rref`` of the augmented matrix
 with every free variable set to zero; the system is inconsistent exactly
-when the augmented column holds a pivot.
+when the augmented column holds a pivot.  Entries are small integers (the
+coboundary blocks), large integers (row growth and content reduction in the
+integer elimination) or fractions (the semigroup hull systems).
 """
 
 from fractions import Fraction
@@ -33,12 +35,14 @@ def _times(matrix, y):
     return [sum((a * v for a, v in zip(row, y)), Fraction(0)) for row in matrix]
 
 
+def _rational(v):
+    return sympy.Rational(v.numerator, v.denominator)
+
+
 def _reference(matrix, rhs):
     """(solution with free variables zero or None, rank) from sympy's rref."""
     cols = len(matrix[0])
-    augmented = sympy.Matrix(
-        [[*row, sympy.Rational(b.numerator, b.denominator)] for row, b in zip(matrix, rhs)]
-    )
+    augmented = sympy.Matrix([[*map(_rational, row), _rational(b)] for row, b in zip(matrix, rhs)])
     reduced, pivots = augmented.rref()
     if cols in pivots:
         return None, len(pivots) - 1
@@ -88,6 +92,53 @@ def test_solve_unique_none_on_rank_deficient_input(system, data):
     rhs = _times(matrix, y + [Fraction(1)])
     assert solve_unique(matrix, rhs) is None
     _assert_same(solve_particular(matrix, rhs), _reference(matrix, rhs)[0])
+
+
+# Large integers make the integer row operations grow their rows, so the
+# content gcd taken when a row is stored has something to remove.
+BIG_ENTRY = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+FRACTION_ENTRY = st.one_of(st.just(0), st.fractions(min_value=-50, max_value=50, max_denominator=97))
+ENTRIES = {"small": ENTRY, "big": BIG_ENTRY, "fraction": FRACTION_ENTRY}
+
+
+@st.composite
+def systems(draw, entry):
+    """Any shape, wide ones included, so the rank may be below the column count."""
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 2 * cols + 1))
+    matrix = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    y = [draw(VALUE) for _ in range(cols)]
+    return matrix, y
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_consistent_systems_match_sympy_rref(kind, data):
+    matrix, y = data.draw(systems(ENTRIES[kind]))
+    rhs = _times(matrix, y)
+    expected, rank = _reference(matrix, rhs)
+    _assert_same(solve_particular(matrix, rhs), expected)
+    unique = solve_unique(matrix, rhs)
+    assert (unique is None) == (rank < len(y))
+    _assert_same(unique, expected if rank == len(y) else None)
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_inconsistent_rhs_gives_none(kind, data):
+    """A row that combines other rows, with its right-hand side off by a nonzero amount."""
+    matrix, y = data.draw(systems(ENTRIES[kind]))
+    rhs = _times(matrix, y)
+    weights = [data.draw(st.integers(-3, 3)) for _ in matrix]
+    combined = [sum(w * row[j] for w, row in zip(weights, matrix)) for j in range(len(y))]
+    at = data.draw(st.integers(0, len(matrix)))
+    matrix.insert(at, combined)
+    rhs.insert(at, sum(w * b for w, b in zip(weights, rhs)) + data.draw(VALUE.filter(bool)))
+    assert _reference(matrix, rhs)[0] is None
+    assert solve_particular(matrix, rhs) is None
+    assert solve_unique(matrix, rhs) is None
 
 
 def test_free_variables_pinned_to_zero():

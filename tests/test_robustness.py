@@ -220,6 +220,39 @@ def test_integer_literal_at_the_digit_limit_parses():
     assert parse_sexpr("(term 1/" + "3" * 4300 + ")") == ("term", Fraction(1, int("3" * 4300)))
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["sexpr", "json"])
+@pytest.mark.parametrize(
+    "term, digits",
+    [("7" * 3000 + " (1 0) (0 1)", 6000), ("1/" + "7" * 3000 + " (1 0) (0 1)", 6000), ("1 (" + "9" * 4300 + " 0)", 4301)],
+    ids=["numerator", "denominator", "exponent"],
+)
+def test_cli_overlong_output_integer_is_refused_naming_the_limit(tmp_path, json_flag, term, digits):
+    """A product of two 3000-digit integers has 6000 digits, and a sum of two
+    4300-digit exponents 4301, past what str() converts by default (4300
+    digits); printing refuses them in the parser's wording."""
+    path = tmp_path / "c.sexp"
+    path.write_text(f"(cochain 2 (term {term}))", encoding="utf-8")
+    result = _run_cli(*json_flag, "cup", str(path), str(path))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: output integer of {digits} digits exceeds the limit of 4300"
+    ]
+
+
+def test_cli_reads_standard_input_once_for_two_dashes(tmp_path):
+    """``bracket - -`` brackets the piped cochain with itself."""
+    text = "(cochain 2 (term 1/3 (1 0) (1 0) (0 1)) (term -2 (0 1) (0 1) (1 0)))"
+    path = tmp_path / "f.sexp"
+    path.write_text(text, encoding="utf-8")
+    piped = _run_cli("bracket", "-", "-", stdin=text)
+    from_files = _run_cli("bracket", str(path), str(path))
+    assert piped.returncode == from_files.returncode == 0
+    assert piped.stderr == ""
+    assert piped.stdout == from_files.stdout
+    assert "(term" in piped.stdout
+
+
 @pytest.mark.parametrize("newline", ["\r", "\r\n", "\n"], ids=["CR", "CRLF", "LF"])
 def test_cli_and_parser_report_the_same_error_position(tmp_path, newline):
     """Files and standard input reach the parser untranslated, so a lone CR

@@ -515,3 +515,28 @@ def test_cli_evaluation_golden_bytes(files, capsys):
         "assoc-defect": "0f2dc5828c997c3b310ea166d20d2d5062b5ac44926643f1e5f5d171d154a7d4",
         "assoc-defect broken": "a161caa56e5cc40c62fdbb0cc28684c45333614d9d26f12579c704c79bbc9b17",
     }
+
+
+X1X2_BIVECTOR_TEXT = "(cochain 2 (term 1 (1 1) (1 0) (0 1)) (term -1 (1 1) (0 1) (1 0)))"
+
+
+@pytest.mark.parametrize(
+    "bivector, args, digest",
+    [
+        (X1X2_BIVECTOR_TEXT, ["--order", "5"], "43d8f656cf591961e1717eaa6a7e1b0b9fe6d1b139d2bc682855085d5c354254"),
+        (
+            X1_BIVECTOR_TEXT,
+            ["--order", "6", "--gen=0,-1"],
+            "5d21364fb63f64304c853fce57cb91c9e95f33d7d31b840afa9855a724a3777a",
+        ),
+    ],
+    ids=["x1x2-order5", "x1-order6-ideal"],
+)
+def test_cli_mc_solve_golden_bytes(files, capsys, bivector, args, digest):
+    """Solver output is pinned byte for byte past the orders the closed-form
+    tests reach: the coboundary blocks, the elimination and the free-variable
+    gauge all shape these bytes."""
+    pi1 = files("pi1.sexp", bivector)
+    code, out, _ = run_cli(capsys, "mc-solve", "--pi1", pi1, *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

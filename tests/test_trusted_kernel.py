@@ -15,9 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gerstenhaber import BasisTerm, Cochain, Polynomial
-from gerstenhaber.cochains import ArityError, DimensionMismatchError
+from gerstenhaber.cochains import ArityError, DimensionMismatchError, index_add
 from gerstenhaber.grading import decompose_by_bigrade, decompose_by_weight, theta_apply
-from gerstenhaber.operations import bracket, cup, delta_via_bracket, hochschild_delta, insert
+from gerstenhaber.operations import (
+    _delta_term,
+    _insert_term,
+    bracket,
+    cup,
+    delta_via_bracket,
+    hochschild_delta,
+    insert,
+)
 from gerstenhaber.starproduct import solve_delta
 from oracle_sympy import cochain_eval, expr_to_poly, poly_to_expr
 
@@ -180,6 +188,94 @@ def test_polynomial_product_matches_oracle(u, v, c, e):
     m = Polynomial.monomial(DIM, e, c)
     assert_matches_oracle((u + m) * (u - m), poly_to_expr(u) ** 2 - poly_to_expr(m) ** 2)
     assert_matches_oracle(u * Polynomial.zero(DIM), 0)
+
+
+# -- the integer cochain operations against a Fraction-accumulating reference ---
+
+
+def _summed(contributions):
+    """A cochain from ``(term, Fraction)`` contributions, added one Fraction at a time."""
+    acc = {}
+    for term, value in contributions:
+        acc[term] = acc.get(term, Fraction(0)) + value
+    return Cochain(DIM, acc)
+
+
+def _sign(exponent):
+    return -1 if exponent % 2 else 1
+
+
+def _insertions(tf, k, tg, scale):
+    head, tail = tf.slots[: k - 1], tf.slots[k:]
+    for x_left, middle, mult in _insert_term(tf.slots[k - 1], tg):
+        yield BasisTerm(DIM, index_add(tf.x_part, x_left), head + middle + tail), scale * mult
+
+
+def cup_reference(f, g):
+    return _summed(
+        (BasisTerm(DIM, index_add(tf.x_part, tg.x_part), tf.slots + tg.slots), cf * cg)
+        for tf, cf in f.items() for tg, cg in g.items()
+    )
+
+
+def insert_reference(f, k, g):
+    return _summed(
+        item for tf, cf in f.items() for tg, cg in g.items() for item in _insertions(tf, k, tg, cf * cg)
+    )
+
+
+def bracket_reference(f, g):
+    def contributions():
+        for tf, cf in f.items():
+            for tg, cg in g.items():
+                p, q = tf.arity, tg.arity
+                for k in range(1, p + 1):
+                    yield from _insertions(tf, k, tg, _sign((k - 1) * (q - 1)) * cf * cg)
+                for k in range(1, q + 1):
+                    sign = -_sign((p - 1) * (q - 1) + (k - 1) * (p - 1))
+                    yield from _insertions(tg, k, tf, sign * cf * cg)
+
+    return _summed(contributions())
+
+
+def delta_reference(f):
+    return _summed(
+        (BasisTerm(DIM, t.x_part, slots), c * structure)
+        for t, c in f.items() for slots, structure in _delta_term(DIM, t.slots)
+    )
+
+
+@KERNEL_SETTINGS
+@given(st.integers(0, 2).flatmap(big_cochains), st.integers(0, 2).flatmap(big_cochains), st.integers(1, 2))
+def test_operations_match_fraction_reference(f, g, k):
+    """Both operands carry large pairwise coprime denominators, so the common
+    denominator of a result is the product of the operands' lcms."""
+    cases = [
+        (cup(f, g), cup_reference(f, g)),
+        (bracket(f, g), bracket_reference(f, g)),
+        (hochschild_delta(f), delta_reference(f)),
+    ]
+    p = f.arities()[0] if not f.is_zero else 1
+    if p >= 1:
+        k = min(k, p)
+        cases.append((insert(f, k, g), insert_reference(f, k, g)))
+    for result, expected in cases:
+        assert_canonical(result)
+        assert result == expected
+
+
+@KERNEL_SETTINGS
+@given(big_cochains(1), st.integers(0, 2).flatmap(big_cochains))
+def test_operations_cancel_to_zero(x, f):
+    """The bracket of a vector field with itself and delta(delta(f)) vanish
+    after every contribution has been added."""
+    for result, expected in (
+        (bracket(x, x), bracket_reference(x, x)),
+        (hochschild_delta(hochschild_delta(f)), delta_reference(delta_reference(f))),
+    ):
+        assert_canonical(result)
+        assert result == expected
+        assert result.is_zero
 
 
 def test_apply_and_product_refusals_keep_their_messages():
