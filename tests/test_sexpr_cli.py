@@ -532,7 +532,7 @@ X1X2_BIVECTOR_TEXT = "(cochain 2 (term 1 (1 1) (1 0) (0 1)) (term -1 (1 1) (0 1)
     ],
     ids=["x1x2-order5", "x1-order6-ideal"],
 )
-def test_cli_mc_solve_golden_bytes(files, capsys, bivector, args, digest):
+def test_cli_mc_solve_golden_digests(files, capsys, bivector, args, digest):
     """Solver output is pinned byte for byte past the orders the closed-form
     tests reach: the coboundary blocks, the elimination and the free-variable
     gauge all shape these bytes."""
