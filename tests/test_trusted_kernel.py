@@ -8,18 +8,17 @@ The public constructors must still reject invalid input.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gerstenhaber import BasisTerm, Cochain, Polynomial
-from gerstenhaber.cochains import ArityError, DimensionMismatchError, index_add
+from gerstenhaber.cochains import ArityError, DimensionMismatchError, index_add, index_splits, index_sub
 from gerstenhaber.grading import decompose_by_bigrade, decompose_by_weight, theta_apply
 from gerstenhaber.operations import (
     _delta_term,
-    _insert_term,
     bracket,
     cup,
     delta_via_bracket,
@@ -206,9 +205,22 @@ def _sign(exponent):
 
 
 def _insertions(tf, k, tg, scale):
+    """``tg`` substituted into slot ``k`` of ``tf``, by the Leibniz rule written out.
+
+    ``d^a`` of ``x^b0 (d^s1 u1) ... (d^sq uq)`` is the sum over splits
+    ``(c0, c1, ..., cq)`` of ``a`` of the multinomial coefficient times
+    ``perm(b0, c0) x^(b0 - c0) (d^(s1 + c1) u1) ... (d^(sq + cq) uq)``;
+    ``math.perm(b, c)`` is 0 for ``c > b``, which drops the split.
+    """
     head, tail = tf.slots[: k - 1], tf.slots[k:]
-    for x_left, middle, mult in _insert_term(tf.slots[k - 1], tg):
-        yield BasisTerm(DIM, index_add(tf.x_part, x_left), head + middle + tail), scale * mult
+    for pieces, multinomial in index_splits(tf.slots[k - 1], tg.arity + 1):
+        falling = 1
+        for b, c in zip(tg.x_part, pieces[0]):
+            falling *= perm(b, c)
+        if falling:
+            x_part = index_add(tf.x_part, index_sub(tg.x_part, pieces[0]))
+            middle = tuple(map(index_add, tg.slots, pieces[1:]))
+            yield BasisTerm(DIM, x_part, head + middle + tail), scale * multinomial * falling
 
 
 def cup_reference(f, g):
