@@ -40,6 +40,7 @@ from .grading import (
     theta_apply,
     theta_split,
     weight_of,
+    weights_of,
 )
 from .operations import (
     _sign,
@@ -375,9 +376,9 @@ def law_weight_additivity(rng: random.Random) -> Optional[tuple]:
     g = random_weight_homogeneous(rng, 2, b)
     target = index_add(a, b)
     for result in (cup(f, g), bracket(f, g)):
-        if {weight_of(t) for t, _ in result.items()} - {target}:
+        if weights_of(result) - {target}:
             return (f, g)
-    return (f,) if {weight_of(t) for t, _ in hochschild_delta(f).items()} - {a} else None
+    return (f,) if weights_of(hochschild_delta(f)) - {a} else None
 
 
 @_each_trial("delta-preserves-bigrade")
@@ -396,14 +397,14 @@ def law_decomposition_partition(rng: random.Random) -> Optional[tuple]:
     c = random_cochain(rng)
     total_w = Cochain.zero(2)
     for w, part in decompose_by_weight(c).items():
-        if {weight_of(t) for t, _ in part.items()} != {w}:
+        if weights_of(part) != {w}:
             return (c,)
         total_w = total_w + part
     total_b = Cochain.zero(2)
     for bg, part in decompose_by_bigrade(c).items():
         if {bigrade_of(t) for t, _ in part.items()} != {bg}:
             return (c,)
-        if {weight_of(t) for t, _ in part.items()} != {bg[0]}:
+        if weights_of(part) != {bg[0]}:
             return (c,)
         total_b = total_b + part
     return (c,) if total_w != c or total_b != c else None
@@ -426,7 +427,7 @@ def law_theta_involution(name: str, rng: random.Random, trials: int) -> LawResul
                 return _fail(name, checks, c)
             if theta_apply(plus, idx) != plus or theta_apply(minus, idx) != -minus:
                 return _fail(name, checks, c)
-            if any(not even_weight_sum(idx, w) for w in {weight_of(t) for t, _ in plus.items()}):
+            if any(not even_weight_sum(idx, w) for w in weights_of(plus)):
                 return _fail(name, checks, plus)
     return LawResult(name, True, checks)
 

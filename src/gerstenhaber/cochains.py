@@ -12,25 +12,26 @@ Three layers:
 * ``Cochain``    -- finite rational combination of basis terms; the arity-p
   part is a p-multilinear map from polynomials to polynomials.
 
-All three are immutable and hashable, and are stored in canonical form: zero
-coefficients dropped, like terms merged, deterministic term ordering (arity,
-then the x-exponent, then the slot list).  ``Polynomial`` and ``Cochain``
-share that store, ``_TermStore``: a sorted tuple of ``(key, Fraction)`` pairs.
+All three are immutable and hashable, and are stored in canonical form.
+``Polynomial`` and ``Cochain`` share one store, ``_TermStore``: a dict from
+raw keys (an exponent tuple; an ``(x_part, slots)`` pair) to nonzero integer
+numerators, over one positive denominator coprime to the numerators' gcd.
+Equal values therefore have equal stores.  ``items()`` lists the terms in the
+canonical order (arity, then the x-exponent, then the slot list) with
+reduced ``Fraction`` coefficients; it, ``coefficient()`` and printing are the
+only places that build ``BasisTerm``s and ``Fraction``s from the store.
 
 Validation happens at the input boundary only.  The public constructors
 ``Polynomial(...)``, ``BasisTerm(...)`` and ``Cochain(...)`` check the
 dimension, index lengths, integer and nonnegative index entries, exact
 coefficient types and term types and dimensions.  The package's own
-operations build their results with the trusted constructors
-``BasisTerm._trusted`` and ``_TermStore._trusted``, which skip those checks.
-They take only terms derived from valid terms -- sums of nonnegative indices,
-differences that cannot go negative, concatenated slot lists -- with
-``Fraction`` coefficients, so their results satisfy the same invariant.
-
-``Polynomial.__mul__``, ``Cochain.apply`` and the cochain operations in
-``operations`` compute on integer numerators over one common denominator and
-divide once per output term (``_TermStore._over``); the ``Fraction`` built
-there is reduced, so the results are the same values.
+operations -- ``Polynomial.__mul__``, ``Cochain.apply``, the arithmetic
+operators, the cochain operations in ``operations`` and the decompositions
+in ``grading`` -- add integer numerators keyed on raw keys and build their
+results with ``_TermStore._reduced``, which skips those checks.  They take
+only keys derived from valid keys -- sums of nonnegative indices,
+differences that cannot go negative, concatenated slot lists -- so their
+results satisfy the same invariant.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from math import factorial, lcm, perm
+from math import factorial, gcd, lcm, perm
 from operator import add as _add, sub as _sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -85,12 +86,6 @@ def _check_index(a: Sequence[int], dimension: int, *, nonnegative: bool) -> Inde
     return a
 
 
-def _numerators(terms) -> tuple[list, int]:
-    """``([(key, numerator), ...], d)``: the coefficients as integers over their lcm ``d``."""
-    d = lcm(*[c.denominator for _, c in terms])
-    return [(k, c.numerator * (d // c.denominator)) for k, c in terms], d
-
-
 def _product(f, g) -> dict[Index, int]:
     """The product of two ``(exponent, int)`` term lists, summed per exponent."""
     acc: dict[Index, int] = {}
@@ -102,7 +97,7 @@ def _product(f, g) -> dict[Index, int]:
 
 
 def _derive_terms(terms, a: Index) -> list:
-    """``d^a`` of ``(exponent, coefficient)`` pairs; ``int`` or ``Fraction`` coefficients."""
+    """``d^a`` of ``(exponent, integer numerator)`` pairs."""
     out = []
     for e, c in terms:
         factor = 1
@@ -126,17 +121,24 @@ def _as_fraction(value: Scalar) -> Fraction:
 class _TermStore:
     """Sparse "key -> exact coefficient" store shared by Polynomial and Cochain.
 
-    ``_terms`` is a tuple of ``(key, Fraction)`` pairs with no zero
-    coefficient and no repeated key, sorted by the class's ``_sort_key``.
-    The public constructor validates every key and coefficient;
-    ``_trusted`` takes an already merged ``{key: Fraction}`` dict of valid
-    keys and only drops zeros and sorts.  ``_over`` takes integer numerators
-    keyed on raw keys (an exponent; an ``(x_part, slots)`` pair) and their
-    one denominator.
+    A value is ``_num``, a dict from raw keys to nonzero integer numerators,
+    over one denominator ``_den``.  A raw key is the exponent tuple of a
+    ``Polynomial`` term and the ``(x_part, slots)`` pair of a ``Cochain``
+    term.  The store is always reduced: ``_den >= 1`` and ``_den`` is coprime
+    to the gcd of the numerators, so each value has exactly one form, ``==``
+    compares dicts and equal values hash alike.
+
+    Operations read and write this form directly.  The public constructor
+    validates every key and coefficient; ``_reduced`` takes integer
+    numerators keyed on raw keys built from valid keys, drops zeros and
+    divides out common factors; ``_raw`` takes a form that is already
+    reduced.  Keys, ``Fraction`` coefficients and the canonical term order
+    are built only where a value is looked at: ``items()``,
+    ``coefficient()`` and printing.
     """
 
-    __slots__ = ("dimension", "_terms")
-    _sort_key = None  # None: sort by the key itself
+    __slots__ = ("dimension", "_num", "_den")
+    _order = None  # sort key of raw keys in canonical order; None: the raw key itself
 
     def __init__(self, dimension: int, terms=()):
         _check_dimension(dimension)
@@ -145,62 +147,73 @@ class _TermStore:
             key = self._check_key(key, dimension)
             value = _as_fraction(coeff)
             acc[key] = value if (old := acc.get(key)) is None else old + value
-        self._store(dimension, acc)
+        acc = {k: c for k, c in acc.items() if c}
+        # Over the lcm of reduced denominators the numerators share no factor with it.
+        d = lcm(*[c.denominator for c in acc.values()])
+        self._set(dimension, {k: c.numerator * (d // c.denominator) for k, c in acc.items()}, d)
+
+    def _set(self, dimension: int, num: dict, d: int) -> None:
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", d)
 
     @classmethod
-    def _trusted(cls, dimension: int, acc: dict):
-        """A value from a merged dict of keys built from valid keys; nothing is checked."""
+    def _raw(cls, dimension: int, num: dict, d: int):
+        """The value ``num[k] / d`` of a reduced form with no zero numerator; nothing is checked."""
         self = object.__new__(cls)
-        self._store(dimension, acc)
+        self._set(dimension, num, d)
         return self
 
-    def _store(self, dimension: int, acc: dict) -> None:
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(
-            self, "_terms", tuple(sorted([item for item in acc.items() if item[1]], key=self._sort_key))
-        )
+    @classmethod
+    def _reduced(cls, dimension: int, num: dict, d: int):
+        """The value ``num[k] / d`` for raw keys built from valid keys and ``d >= 1``.
+
+        Zero numerators are dropped and the common factor of ``d`` and the
+        numerators is divided out.
+        """
+        num = {k: c for k, c in num.items() if c}
+        if d != 1:
+            g = gcd(d, *num.values())
+            if g != 1:
+                d //= g
+                num = {k: c // g for k, c in num.items()}
+        return cls._raw(dimension, num, d)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def _over(cls, dimension: int, numerators: dict, d: int):
-        """The value with coefficients ``numerators[raw] / d``; zeros are dropped.
-
-        ``numerators`` is keyed on raw keys, which the class's ``_from_raw``
-        turns into its keys; each coefficient is one reduced ``Fraction``.
-        """
-        key = cls._from_raw
-        return cls._trusted(
-            dimension, {key(dimension, k): Fraction(c, d) for k, c in numerators.items() if c}
-        )
-
-    @classmethod
     def zero(cls, dimension: int):
         return cls(dimension)
 
+    def _sorted_items(self) -> list[tuple]:
+        """``(raw key, Fraction)`` pairs in canonical order."""
+        num, d = self._num, self._den
+        return [(k, Fraction(num[k], d)) for k in sorted(num, key=self._order)]
+
     def items(self) -> Iterator[tuple]:
-        return iter(self._terms)
+        """``(key, Fraction)`` pairs in canonical order."""
+        key, n = self._key, self.dimension
+        return ((key(n, k), c) for k, c in self._sorted_items())
 
     def coefficient(self, key) -> Fraction:
-        for k, c in self._terms:
-            if k == key:
-                return c
-        return _ZERO
+        c = self._num.get(self._raw_key(key, self.dimension))
+        return _ZERO if c is None else Fraction(c, self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
             and self.dimension == other.dimension
-            and self._terms == other._terms
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):
-        return hash((self.dimension, self._terms))
+        return hash((self.dimension, self._den, frozenset(self._num.items())))
 
     def _check_same_dimension(self, other: _TermStore) -> None:
         if self.dimension != other.dimension:
@@ -208,24 +221,31 @@ class _TermStore:
                 f"{type(self).__name__.lower()} dimensions differ: {self.dimension} vs {other.dimension}"
             )
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         if type(other) is not type(self):
             return NotImplemented
         self._check_same_dimension(other)
-        acc = dict(self._terms)
-        for k, c in other._terms:
-            acc[k] = c if (old := acc.get(k)) is None else old + c
-        return self._trusted(self.dimension, acc)
+        d1, d2 = self._den, other._den
+        d = lcm(d1, d2)
+        s1, s2 = d // d1, sign * (d // d2)
+        acc = dict(self._num) if s1 == 1 else {k: c * s1 for k, c in self._num.items()}
+        for k, c in other._num.items():
+            acc[k] = acc.get(k, 0) + c * s2
+        return self._reduced(self.dimension, acc, d)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return self._trusted(self.dimension, {k: -c for k, c in self._terms})
+        return self._raw(self.dimension, {k: -c for k, c in self._num.items()}, self._den)
 
     def __mul__(self, scalar):
         s = _as_fraction(scalar)
-        return self._trusted(self.dimension, {k: c * s for k, c in self._terms})
+        a = s.numerator
+        return self._reduced(self.dimension, {k: c * a for k, c in self._num.items()}, self._den * s.denominator)
 
     def __rmul__(self, scalar):
         return self.__mul__(scalar)
@@ -239,7 +259,8 @@ class Polynomial(_TermStore):
     """
 
     __slots__ = ()
-    _from_raw = staticmethod(lambda dimension, expo: expo)
+    _key = staticmethod(lambda dimension, expo: expo)
+    _raw_key = staticmethod(lambda expo, dimension: tuple(expo))
 
     @staticmethod
     def _check_key(expo: Sequence[int], dimension: int) -> Index:
@@ -262,29 +283,25 @@ class Polynomial(_TermStore):
     def monomial(cls, dimension: int, expo: Sequence[int], coeff: Scalar = 1) -> Polynomial:
         return cls(dimension, {tuple(expo): coeff})
 
-    def coefficient(self, expo: Sequence[int]) -> Fraction:
-        return super().coefficient(tuple(expo))
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return super().__mul__(other)
         self._check_same_dimension(other)
-        f, d1 = _numerators(self._terms)
-        g, d2 = _numerators(other._terms)
-        return Polynomial._over(self.dimension, _product(f, g), d1 * d2)
+        product = _product(self._num.items(), other._num.items())
+        return Polynomial._reduced(self.dimension, product, self._den * other._den)
 
     def derive(self, a: Sequence[int]) -> Polynomial:
         """Apply the mixed partial derivative ``d^a = d1^(a1) ... dn^(an)``."""
         return self._derive(_check_index(a, self.dimension, nonnegative=True))
 
     def _derive(self, a: Index) -> Polynomial:
-        return Polynomial._trusted(self.dimension, dict(_derive_terms(self._terms, a)))
+        return Polynomial._reduced(self.dimension, dict(_derive_terms(self._num.items(), a)), self._den)
 
     def __repr__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for e, c in self._terms:
+        for e, c in self._sorted_items():
             factors = [f"x{i + 1}^{p}" if p > 1 else f"x{i + 1}" for i, p in enumerate(e) if p]
             if not factors:
                 parts.append(str(c))
@@ -360,25 +377,31 @@ class Cochain(_TermStore):
     """
 
     __slots__ = ()
-    _sort_key = staticmethod(lambda item: item[0].sort_key)
-    _from_raw = staticmethod(lambda dimension, key: BasisTerm._trusted(dimension, *key))
+    # The canonical order is BasisTerm.sort_key: (arity, x_part, slots).
+    _order = staticmethod(lambda raw: (len(raw[1]), raw))
+    _key = staticmethod(lambda dimension, raw: BasisTerm._trusted(dimension, *raw))
+    _raw_key = staticmethod(
+        lambda term, dimension: (term.x_part, term.slots)
+        if isinstance(term, BasisTerm) and term.dimension == dimension
+        else None
+    )
 
     @staticmethod
-    def _check_key(term: BasisTerm, dimension: int) -> BasisTerm:
+    def _check_key(term: BasisTerm, dimension: int) -> tuple[Index, tuple[Index, ...]]:
         if not isinstance(term, BasisTerm):
             raise TypeError(f"cochain terms must be BasisTerm, got {type(term).__name__}")
         if term.dimension != dimension:
             raise DimensionMismatchError(
                 f"term dimension {term.dimension} does not match cochain dimension {dimension}"
             )
-        return term
+        return term.x_part, term.slots
 
     @classmethod
     def single(cls, term: BasisTerm, coeff: Scalar = 1) -> Cochain:
         return cls(term.dimension, {term: coeff})
 
     def arities(self) -> tuple[int, ...]:
-        return tuple(sorted({t.arity for t, _ in self._terms}))
+        return tuple(sorted({len(slots) for _, slots in self._num}))
 
     def homogeneous_arity(self) -> int:
         """Arity of an arity-homogeneous nonzero cochain."""
@@ -389,9 +412,9 @@ class Cochain(_TermStore):
 
     def components_by_arity(self) -> dict[int, Cochain]:
         buckets: dict[int, dict] = {}
-        for t, c in self._terms:
-            buckets.setdefault(t.arity, {})[t] = c
-        return {p: Cochain._trusted(self.dimension, part) for p, part in sorted(buckets.items())}
+        for key, c in self._num.items():
+            buckets.setdefault(len(key[1]), {})[key] = c
+        return {p: Cochain._reduced(self.dimension, part, self._den) for p, part in sorted(buckets.items())}
 
     def apply(self, args: Sequence[Polynomial]) -> Polynomial:
         """Evaluate on a tuple of polynomials, one per slot.
@@ -407,33 +430,32 @@ class Cochain(_TermStore):
                     f"argument dimension {u.dimension} does not match cochain dimension {self.dimension}"
                 )
         p = len(args)
-        for term, _ in self._terms:
-            if term.arity != p:
-                raise ArityError(f"term of arity {term.arity} applied to {p} arguments")
-        # Integer numerators throughout; one division per output monomial.
-        terms, d = _numerators(self._terms)
+        for _, slots in self._num:
+            if len(slots) != p:
+                raise ArityError(f"term of arity {len(slots)} applied to {p} arguments")
+        # Integer numerators throughout, over the product of the denominators.
+        d = self._den
         numerators = []
         for u in args:
-            num, den = _numerators(u._terms)
-            numerators.append(num)
-            d *= den
+            numerators.append(list(u._num.items()))
+            d *= u._den
         derived: list[dict] = [{} for _ in args]  # per argument: slot -> its derivative
         acc: dict[Index, int] = {}
-        for term, coeff in terms:
-            value = {term.x_part: coeff}
-            for slot, num, cache in zip(term.slots, numerators, derived):
+        for (x_part, slots), coeff in self._num.items():
+            value = {x_part: coeff}
+            for slot, num, cache in zip(slots, numerators, derived):
                 du = cache.get(slot)
                 if du is None:
                     du = cache[slot] = _derive_terms(num, slot)
                 value = _product(value.items(), du)
             for e, c in value.items():
                 acc[e] = acc.get(e, 0) + c
-        return Polynomial._over(self.dimension, acc, d)
+        return Polynomial._reduced(self.dimension, acc, d)
 
     def __repr__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
-        return " + ".join(repr(t) if c == 1 else f"{c}*{t!r}" for t, c in self._terms)
+        return " + ".join(repr(t) if c == 1 else f"{c}*{t!r}" for t, c in self.items())
 
 
 @lru_cache(maxsize=None)

@@ -36,36 +36,49 @@ class InconclusiveMembershipError(Exception):
     """A definite semigroup decision was required but the search cap bound."""
 
 
-def weight_of(term: BasisTerm) -> Index:
-    """x-exponent minus the sum of slot orders, an integer vector."""
-    total = term.x_part
-    for s in term.slots:
+def _weight(x_part: Index, slots: tuple[Index, ...]) -> Index:
+    total = x_part
+    for s in slots:
         total = index_sub(total, s)
     return total
 
 
-def bigrade_of(term: BasisTerm) -> tuple[Index, Index]:
-    """The pair (x_part - sum(slots), x_part + sum(slots))."""
-    down = term.x_part
-    up = term.x_part
-    for s in term.slots:
+def _bigrade(x_part: Index, slots: tuple[Index, ...]) -> tuple[Index, Index]:
+    down = up = x_part
+    for s in slots:
         down = index_sub(down, s)
         up = index_add(up, s)
     return down, up
 
 
+def weight_of(term: BasisTerm) -> Index:
+    """x-exponent minus the sum of slot orders, an integer vector."""
+    return _weight(term.x_part, term.slots)
+
+
+def bigrade_of(term: BasisTerm) -> tuple[Index, Index]:
+    """The pair (x_part - sum(slots), x_part + sum(slots))."""
+    return _bigrade(term.x_part, term.slots)
+
+
+def weights_of(c: Cochain) -> set[Index]:
+    """The set of weights of the terms of ``c``."""
+    return {_weight(*key) for key in c._num}
+
+
+def _decompose(c: Cochain, grade) -> dict:
+    buckets: dict = {}
+    for key, num in c._num.items():
+        buckets.setdefault(grade(*key), {})[key] = num
+    return {g: Cochain._reduced(c.dimension, part, c._den) for g, part in sorted(buckets.items())}
+
+
 def decompose_by_weight(c: Cochain) -> dict[Index, Cochain]:
-    buckets: dict[Index, dict] = {}
-    for t, coeff in c.items():
-        buckets.setdefault(weight_of(t), {})[t] = coeff
-    return {w: Cochain._trusted(c.dimension, part) for w, part in sorted(buckets.items())}
+    return _decompose(c, _weight)
 
 
 def decompose_by_bigrade(c: Cochain) -> dict[tuple[Index, Index], Cochain]:
-    buckets: dict[tuple[Index, Index], dict] = {}
-    for t, coeff in c.items():
-        buckets.setdefault(bigrade_of(t), {})[t] = coeff
-    return {bg: Cochain._trusted(c.dimension, part) for bg, part in sorted(buckets.items())}
+    return _decompose(c, _bigrade)
 
 
 def scaling_field(dimension: int, i: int) -> Cochain:
@@ -244,7 +257,7 @@ def _weight_statuses(c: Cochain, spec: SemigroupSpec, min_count: int) -> Iterato
     """Each distinct weight of ``c`` in sorted order, with its membership status."""
     if c.dimension != spec.dimension:
         raise DimensionMismatchError("cochain and semigroup dimensions differ")
-    for w in sorted({weight_of(t) for t, _ in c.items()}):
+    for w in sorted(weights_of(c)):
         yield w, semigroup_member(spec, w, min_count).status
 
 
@@ -268,7 +281,8 @@ def project_subalgebra(c: Cochain, spec: SemigroupSpec) -> Cochain:
             )
         if status == YES:
             kept.add(w)
-    return Cochain._trusted(c.dimension, {t: coeff for t, coeff in c.items() if weight_of(t) in kept})
+    kept_num = {key: num for key, num in c._num.items() if _weight(*key) in kept}
+    return Cochain._reduced(c.dimension, kept_num, c._den)
 
 
 def in_ideal(c: Cochain, spec: SemigroupSpec, fold: int = 2) -> Membership:
@@ -304,11 +318,10 @@ def theta_apply(c: Cochain, indices: Sequence[int]) -> Cochain:
     """Sign each term by the parity of its weight summed over ``indices`` (1-based)."""
     idx = _check_indices(indices, c.dimension)
     out = {}
-    for t, coeff in c.items():
-        w = weight_of(t)
-        parity = sum(w[i - 1] for i in idx)
-        out[t] = -coeff if parity % 2 else coeff
-    return Cochain._trusted(c.dimension, out)
+    for key, num in c._num.items():
+        w = _weight(*key)
+        out[key] = -num if sum(w[i - 1] for i in idx) % 2 else num
+    return Cochain._raw(c.dimension, out, c._den)
 
 
 def theta_split(c: Cochain, indices: Sequence[int]) -> tuple[Cochain, Cochain]:
@@ -471,7 +484,7 @@ def subgroup_complement_check(
             psi = axioms.random_weight_homogeneous(rng, spec.dimension, k)
             samples_run += 1
             results = (cup(phi, psi), cup(psi, phi), bracket(phi, psi))
-            weights = {weight_of(t) for r in results for t, _ in r.items()}
+            weights = set().union(*map(weights_of, results))
             if any(status(w) == YES for w in weights):
                 failures.append((h, k))
 
@@ -522,8 +535,8 @@ def filtration_contains(c: Cochain, alpha, mode: str = CUMULATIVE) -> bool:
     """
     mode = _check_mode(mode)
     a, b = validate_filtration_index(alpha, c.dimension)
-    for t, _ in c.items():
-        down, up = bigrade_of(t)
+    for key in c._num:
+        down, up = _bigrade(*key)
         if mode == LITERAL:
             if down != a or not a <= up <= b:
                 return False
@@ -538,7 +551,7 @@ def filtration_index(c: Cochain, mode: str = CUMULATIVE) -> tuple[Index, Index]:
     mode = _check_mode(mode)
     if c.is_zero:
         raise ValueError("the zero cochain has no filtration index")
-    bigrades = [bigrade_of(t) for t, _ in c.items()]
+    bigrades = [_bigrade(*key) for key in c._num]
     if mode == CUMULATIVE:
         return max(bigrades)
     weights = {bg[0] for bg in bigrades}

@@ -9,24 +9,24 @@ is implemented twice on purpose: directly from its defining sum, and as
 the two code paths is one of the verified laws.
 
 Insertion and coboundary structure constants are integers.  Each operation
-turns its operands' coefficients into integer numerators over one common
-denominator (``cochains._numerators``), adds ``numerator x structure
-constant`` into a dict keyed on raw ``(x_part, slots)`` tuples, and builds
-one ``BasisTerm`` and one reduced ``Fraction`` per nonzero output term
-(``Cochain._over``).  Every term here is built from valid terms, so no
-result is validated again.
+reads its operands' integer numerators straight from the store, adds
+``numerator x structure constant`` into a dict keyed on raw ``(x_part,
+slots)`` tuples, and hands that dict and the product of the operands'
+denominators to ``Cochain._reduced``; no ``BasisTerm`` or ``Fraction`` is
+built per term.  Every term here is built from valid terms, so no result is
+validated again.
 
 Both operations carry the outer term's x-part through unchanged, so it stays
 out of the cached kernels: ``_insert_term`` keys on the receiving slot and
-the inserted term, ``_delta_term`` on a slot list, and callers add it back.
+the inserted term's x-part and slots, ``_delta_term`` on a slot list, and
+callers add the x-part back, once per group of terms that share it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import perm
-from operator import gt
-from typing import Iterator
+from itertools import product as _cartesian
+from math import comb, perm
 
 from .cochains import (
     BasisTerm,
@@ -34,7 +34,6 @@ from .cochains import (
     DimensionMismatchError,
     ArityError,
     Index,
-    _numerators,
     index_add,
     index_splits,
     index_sub,
@@ -66,48 +65,51 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
     second on the trailing slots, multiplying the results.
     """
     _check_dims(f, g)
-    fs, d1 = _numerators(f._terms)
-    gs, d2 = _numerators(g._terms)
+    gs = g._num.items()
     acc: dict[tuple, int] = {}
-    for tf, cf in fs:
-        for tg, cg in gs:
-            key = (index_add(tf.x_part, tg.x_part), tf.slots + tg.slots)
+    for (xf, sf), cf in f._num.items():
+        for (xg, sg), cg in gs:
+            key = (index_add(xf, xg), sf + sg)
             acc[key] = acc.get(key, 0) + cf * cg
-    return Cochain._over(f.dimension, acc, d1 * d2)
+    return Cochain._reduced(f.dimension, acc, f._den * g._den)
 
 
 @lru_cache(maxsize=200_000)
-def _insert_term(a: Index, tg: BasisTerm) -> tuple[tuple[Index, tuple[Index, ...], int], ...]:
-    """Apply ``d^a`` to the output of basis term ``tg``.
+def _insert_term(a: Index, b0: Index, slots: tuple[Index, ...]) -> tuple[tuple[Index, tuple], ...]:
+    """Apply ``d^a`` to the output of the basis term ``x^b0 d^s1 (x) ... (x) d^sq``.
 
-    The derivative distributes over ``tg``'s x-part and each of its slot
-    outputs; the x-part absorbs part of it with falling-factorial
-    coefficients.  Returns (what is left of ``tg``'s x-part, ``tg``'s
-    differentiated slots, integer multiplicity) triples.  Only ``c0 <= b0``
-    is subtracted, so every index stays nonnegative.
+    The derivative distributes over the x-part and each slot output.  The
+    x-part's share ``c0`` runs over the box ``0 <= c0 <= min(a, b0)`` with
+    coefficient ``binom(a, c0) perm(b0, c0)``, and only ``a - c0`` is split
+    among the slots, so every split enumerated contributes.  Returns
+    ``(x_left, ((differentiated slots, integer multiplicity), ...))`` with
+    one group per ``x_left = b0 - c0``.
     """
-    b0 = tg.x_part
-    # Distinct splits give distinct triples, so nothing needs merging.
     out = []
-    for pieces, mult in index_splits(a, tg.arity + 1):
-        c0 = pieces[0]
-        if any(map(gt, c0, b0)):
-            continue
-        fall = mult
-        for b, c in zip(b0, c0):
-            fall *= perm(b, c)
-        out.append((index_sub(b0, c0), tuple(map(index_add, tg.slots, pieces[1:])), fall))
+    for c0 in _cartesian(*[range(min(ai, bi) + 1) for ai, bi in zip(a, b0)]):
+        rest = index_sub(a, c0)
+        splits = index_splits(rest, len(slots))
+        if not splits:
+            continue  # an arity-0 term takes no derivative beyond its x-part
+        scale = 1
+        for ai, bi, ci in zip(a, b0, c0):
+            scale *= comb(ai, ci) * perm(bi, ci)
+        # Distinct splits give distinct slot lists, so nothing needs merging.
+        middles = tuple((tuple(map(index_add, slots, pieces)), scale * mult) for pieces, mult in splits)
+        out.append((index_sub(b0, c0), middles))
     return tuple(out)
 
 
-def _inserted(tf: BasisTerm, k: int, tg: BasisTerm) -> Iterator[tuple[tuple, int]]:
-    """``tg`` substituted into slot ``k`` (1-based) of ``tf``.
-
-    Yields raw ``(x_part, slots)`` keys with integer structure constants.
-    """
-    head, tail = tf.slots[: k - 1], tf.slots[k:]
-    for x_left, middle, mult in _insert_term(tf.slots[k - 1], tg):
-        yield (index_add(tf.x_part, x_left), head + middle + tail), mult
+def _add_inserted(acc: dict, f_key: tuple, k: int, g_key: tuple, scale: int) -> None:
+    """Add ``scale`` times the term ``g_key`` substituted into slot ``k`` (1-based)
+    of the term ``f_key`` into ``acc``, keyed on raw ``(x_part, slots)`` pairs."""
+    xf, sf = f_key
+    head, tail = sf[: k - 1], sf[k:]
+    for x_left, middles in _insert_term(sf[k - 1], *g_key):
+        x = index_add(xf, x_left)
+        for middle, mult in middles:
+            key = (x, head + middle + tail)
+            acc[key] = acc.get(key, 0) + scale * mult
 
 
 def insert(f: Cochain, k: int, g: Cochain) -> Cochain:
@@ -126,15 +128,12 @@ def insert(f: Cochain, k: int, g: Cochain) -> Cochain:
         raise ArityError("insertion needs at least one slot in the outer cochain")
     if not 1 <= k <= p:
         raise ArityError(f"slot position {k} out of range 1..{p}")
-    fs, d1 = _numerators(f._terms)
-    gs, d2 = _numerators(g._terms)
+    gs = g._num.items()
     acc: dict[tuple, int] = {}
-    for tf, cf in fs:
+    for tf, cf in f._num.items():
         for tg, cg in gs:
-            scale = cf * cg
-            for key, structure in _inserted(tf, k, tg):
-                acc[key] = acc.get(key, 0) + scale * structure
-    return Cochain._over(f.dimension, acc, d1 * d2)
+            _add_inserted(acc, tf, k, tg, cf * cg)
+    return Cochain._reduced(f.dimension, acc, f._den * g._den)
 
 
 def bracket(f: Cochain, g: Cochain) -> Cochain:
@@ -146,23 +145,19 @@ def bracket(f: Cochain, g: Cochain) -> Cochain:
                  - (-1)^((p-1)(q-1)) sum_k (-1)^((k-1)(p-1)) g o_k f
     """
     _check_dims(f, g)
-    fs, d1 = _numerators(f._terms)
-    gs, d2 = _numerators(g._terms)
+    gs = g._num.items()
     acc: dict[tuple, int] = {}
-    for tf, cf in fs:
+    for tf, cf in f._num.items():
+        p = len(tf[1])
         for tg, cg in gs:
-            p, q = tf.arity, tg.arity
+            q = len(tg[1])
             scale = cf * cg
             for k in range(1, p + 1):
-                s = scale * _sign((k - 1) * (q - 1))
-                for key, structure in _inserted(tf, k, tg):
-                    acc[key] = acc.get(key, 0) + s * structure
+                _add_inserted(acc, tf, k, tg, scale * _sign((k - 1) * (q - 1)))
             swap = -scale * _sign((p - 1) * (q - 1))
             for k in range(1, q + 1):
-                s = swap * _sign((k - 1) * (p - 1))
-                for key, structure in _inserted(tg, k, tf):
-                    acc[key] = acc.get(key, 0) + s * structure
-    return Cochain._over(f.dimension, acc, d1 * d2)
+                _add_inserted(acc, tg, k, tf, swap * _sign((k - 1) * (p - 1)))
+    return Cochain._reduced(f.dimension, acc, f._den * g._den)
 
 
 @lru_cache(maxsize=200_000)
@@ -191,13 +186,12 @@ def _delta_term(n: int, slots: tuple[Index, ...]) -> tuple[tuple[tuple[Index, ..
 
 def hochschild_delta(f: Cochain) -> Cochain:
     """Hochschild coboundary, raising arity by one; linear in ``f``."""
-    terms, d = _numerators(f._terms)
     acc: dict[tuple, int] = {}
-    for t, c in terms:
-        for slots, structure in _delta_term(f.dimension, t.slots):
-            key = (t.x_part, slots)
+    for (x_part, slots), c in f._num.items():
+        for image, structure in _delta_term(f.dimension, slots):
+            key = (x_part, image)
             acc[key] = acc.get(key, 0) + c * structure
-    return Cochain._over(f.dimension, acc, d)
+    return Cochain._reduced(f.dimension, acc, f._den)
 
 
 def delta_via_bracket(f: Cochain) -> Cochain:

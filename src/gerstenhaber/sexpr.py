@@ -204,9 +204,7 @@ def node_to_cochain(node: Node) -> Cochain:
 
 
 def cochain_to_node(c: Cochain) -> Node:
-    terms = tuple(
-        ("term", coeff, t.x_part) + tuple(t.slots) for t, coeff in c.items()
-    )
+    terms = tuple(("term", coeff, x_part) + slots for (x_part, slots), coeff in c._sorted_items())
     return ("cochain", c.dimension) + terms
 
 
@@ -224,7 +222,7 @@ def node_to_polynomial(node: Node) -> Polynomial:
 
 
 def polynomial_to_node(p: Polynomial) -> Node:
-    terms = tuple(("term", coeff, e) for e, coeff in p.items())
+    terms = tuple(("term", coeff, e) for e, coeff in p._sorted_items())
     return ("poly", p.dimension) + terms
 
 

@@ -25,18 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Mapping, Optional
 
 from .cochains import (
     ArityError,
-    BasisTerm,
     Cochain,
     DimensionMismatchError,
     Index,
     Polynomial,
     index_splits,
 )
-from .grading import SemigroupSpec, bigrade_of, in_ideal, in_subalgebra
+from .grading import SemigroupSpec, _bigrade, in_ideal, in_subalgebra
 from .linsolve import solve_particular
 from .operations import _delta_term, bracket, hochschild_delta
 
@@ -148,29 +148,32 @@ def solve_delta(target: Cochain) -> Cochain:
         return Cochain.zero(target.dimension)
     if target.arities() != (3,):
         raise ArityError("solve_delta expects an arity-3 cochain")
-    n = target.dimension
     components: dict[tuple[Index, Index], dict] = {}
-    for term, coeff in target.items():
-        components.setdefault(bigrade_of(term), {})[term.slots] = coeff
-    solution: dict[BasisTerm, Fraction] = {}
+    for (x_part, slots), num in target._num.items():
+        components.setdefault(_bigrade(x_part, slots), {})[slots] = num
+    # Each block is solved on the integer numerators; the solution is over
+    # the target's denominator times the lcm of the blocks' denominators.
+    solution: dict[tuple, Fraction] = {}
     # Sorted, so CoboundaryError names the same first block on every run.
     for bigrade, component in sorted(components.items()):
         down, up = bigrade
         x_part = tuple((d + u) // 2 for d, u in zip(down, up))
         block = build_block(tuple((u - d) // 2 for d, u in zip(down, up)))
-        rhs = [Fraction(0)] * len(block.row_of)
-        for slots, coeff in component.items():
-            rhs[block.row_of[slots]] = coeff
+        rhs = [0] * len(block.row_of)
+        for slots, num in component.items():
+            rhs[block.row_of[slots]] = num
         x = solve_particular(block.matrix, rhs)
         if x is None:
             raise CoboundaryError(bigrade)
         # Blocks have distinct bigrades, so their basis terms never overlap.
-        solution.update((BasisTerm._trusted(n, x_part, slots), v) for slots, v in zip(block.slots2, x))
-    return Cochain._trusted(n, solution)
+        solution.update(((x_part, slots), v) for slots, v in zip(block.slots2, x) if v)
+    d = lcm(*[v.denominator for v in solution.values()])
+    num = {key: v.numerator * (d // v.denominator) for key, v in solution.items()}
+    return Cochain._reduced(target.dimension, num, d * target._den)
 
 
 def _max_slot_order(c: Cochain) -> int:
-    return max((sum(s) for t, _ in c.items() for s in t.slots), default=0)
+    return max((sum(s) for _, slots in c._num for s in slots), default=0)
 
 
 def solve_maurer_cartan(

@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 
 from gerstenhaber import BasisTerm, Cochain, Polynomial
 from gerstenhaber.cochains import ArityError, DimensionMismatchError, index_add, index_splits, index_sub
-from gerstenhaber.grading import decompose_by_bigrade, decompose_by_weight, theta_apply
+from gerstenhaber.grading import (
+    SemigroupSpec,
+    decompose_by_bigrade,
+    decompose_by_weight,
+    project_subalgebra,
+    theta_apply,
+    theta_split,
+)
 from gerstenhaber.operations import (
     _delta_term,
     bracket,
@@ -349,3 +356,63 @@ def test_polynomial_and_cochain_do_not_mix():
     with pytest.raises(TypeError):
         p * c
     assert p != c and Polynomial.zero(2) != Cochain.zero(2)
+
+
+# -- the store invariant: one reduced form per value ----------------------------
+
+HALF_PLANE = SemigroupSpec(dimension=DIM, generators=((0, -1), (-1, 0)))
+NONZERO_SCALAR = SCALAR.filter(bool)
+
+
+def assert_reduced_store(value):
+    """Denominator >= 1 and coprime to the numerators, no zero numerator, and
+    ``coefficient()`` agreeing with ``items()``."""
+    num, d = value._num, value._den
+    assert type(d) is int and d >= 1
+    assert all(type(c) is int and c for c in num.values())
+    assert gcd(d, *num.values()) == 1
+    pairs = list(value.items())
+    assert len(pairs) == len(num)
+    for key, c in pairs:
+        assert value.coefficient(key) == c
+    assert_canonical(value)
+
+
+def assert_same_value(a, b):
+    assert a == b and hash(a) == hash(b)
+
+
+def assert_routes_agree(f, g, s):
+    """The same value reached by different routes has the same store and hash."""
+    assert_same_value((f + g) - g, f)
+    assert_same_value((g + f) - g, f)  # shared keys come first in g's order
+    assert_same_value((f * s) * (1 / Fraction(s)), f)
+    assert_same_value(type(f)(f.dimension, list(f.items())[::-1]), f)
+
+
+@SETTINGS
+@given(st.integers(1, 2).flatmap(cochains_of_arity), st.integers(0, 2).flatmap(cochains_of_arity),
+       ANY_COCHAIN, st.integers(1, 2), NONZERO_SCALAR, cochains_of_arity(2))
+def test_cochain_results_are_reduced_stores(f, g, h, k, s, y):
+    if f.is_zero or k > f.homogeneous_arity():
+        k = 1
+    results = [
+        cup(f, h), insert(f, k, g), bracket(f, h), bracket(h, h), hochschild_delta(h),
+        f + h, f - h, h * s, s * h, -h, theta_apply(h, (1,)), *theta_split(h, (1, 2)),
+        project_subalgebra(h, HALF_PLANE), solve_delta(hochschild_delta(y)),
+        *h.components_by_arity().values(), *decompose_by_weight(h).values(),
+        *decompose_by_bigrade(h).values(),
+    ]
+    for result in results:
+        assert_reduced_store(result)
+        assert_routes_agree(result, h, s)
+
+
+@SETTINGS
+@given(POLYNOMIAL, POLYNOMIAL, NONZERO_SCALAR, EXPONENT,
+       st.integers(0, 2).flatmap(lambda p: st.tuples(cochains_of_arity(p), st.lists(POLYNOMIAL, min_size=p, max_size=p))))
+def test_polynomial_results_are_reduced_stores(u, v, s, a, case):
+    f, args = case
+    for result in (u * v, u + v, u - v, u * s, -u, u.derive(a), f.apply(args)):
+        assert_reduced_store(result)
+        assert_routes_agree(result, v, s)
