@@ -221,23 +221,20 @@ class _TermStore:
                 f"{type(self).__name__.lower()} dimensions differ: {self.dimension} vs {other.dimension}"
             )
 
-    def _plus(self, other, sign: int):
+    def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         self._check_same_dimension(other)
         d1, d2 = self._den, other._den
         d = lcm(d1, d2)
-        s1, s2 = d // d1, sign * (d // d2)
+        s1, s2 = d // d1, d // d2
         acc = dict(self._num) if s1 == 1 else {k: c * s1 for k, c in self._num.items()}
         for k, c in other._num.items():
             acc[k] = acc.get(k, 0) + c * s2
         return self._reduced(self.dimension, acc, d)
 
-    def __add__(self, other):
-        return self._plus(other, 1)
-
     def __sub__(self, other):
-        return self._plus(other, -1)
+        return self + (-other)
 
     def __neg__(self):
         return self._raw(self.dimension, {k: -c for k, c in self._num.items()}, self._den)
