@@ -48,6 +48,7 @@ from .starproduct import (
     BlockSystem,
     CoboundaryError,
     Deformation,
+    SelfCheckError,
     SlotOrderCapError,
     associativity_defect,
     build_block,
@@ -70,6 +71,7 @@ __all__ = [
     "InconclusiveMembershipError",
     "Membership",
     "Polynomial",
+    "SelfCheckError",
     "SemigroupSpec",
     "SlotOrderCapError",
     "SubgroupReport",

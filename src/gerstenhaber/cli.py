@@ -35,6 +35,7 @@ from .grading import (
 from .operations import bracket, cup, hochschild_delta
 from .starproduct import (
     CoboundaryError,
+    SelfCheckError,
     SlotOrderCapError,
     associativity_defect,
     solve_maurer_cartan,
@@ -66,10 +67,11 @@ def _read_text(path: str) -> str:
 
 
 def _load(path: str, kind: str):
-    doc = sexpr.parse_document(_read_text(path))
-    if doc.kind != kind:
-        raise ValueError(f"{path}: expected a {kind} document, got {doc.kind}")
-    return doc.payload
+    document = sexpr.parse_document(_read_text(path))
+    got = sexpr.kind_of(document)
+    if got != kind:
+        raise ValueError(f"{path}: expected a {kind} document, got {got}")
+    return document
 
 
 def _parse_vector(text: str, what: str) -> tuple[int, ...]:
@@ -102,15 +104,8 @@ def _require_at_least(count: int, flag: str, minimum: int = 1) -> None:
         raise ValueError(f"{flag} must be at least {minimum}")
 
 
-def _emit(doc: sexpr.Document, as_json: bool) -> None:
-    if as_json:
-        sys.stdout.write(json.dumps(sexpr.document_to_json(doc), indent=2) + "\n")
-    else:
-        sys.stdout.write(sexpr.print_document(doc) + "\n")
-
-
-def _report(dimension: int, *body) -> sexpr.Document:
-    return sexpr.Document("report", dimension, tuple(body))
+def _report(dimension: int, *body) -> tuple:
+    return ("report", dimension) + body
 
 
 def _poly_terms(p: Polynomial) -> tuple:
@@ -133,121 +128,98 @@ def _membership_body(decision) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers; each returns an exit code.
+# Subcommand handlers; each returns the document to print (None: print
+# nothing) and the exit code.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_binary(args, operation) -> int:
+def _cmd_binary(args, operation) -> tuple:
     left = _load(args.left, "cochain")
     right = _load(args.right, "cochain")
-    result = operation(left, right)
-    _emit(sexpr.Document("cochain", result.dimension, result), args.json)
-    return EXIT_OK
+    return operation(left, right), EXIT_OK
 
 
-def _cmd_delta(args) -> int:
+def _cmd_delta(args) -> tuple:
     c = _load(args.cochain, "cochain")
-    result = hochschild_delta(c)
-    _emit(sexpr.Document("cochain", result.dimension, result), args.json)
-    return EXIT_OK
+    return hochschild_delta(c), EXIT_OK
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> tuple:
     c = _load(args.cochain, "cochain")
     polys = [_load(path, "poly") for path in args.args]
-    result = c.apply(polys)
-    _emit(sexpr.Document("poly", result.dimension, result), args.json)
-    return EXIT_OK
+    return c.apply(polys), EXIT_OK
 
 
-def _cmd_weight(args) -> int:
+def _cmd_weight(args) -> tuple:
     c = _load(args.cochain, "cochain")
     body = tuple(
         ("weight", w) + _cochain_terms(part) for w, part in decompose_by_weight(c).items()
     )
-    _emit(_report(c.dimension, *body), args.json)
-    return EXIT_OK
+    return _report(c.dimension, *body), EXIT_OK
 
 
-def _cmd_bigrade(args) -> int:
+def _cmd_bigrade(args) -> tuple:
     c = _load(args.cochain, "cochain")
     body = tuple(
         ("bigrade", bg[0], bg[1]) + _cochain_terms(part)
         for bg, part in decompose_by_bigrade(c).items()
     )
-    _emit(_report(c.dimension, *body), args.json)
-    return EXIT_OK
+    return _report(c.dimension, *body), EXIT_OK
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> tuple:
     _require_at_least(args.cap, "--cap")
     target = _parse_vector(args.weight, "weight")
     spec = _semigroup_from_args(args, len(target))
     decision = semigroup_member(spec, target, min_count=1)
-    _emit(_report(spec.dimension, *_membership_body(decision)), args.json)
-    return EXIT_INCONCLUSIVE if decision.status == "inconclusive" else EXIT_OK
+    code = EXIT_INCONCLUSIVE if decision.status == "inconclusive" else EXIT_OK
+    return _report(spec.dimension, *_membership_body(decision)), code
 
 
-def _cmd_ideal_member(args) -> int:
+def _cmd_ideal_member(args) -> tuple:
     _require_at_least(args.cap, "--cap")
     _require_at_least(args.fold, "--fold")
     c = _load(args.cochain, "cochain")
     spec = _semigroup_from_args(args, c.dimension)
     decision = in_ideal(c, spec, fold=args.fold)
-    _emit(_report(c.dimension, ("ideal-member", decision.status), ("fold", args.fold)), args.json)
-    return EXIT_INCONCLUSIVE if decision.status == "inconclusive" else EXIT_OK
+    code = EXIT_INCONCLUSIVE if decision.status == "inconclusive" else EXIT_OK
+    return _report(c.dimension, ("ideal-member", decision.status), ("fold", args.fold)), code
 
 
-def _cmd_project(args) -> int:
+def _cmd_project(args) -> tuple:
     _require_at_least(args.cap, "--cap")
     c = _load(args.cochain, "cochain")
     projected = project_subalgebra(c, _semigroup_from_args(args, c.dimension))
     member = "yes" if projected == c else "no"
-    _emit(
-        _report(c.dimension, ("member", member), ("projection",) + _cochain_terms(projected)),
-        args.json,
-    )
-    return EXIT_OK
+    body = (("member", member), ("projection",) + _cochain_terms(projected))
+    return _report(c.dimension, *body), EXIT_OK
 
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(args) -> tuple:
     c = _load(args.cochain, "cochain")
     indices = _parse_vector(args.indices, "--indices")
-    result = theta_apply(c, indices)
-    _emit(sexpr.Document("cochain", result.dimension, result), args.json)
-    return EXIT_OK
+    return theta_apply(c, indices), EXIT_OK
 
 
-def _cmd_theta_split(args) -> int:
+def _cmd_theta_split(args) -> tuple:
     c = _load(args.cochain, "cochain")
     indices = _parse_vector(args.indices, "--indices")
     plus, minus = theta_split(c, indices)
-    _emit(
-        _report(
-            c.dimension,
-            ("plus",) + _cochain_terms(plus),
-            ("minus",) + _cochain_terms(minus),
-        ),
-        args.json,
-    )
-    return EXIT_OK
+    body = (("plus",) + _cochain_terms(plus), ("minus",) + _cochain_terms(minus))
+    return _report(c.dimension, *body), EXIT_OK
 
 
-def _cmd_filtration(args) -> int:
+def _cmd_filtration(args) -> tuple:
     c = _load(args.cochain, "cochain")
     if args.alpha is not None:
         alpha = _parse_alpha(args.alpha)
         verdict = "yes" if filtration_contains(c, alpha, mode=args.mode) else "no"
-        _emit(_report(c.dimension, ("mode", args.mode), ("contains", verdict)), args.json)
-        return EXIT_OK
+        return _report(c.dimension, ("mode", args.mode), ("contains", verdict)), EXIT_OK
     index = filtration_index(c, mode=args.mode)
-    _emit(
-        _report(c.dimension, ("mode", args.mode), ("index", index[0], index[1])), args.json
-    )
-    return EXIT_OK
+    return _report(c.dimension, ("mode", args.mode), ("index", index[0], index[1])), EXIT_OK
 
 
-def _cmd_mc_solve(args) -> int:
+def _cmd_mc_solve(args) -> tuple:
     _require_at_least(args.order, "--order")
     _require_at_least(args.slot_cap, "--slot-cap", 0)
     _require_at_least(args.assoc_trials, "--assoc-trials")
@@ -264,32 +236,28 @@ def _cmd_mc_solve(args) -> int:
             triple = [axioms.random_polynomial(rng, pi1.dimension) for _ in range(3)]
             if associativity_defect(deformation, *triple):
                 sys.stderr.write("associativity check failed; solver output is inconsistent\n")
-                return EXIT_VERIFY
-    _emit(sexpr.Document("deformation", deformation.dimension, deformation), args.json)
-    return EXIT_OK
+                return None, EXIT_VERIFY
+    return deformation, EXIT_OK
 
 
-def _cmd_star_apply(args) -> int:
+def _cmd_star_apply(args) -> tuple:
     deformation = _load(args.deformation, "deformation")
     f = _load(args.left, "poly")
     g = _load(args.right, "poly")
     series = star_apply(deformation, f, g)
-    _emit(_report(deformation.dimension, ("order", deformation.order), *_series_body(series)), args.json)
-    return EXIT_OK
+    return _report(deformation.dimension, ("order", deformation.order), *_series_body(series)), EXIT_OK
 
 
-def _cmd_assoc_defect(args) -> int:
+def _cmd_assoc_defect(args) -> tuple:
     deformation = _load(args.deformation, "deformation")
     f, g, h = (_load(path, "poly") for path in (args.f, args.g, args.h))
     defect = associativity_defect(deformation, f, g, h)
     body = (("order", deformation.order), ("zero", "yes" if not defect else "no"))
-    _emit(_report(deformation.dimension, *body, *_series_body(defect)), args.json)
-    if args.expect_zero and defect:
-        return EXIT_VERIFY
-    return EXIT_OK
+    code = EXIT_VERIFY if args.expect_zero and defect else EXIT_OK
+    return _report(deformation.dimension, *body, *_series_body(defect)), code
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     _require_at_least(args.trials, "--trials")
     if args.law:
         known = {name for name, _ in axioms.ALL_LAWS}
@@ -305,8 +273,7 @@ def _cmd_verify(args) -> int:
             entry = entry + (r.witness,)
         body.append(entry)
         failed = failed or not r.ok
-    _emit(_report(2, *body), args.json)
-    return EXIT_VERIFY if failed else EXIT_OK
+    return _report(2, *body), EXIT_VERIFY if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,10 +379,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     _stdin_text.cache_clear()
     try:
-        return args.handler(args)
+        document, code = args.handler(args)
+        if document is not None:
+            if args.json:
+                text = json.dumps(sexpr.document_to_json(document), indent=2)
+            else:
+                text = sexpr.print_document(document)
+            sys.stdout.write(text + "\n")
+        return code
     except InconclusiveMembershipError as err:
         sys.stderr.write(f"inconclusive: {err}\n")
         return EXIT_INCONCLUSIVE
+    except SelfCheckError as err:
+        sys.stderr.write(f"error: {err}\n")
+        return EXIT_VERIFY
     except (
         sexpr.SexprError,
         DimensionMismatchError,

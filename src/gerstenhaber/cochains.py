@@ -289,9 +289,7 @@ class Polynomial(_TermStore):
 
     def derive(self, a: Sequence[int]) -> Polynomial:
         """Apply the mixed partial derivative ``d^a = d1^(a1) ... dn^(an)``."""
-        return self._derive(_check_index(a, self.dimension, nonnegative=True))
-
-    def _derive(self, a: Index) -> Polynomial:
+        a = _check_index(a, self.dimension, nonnegative=True)
         return Polynomial._reduced(self.dimension, dict(_derive_terms(self._num.items(), a)), self._den)
 
     def __repr__(self):

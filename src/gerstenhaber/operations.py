@@ -31,7 +31,6 @@ from math import comb, perm
 from .cochains import (
     BasisTerm,
     Cochain,
-    DimensionMismatchError,
     ArityError,
     Index,
     index_add,
@@ -43,13 +42,6 @@ from .cochains import (
 
 def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
-
-
-def _check_dims(f: Cochain, g: Cochain) -> None:
-    if f.dimension != g.dimension:
-        raise DimensionMismatchError(
-            f"cochain dimensions differ: {f.dimension} vs {g.dimension}"
-        )
 
 
 def multiplication_cochain(dimension: int) -> Cochain:
@@ -64,7 +56,7 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
     On arguments it evaluates the first factor on the leading slots and the
     second on the trailing slots, multiplying the results.
     """
-    _check_dims(f, g)
+    f._check_same_dimension(g)
     gs = g._num.items()
     acc: dict[tuple, int] = {}
     for (xf, sf), cf in f._num.items():
@@ -119,7 +111,7 @@ def insert(f: Cochain, k: int, g: Cochain) -> Cochain:
     Inserting an arity-0 cochain substitutes its polynomial value and
     consumes the slot.
     """
-    _check_dims(f, g)
+    f._check_same_dimension(g)
     if f.is_zero or g.is_zero:
         return Cochain.zero(f.dimension)
     p = f.homogeneous_arity()
@@ -144,7 +136,7 @@ def bracket(f: Cochain, g: Cochain) -> Cochain:
         [f, g] = sum_k (-1)^((k-1)(q-1)) f o_k g
                  - (-1)^((p-1)(q-1)) sum_k (-1)^((k-1)(p-1)) g o_k f
     """
-    _check_dims(f, g)
+    f._check_same_dimension(g)
     gs = g._num.items()
     acc: dict[tuple, int] = {}
     for tf, cf in f._num.items():

@@ -12,13 +12,15 @@ indices are the slots, in order; a polynomial term carries exactly one
 index.  Printing emits canonical ordering, so parse(print(x)) == x and
 printing is deterministic byte for byte.  The JSON encoding mirrors the
 s-expression structure one-to-one, with rationals as strings.
+
+A ``Cochain``, ``Polynomial`` or ``Deformation`` is its own document; a
+report is its node ``("report", dimension, *body)``.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from reprlib import repr as _brief  # depth- and length-bounded repr for error messages
@@ -158,15 +160,6 @@ def format_sexpr(node: Node) -> str:
     return "\n".join(lines) + ")"
 
 
-@dataclass(frozen=True)
-class Document:
-    """A typed top-level value: what the CLI reads and writes."""
-
-    kind: str
-    dimension: int
-    payload: object
-
-
 def _expect_list(node: Node, what: str) -> tuple:
     if not isinstance(node, tuple):
         raise ValueError(f"expected a list for {what}, got {_brief(node)}")
@@ -261,35 +254,43 @@ def deformation_to_node(d: Deformation) -> Node:
     return ("deformation", d.dimension, ("order", d.order)) + tuple(entries)
 
 
-def parse_document(text: str) -> Document:
-    node = parse_sexpr(text)
-    node = _expect_list(node, "document")
+# Each typed kind: its type, node -> value and value -> node.  The converters
+# are looked up by name when called, so a wrapper installed on the module
+# attribute (the benchmark's tracer) sees every call.
+_TYPED = {
+    "cochain": (Cochain, lambda node: node_to_cochain(node), lambda c: cochain_to_node(c)),
+    "poly": (Polynomial, lambda node: node_to_polynomial(node), lambda p: polynomial_to_node(p)),
+    "deformation": (Deformation, lambda node: node_to_deformation(node), lambda d: deformation_to_node(d)),
+}
+
+
+def kind_of(document) -> str:
+    if isinstance(document, tuple):
+        return document[0]
+    for kind, (cls, _, _) in _TYPED.items():
+        if type(document) is cls:
+            return kind
+    raise TypeError(f"not a document: {type(document).__name__}")
+
+
+def _to_node(document) -> Node:
+    if isinstance(document, tuple):
+        return document
+    return _TYPED[kind_of(document)][2](document)
+
+
+def parse_document(text: str):
+    """The document in ``text``: a typed value, or the node of a report."""
+    node = _expect_list(parse_sexpr(text), "document")
     if len(node) < 2 or node[0] not in KINDS or not isinstance(node[1], int):
         raise ValueError("document must start with a kind and a dimension")
-    kind = node[0]
-    if kind == "cochain":
-        return Document(kind, node[1], node_to_cochain(node))
-    if kind == "poly":
-        return Document(kind, node[1], node_to_polynomial(node))
-    if kind == "deformation":
-        return Document(kind, node[1], node_to_deformation(node))
-    return Document(kind, node[1], node[2:])
+    if node[0] in _TYPED:
+        return _TYPED[node[0]][1](node)
+    return node
 
 
-def document_to_node(doc: Document) -> Node:
-    if doc.kind == "cochain":
-        return cochain_to_node(doc.payload)
-    if doc.kind == "poly":
-        return polynomial_to_node(doc.payload)
-    if doc.kind == "deformation":
-        return deformation_to_node(doc.payload)
-    if doc.kind == "report":
-        return ("report", doc.dimension) + tuple(doc.payload)
-    raise ValueError(f"unknown document kind {doc.kind!r}")
-
-
-def print_document(doc: Document) -> str:
-    return format_sexpr(document_to_node(doc))
+def print_document(document) -> str:
+    return format_sexpr(_to_node(document))
 
 
 def node_to_json(node: Node):
@@ -302,43 +303,7 @@ def node_to_json(node: Node):
     return node
 
 
-def document_to_json(doc: Document):
+def document_to_json(document):
     """JSON mirror of the s-expression: same nesting, rationals as strings."""
-    node = document_to_node(doc)
-    return {"kind": doc.kind, "dimension": doc.dimension, "body": node_to_json(node[2:])}
-
-
-# Text-level round trips for library callers and the tests; the CLI uses its own `_load`.
-
-
-def parse_cochain(text: str) -> Cochain:
-    doc = parse_document(text)
-    if doc.kind != "cochain":
-        raise ValueError(f"expected a cochain document, got {doc.kind}")
-    return doc.payload
-
-
-def print_cochain(c: Cochain) -> str:
-    return print_document(Document("cochain", c.dimension, c))
-
-
-def parse_polynomial(text: str) -> Polynomial:
-    doc = parse_document(text)
-    if doc.kind != "poly":
-        raise ValueError(f"expected a poly document, got {doc.kind}")
-    return doc.payload
-
-
-def print_polynomial(p: Polynomial) -> str:
-    return print_document(Document("poly", p.dimension, p))
-
-
-def parse_deformation(text: str) -> Deformation:
-    doc = parse_document(text)
-    if doc.kind != "deformation":
-        raise ValueError(f"expected a deformation document, got {doc.kind}")
-    return doc.payload
-
-
-def print_deformation(d: Deformation) -> str:
-    return print_document(Document("deformation", d.dimension, d))
+    node = _to_node(document)
+    return {"kind": node[0], "dimension": node[1], "body": node_to_json(node[2:])}

@@ -55,6 +55,10 @@ class SlotOrderCapError(RuntimeError):
     """An obstruction term exceeded the configured slot-order growth cap."""
 
 
+class SelfCheckError(AssertionError):
+    """One of the solver's own checks failed at some order: an engine bug."""
+
+
 @dataclass(frozen=True)
 class Deformation:
     """Truncated deformation: ``cochains[k-1]`` is the coefficient of t^k."""
@@ -189,7 +193,8 @@ def solve_maurer_cartan(
     coefficient solves ``delta p_k = B_k``; when ``delta_spec`` is given,
     ``pi1`` must lie in its weight subalgebra and every higher coefficient is
     verified to lie in the 2-fold ideal. Raises ``SlotOrderCapError`` instead
-    of silently truncating when obstruction terms outgrow ``slot_order_cap``.
+    of silently truncating when obstruction terms outgrow ``slot_order_cap``,
+    and ``SelfCheckError`` when one of the checks after each order fails.
     """
     if pi1.dimension != 2:
         raise DimensionMismatchError(
@@ -217,14 +222,14 @@ def solve_maurer_cartan(
                 f"slot order of the order-{k} obstruction exceeds cap {slot_order_cap}"
             )
         if not hochschild_delta(b_k).is_zero:
-            raise AssertionError(f"order-{k} obstruction is not closed; bracket engine bug")
+            raise SelfCheckError(f"order-{k} obstruction is not closed; bracket engine bug")
         p_k = solve_delta(b_k)
         if hochschild_delta(p_k) != b_k:
-            raise AssertionError(f"order-{k} block solve failed verification")
+            raise SelfCheckError(f"order-{k} block solve failed verification")
         if delta_spec is not None and not b_k.is_zero:
             decision = in_ideal(p_k, delta_spec, fold=2)
             if not decision.is_yes:
-                raise AssertionError(
+                raise SelfCheckError(
                     f"order-{k} coefficient escaped the 2-fold ideal: {decision.status}"
                 )
         cochains.append(p_k)

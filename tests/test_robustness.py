@@ -8,6 +8,7 @@ import pytest
 from gerstenhaber import (
     BasisTerm,
     Cochain,
+    Membership,
     Polynomial,
     SemigroupSpec,
     delta_via_bracket,
@@ -296,3 +297,67 @@ def test_cli_refuses_counts_below_one(tmp_path, args, message):
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr.splitlines() == [f"error: {message}"]
+
+
+CONSTANT_BIVECTOR = "(cochain 2 (term 1 (0 0) (1 0) (0 1)) (term -1 (0 0) (0 1) (1 0)))"
+P1 = Cochain(2, {BasisTerm(2, (0, 0), ((1, 0), (0, 1))): Fraction(1, 2),
+                 BasisTerm(2, (0, 0), ((0, 1), (1, 0))): Fraction(-1, 2)})
+STRAY = Cochain(2, {BasisTerm(2, (0, 0), ((1, 0), (1, 0), (1, 0))): 1})
+
+
+def _delta_adding(extra_for):
+    """``hochschild_delta`` plus ``extra_for(c)``: a broken engine for the solver."""
+
+    def broken(c):
+        return hochschild_delta(c) + extra_for(c)
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "attr, broken, gen, message",
+    [
+        (
+            "hochschild_delta",
+            _delta_adding(lambda c: c if c.arities() == (3,) else Cochain.zero(2)),
+            [],
+            "order-2 obstruction is not closed; bracket engine bug",
+        ),
+        (
+            "hochschild_delta",
+            _delta_adding(lambda c: STRAY if c.arities() == (2,) and c != P1 else Cochain.zero(2)),
+            [],
+            "order-2 block solve failed verification",
+        ),
+        (
+            "in_ideal",
+            lambda c, spec, fold: Membership("no"),
+            ["--gen=-1,-1"],
+            "order-2 coefficient escaped the 2-fold ideal: no",
+        ),
+    ],
+    ids=["not-closed", "solve-unverified", "escaped-ideal"],
+)
+def test_cli_solver_self_check_failure_exits_two(tmp_path, capsys, monkeypatch, attr, broken, gen, message):
+    """A failed self-check of the solver names its order on one stderr line
+    and exits 2, the verification-failure code, without a traceback."""
+    pi1 = tmp_path / "pi1.sexp"
+    pi1.write_text(CONSTANT_BIVECTOR, encoding="utf-8")
+    monkeypatch.setattr(f"gerstenhaber.starproduct.{attr}", broken)
+    code = main(["mc-solve", "--pi1", str(pi1), "--order", "3", *gen])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_failed_associativity_check_prints_no_document(tmp_path, capsys, monkeypatch):
+    pi1 = tmp_path / "pi1.sexp"
+    pi1.write_text(CONSTANT_BIVECTOR, encoding="utf-8")
+    monkeypatch.setattr("gerstenhaber.cli.associativity_defect",
+                        lambda d, f, g, h: {2: Polynomial(2, {(0, 0): 1})})
+    code = main(["mc-solve", "--pi1", str(pi1), "--order", "2", "--check-assoc"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "associativity check failed; solver output is inconsistent\n"

@@ -18,19 +18,7 @@ from gerstenhaber import (
 )
 from gerstenhaber.axioms import random_cochain, random_polynomial
 from gerstenhaber.cli import main
-from gerstenhaber.sexpr import (
-    Document,
-    SexprError,
-    parse_cochain,
-    parse_deformation,
-    parse_document,
-    parse_polynomial,
-    parse_sexpr,
-    print_cochain,
-    print_deformation,
-    print_document,
-    print_polynomial,
-)
+from gerstenhaber.sexpr import SexprError, parse_document, parse_sexpr, print_document
 
 
 def term(x_part, *slots):
@@ -44,22 +32,22 @@ BIVECTOR_TEXT = "(cochain 2 (term 1 (0 0) (1 0) (0 1)) (term -1 (0 0) (0 1) (1 0
 
 
 def test_parse_antisymmetric_bivector():
-    c = parse_cochain(BIVECTOR_TEXT)
+    c = parse_document(BIVECTOR_TEXT)
     assert c == Cochain(2, {term((0, 0), (1, 0), (0, 1)): 1, term((0, 0), (0, 1), (1, 0)): -1})
 
 
 def test_parse_scaling_field():
-    c = parse_cochain("(cochain 2 (term 1 (1 0) (1 0)))")
+    c = parse_document("(cochain 2 (term 1 (1 0) (1 0)))")
     assert c == Cochain(2, {term((1, 0), (1, 0)): 1})
 
 
 def test_parse_rational_coefficients():
-    c = parse_cochain("(cochain 2 (term -3/2 (0 0) (1 0)))")
+    c = parse_document("(cochain 2 (term -3/2 (0 0) (1 0)))")
     assert c == Cochain(2, {term((0, 0), (1, 0)): Fraction(-3, 2)})
 
 
 def test_parse_polynomial_document():
-    p = parse_polynomial("(poly 2 (term 1/2 (2 0)) (term -1 (0 1)))")
+    p = parse_document("(poly 2 (term 1/2 (2 0)) (term -1 (0 1)))")
     assert p == Polynomial(2, {(2, 0): Fraction(1, 2), (0, 1): -1})
 
 
@@ -81,7 +69,7 @@ SEPARATORS = (" ", "\t", "  \t ", "\r", "\r\n", "\n\t", " ; note (\r\n", ";;)\n"
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_error_position_is_the_offending_token(seed, data):
-    printed = print_cochain(random_cochain(random.Random(seed)))
+    printed = print_document(random_cochain(random.Random(seed)))
     tokens = printed.replace("(", " ( ").replace(")", " ) ").split()
     seps = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens) + 1,
                               max_size=len(tokens) + 1))
@@ -105,12 +93,12 @@ def test_error_position_is_the_offending_token(seed, data):
 
 def test_dimension_mismatch_in_document():
     with pytest.raises(Exception):
-        parse_cochain("(cochain 2 (term 1 (0 0 0)))")
+        parse_document("(cochain 2 (term 1 (0 0 0)))")
 
 
 def test_comments_and_whitespace_ignored():
     text = "; a comment\n(cochain 2 ; inline\n (term 1 (0 0)))"
-    assert parse_cochain(text) == Cochain(2, {term((0, 0)): 1})
+    assert parse_document(text) == Cochain(2, {term((0, 0)): 1})
 
 
 # -- printing and round trips ---------------------------------------------------
@@ -118,40 +106,40 @@ def test_comments_and_whitespace_ignored():
 
 def test_print_emits_canonical_order():
     c = Cochain(2, {term((0, 0), (0, 1), (1, 0)): -1, term((0, 0), (1, 0), (0, 1)): 1})
-    text = print_cochain(c)
+    text = print_document(c)
     # canonical order sorts slot lists lexicographically, whatever the input order
     assert text == "(cochain 2\n  (term -1 (0 0) (0 1) (1 0))\n  (term 1 (0 0) (1 0) (0 1)))"
-    assert print_cochain(parse_cochain(BIVECTOR_TEXT)) == text
+    assert print_document(parse_document(BIVECTOR_TEXT)) == text
 
 
 def test_roundtrip_500_random_cochains():
     rng = random.Random(20250809)
     for _ in range(500):
         c = random_cochain(rng)
-        assert parse_cochain(print_cochain(c)) == c
+        assert parse_document(print_document(c)) == c
 
 
 def test_roundtrip_polynomials():
     rng = random.Random(97)
     for _ in range(100):
         p = random_polynomial(rng)
-        assert parse_polynomial(print_polynomial(p)) == p
+        assert parse_document(print_document(p)) == p
 
 
 def test_roundtrip_deformation():
-    d = solve_maurer_cartan(parse_cochain(BIVECTOR_TEXT), 3)
-    assert parse_deformation(print_deformation(d)) == d
+    d = solve_maurer_cartan(parse_document(BIVECTOR_TEXT), 3)
+    assert parse_document(print_document(d)) == d
 
 
 def test_roundtrip_report_document():
-    doc = Document("report", 2, (("law", "jacobi-identity", "pass", 100),))
+    doc = ("report", 2, ("law", "jacobi-identity", "pass", 100))
     assert parse_document(print_document(doc)) == doc
 
 
 def test_print_deterministic():
     rng = random.Random(89)
     c = random_cochain(rng)
-    assert print_cochain(c) == print_cochain(c)
+    assert print_document(c) == print_document(c)
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -178,7 +166,7 @@ def test_cli_bracket_eigenvalue(files, capsys):
     t = files("t.sexp", "(cochain 2 (term 1 (2 0) (1 0)))")
     code, out, _ = run_cli(capsys, "bracket", h1, t)
     assert code == 0
-    assert parse_cochain(out) == parse_cochain("(cochain 2 (term 1 (2 0) (1 0)))")
+    assert parse_document(out) == parse_document("(cochain 2 (term 1 (2 0) (1 0)))")
 
 
 def test_cli_cup_and_delta_and_apply(files, capsys):
@@ -186,19 +174,19 @@ def test_cli_cup_and_delta_and_apply(files, capsys):
     right = files("b.sexp", "(cochain 2 (term 1 (0 0) (0 1)))")
     code, out, _ = run_cli(capsys, "cup", left, right)
     assert code == 0
-    assert parse_cochain(out) == parse_cochain("(cochain 2 (term 1 (1 0) (1 0) (0 1)))")
+    assert parse_document(out) == parse_document("(cochain 2 (term 1 (1 0) (1 0) (0 1)))")
 
     field = files("c.sexp", "(cochain 2 (term 1 (0 0) (1 1)))")
     code, out, _ = run_cli(capsys, "delta", field)
     assert code == 0
-    assert parse_cochain(out) == parse_cochain(
+    assert parse_document(out) == parse_document(
         "(cochain 2 (term -1 (0 0) (1 0) (0 1)) (term -1 (0 0) (0 1) (1 0)))"
     )
 
     square = files("u.sexp", "(poly 2 (term 1 (2 0)))")
     code, out, _ = run_cli(capsys, "apply", left, square)
     assert code == 0
-    assert parse_polynomial(out) == Polynomial(2, {(2, 0): 2})
+    assert parse_document(out) == Polynomial(2, {(2, 0): 2})
 
 
 def test_cli_weight_and_bigrade(files, capsys):
@@ -206,25 +194,25 @@ def test_cli_weight_and_bigrade(files, capsys):
     code, out, _ = run_cli(capsys, "weight", c)
     assert code == 0
     doc = parse_document(out)
-    assert doc.kind == "report"
-    assert doc.payload[0][0] == "weight" and doc.payload[0][1] == (-1, -1)
+    assert doc[0] == "report"
+    assert doc[2][0] == "weight" and doc[2][1] == (-1, -1)
 
     code, out, _ = run_cli(capsys, "bigrade", c)
     assert code == 0
     doc = parse_document(out)
-    assert doc.payload[0][:3] == ("bigrade", (-1, -1), (1, 1))
+    assert doc[2][:3] == ("bigrade", (-1, -1), (1, 1))
 
 
 def test_cli_member_and_certificate(capsys):
     code, out, _ = run_cli(capsys, "member", "--weight=-3,-3", "--gen=-1,-1")
     assert code == 0
     doc = parse_document(out)
-    assert ("member", "yes") in doc.payload
-    assert ("certificate", 3) in doc.payload
+    assert ("member", "yes") in doc[2:]
+    assert ("certificate", 3) in doc[2:]
 
     code, out, _ = run_cli(capsys, "member", "--weight=-1,0", "--gen=-1,-1")
     assert code == 0
-    assert ("member", "no") in parse_document(out).payload
+    assert ("member", "no") in parse_document(out)[2:]
 
 
 def test_cli_member_inconclusive_exit_code(capsys):
@@ -232,7 +220,7 @@ def test_cli_member_inconclusive_exit_code(capsys):
         capsys, "member", "--weight=40,0", "--gen=1,0", "--gen=-1,0", "--cap=5"
     )
     assert code == 3
-    assert ("member", "inconclusive") in parse_document(out).payload
+    assert ("member", "inconclusive") in parse_document(out)[2:]
 
 
 def test_cli_project(files, capsys):
@@ -243,8 +231,8 @@ def test_cli_project(files, capsys):
     code, out, _ = run_cli(capsys, "project", c, "--gen=-1,-1")
     assert code == 0
     doc = parse_document(out)
-    assert ("member", "no") in doc.payload
-    projection = next(entry for entry in doc.payload if entry[0] == "projection")
+    assert ("member", "no") in doc[2:]
+    projection = next(entry for entry in doc[2:] if entry[0] == "projection")
     assert projection[1:] == (("term", 1, (0, 0), (1, 0), (0, 1)),)
 
 
@@ -261,20 +249,20 @@ def test_cli_ideal_member(files, capsys):
     c = files("c.sexp", "(cochain 2 (term 1 (0 0) (1 1) (1 1)))")  # weight (-2,-2)
     code, out, _ = run_cli(capsys, "ideal-member", c, "--gen=-1,-1", "--fold=2")
     assert code == 0
-    assert ("ideal-member", "yes") in parse_document(out).payload
+    assert ("ideal-member", "yes") in parse_document(out)[2:]
 
 
 def test_cli_theta_and_split(files, capsys):
     c = files("c.sexp", "(cochain 2 (term 1 (1 0) (0 1)))")
     code, out, _ = run_cli(capsys, "theta", c, "--indices=1")
     assert code == 0
-    assert parse_cochain(out) == Cochain(2, {term((1, 0), (0, 1)): -1})
+    assert parse_document(out) == Cochain(2, {term((1, 0), (0, 1)): -1})
 
     code, out, _ = run_cli(capsys, "theta-split", c, "--indices=1")
     assert code == 0
     doc = parse_document(out)
-    plus = next(e for e in doc.payload if e[0] == "plus")
-    minus = next(e for e in doc.payload if e[0] == "minus")
+    plus = next(e for e in doc[2:] if e[0] == "plus")
+    minus = next(e for e in doc[2:] if e[0] == "minus")
     assert plus[1:] == ()
     assert minus[1:] == (("term", 1, (1, 0), (0, 1)),)
 
@@ -284,11 +272,11 @@ def test_cli_filtration(files, capsys):
     code, out, _ = run_cli(capsys, "filtration", c)
     assert code == 0
     doc = parse_document(out)
-    assert ("index", (-1, -1), (1, 1)) in doc.payload
+    assert ("index", (-1, -1), (1, 1)) in doc[2:]
 
     code, out, _ = run_cli(capsys, "filtration", c, "--alpha=-1,-1:1,1", "--mode=literal")
     assert code == 0
-    assert ("contains", "yes") in parse_document(out).payload
+    assert ("contains", "yes") in parse_document(out)[2:]
 
 
 def test_cli_mc_solve_star_apply_assoc(files, capsys, tmp_path):
@@ -297,7 +285,7 @@ def test_cli_mc_solve_star_apply_assoc(files, capsys, tmp_path):
         capsys, "mc-solve", "--pi1", pi1, "--order", "3", "--check-assoc", "--seed", "9"
     )
     assert code == 0
-    deformation = parse_deformation(out)
+    deformation = parse_document(out)
     assert deformation.order == 3
     deformation_path = tmp_path / "def.sexp"
     deformation_path.write_text(out, encoding="utf-8")
@@ -307,7 +295,7 @@ def test_cli_mc_solve_star_apply_assoc(files, capsys, tmp_path):
     code, out, _ = run_cli(capsys, "star-apply", "--deformation", str(deformation_path), x1, x2)
     assert code == 0
     doc = parse_document(out)
-    tpows = {e[1]: e[2:] for e in doc.payload if e[0] == "tpow"}
+    tpows = {e[1]: e[2:] for e in doc[2:] if e[0] == "tpow"}
     assert tpows[0] == (("term", 1, (1, 1)),)
     assert tpows[1] == (("term", Fraction(1, 2), (0, 0)),)
 
@@ -322,14 +310,14 @@ def test_cli_mc_solve_star_apply_assoc(files, capsys, tmp_path):
         x1,
     )
     assert code == 0
-    assert ("zero", "yes") in parse_document(out).payload
+    assert ("zero", "yes") in parse_document(out)[2:]
 
 
 def test_cli_assoc_defect_detects_broken_deformation(files, capsys):
     # hand-built deformation with the order-2 coefficient removed
-    d = solve_maurer_cartan(parse_cochain(BIVECTOR_TEXT), 2)
+    d = solve_maurer_cartan(parse_document(BIVECTOR_TEXT), 2)
     broken = Deformation(dimension=2, cochains=(d.coefficient(1), Cochain.zero(2)))
-    path = files("broken.sexp", print_deformation(broken))
+    path = files("broken.sexp", print_document(broken))
     f = files("f.sexp", "(poly 2 (term 1 (2 0)))")
     g = files("g.sexp", "(poly 2 (term 1 (0 2)))")
     h = files("h.sexp", "(poly 2 (term 1 (1 1)))")
@@ -337,7 +325,7 @@ def test_cli_assoc_defect_detects_broken_deformation(files, capsys):
         capsys, "assoc-defect", "--deformation", path, "--expect-zero", f, g, h
     )
     assert code == 2
-    assert ("zero", "no") in parse_document(out).payload
+    assert ("zero", "no") in parse_document(out)[2:]
 
 
 def test_cli_parse_error_exit_code(files, capsys):
@@ -353,7 +341,7 @@ def test_cli_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(BIVECTOR_TEXT))
     code, out, _ = run_cli(capsys, "weight", "-")
     assert code == 0
-    assert parse_document(out).kind == "report"
+    assert parse_document(out)[0] == "report"
 
 
 def test_cli_json_mirror(files, capsys):
@@ -403,8 +391,8 @@ def test_cli_verify_axioms_full_run(capsys):
     code, out, _ = run_cli(capsys, "verify-axioms", "--seed", "42", "--trials", "100")
     assert code == 0
     doc = parse_document(out)
-    assert ("seed", 42) in doc.payload and ("trials", 100) in doc.payload
-    laws = {e[1]: e[2] for e in doc.payload if e[0] == "law"}
+    assert ("seed", 42) in doc[2:] and ("trials", 100) in doc[2:]
+    laws = {e[1]: e[2] for e in doc[2:] if e[0] == "law"}
     for wanted in (
         "jacobi-identity",
         "vector-field-leibniz",
@@ -434,8 +422,8 @@ def test_cli_verify_axioms_small(capsys):
     )
     assert code == 0
     doc = parse_document(out)
-    assert ("seed", 42) in doc.payload
-    laws = {e[1]: e for e in doc.payload if e[0] == "law"}
+    assert ("seed", 42) in doc[2:]
+    laws = {e[1]: e for e in doc[2:] if e[0] == "law"}
     assert laws["cup-associativity"][2] == "pass"
     assert laws["delta-bracket-agreement"][2] == "pass"
     # the subgroup law always reports the violating pair for the ray candidate
@@ -471,7 +459,7 @@ def test_cli_verify_axioms_reports_broken_operation(capsys, monkeypatch, attr, b
     monkeypatch.setattr(f"gerstenhaber.axioms.{attr}", broken)
     code, out, _ = run_cli(capsys, "verify-axioms", "--seed", "3", "--trials", "8")
     assert code == 2
-    laws = [e for e in parse_document(out).payload if e[0] == "law"]
+    laws = [e for e in parse_document(out)[2:] if e[0] == "law"]
     assert {e[1]: e[3] for e in laws if e[2] == "fail"} == failed
     assert all(e[4][0] == "counterexample" for e in laws if e[2] == "fail")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -495,9 +483,9 @@ def test_cli_evaluation_golden_bytes(files, capsys):
     code, solved, _ = run_cli(capsys, "mc-solve", "--pi1", pi1, "--order", "4")
     assert code == 0
     deformation = files("def.sexp", solved)
-    d = parse_deformation(solved)
+    d = parse_document(solved)
     broken = Deformation(dimension=2, cochains=(d.coefficient(1), Cochain.zero(2), *d.cochains[2:]))
-    broken_path = files("broken.sexp", print_deformation(broken))
+    broken_path = files("broken.sexp", print_document(broken))
     f, g, h = files("f.sexp", EVAL_F), files("g.sexp", EVAL_G), files("h.sexp", EVAL_H)
     runs = {
         "star-apply": ["star-apply", "--deformation", deformation, f, g],
@@ -508,8 +496,8 @@ def test_cli_evaluation_golden_bytes(files, capsys):
     for name, argv in runs.items():
         code, outputs[name], _ = run_cli(capsys, *argv)
         assert code == 0
-    assert ("zero", "yes") in parse_document(outputs["assoc-defect"]).payload
-    assert ("zero", "no") in parse_document(outputs["assoc-defect broken"]).payload
+    assert ("zero", "yes") in parse_document(outputs["assoc-defect"])[2:]
+    assert ("zero", "no") in parse_document(outputs["assoc-defect broken"])[2:]
     assert {name: hashlib.sha256(out.encode()).hexdigest() for name, out in outputs.items()} == {
         "star-apply": "76acf83cb4ea8006eeeccc4486b6a47a7c465f98685b97d56fa40e8388fc1c72",
         "assoc-defect": "0f2dc5828c997c3b310ea166d20d2d5062b5ac44926643f1e5f5d171d154a7d4",
