@@ -265,6 +265,7 @@ _TYPED = {
 
 
 def kind_of(document) -> str:
+    """The kind a document prints with: its type's, or a report node's head."""
     if isinstance(document, tuple):
         return document[0]
     for kind, (cls, _, _) in _TYPED.items():

@@ -136,6 +136,11 @@ def test_roundtrip_report_document():
     assert parse_document(print_document(doc)) == doc
 
 
+def test_print_refuses_a_value_that_is_not_a_document():
+    with pytest.raises(TypeError, match="not a document: BasisTerm"):
+        print_document(term((0, 0), (1, 0)))
+
+
 def test_print_deterministic():
     rng = random.Random(89)
     c = random_cochain(rng)
