@@ -4,9 +4,10 @@ Reads s-expression documents from files (or standard input for ``-``),
 dispatches to the library, and writes one document to standard output; the
 global ``--json`` flag switches to the JSON mirror of the same structure.
 
-Exit codes: 0 success, 1 parse or precondition failure, 2 verification
-failure (a law or a requested check is violated), 3 a semigroup membership
-decision was required but came back inconclusive.
+Exit codes: 0 success, 1 parse or precondition failure (running out of
+memory or stack included), 2 verification failure (a law or a requested
+check is violated), 3 a semigroup membership decision was required but came
+back inconclusive.
 """
 
 from __future__ import annotations
@@ -393,6 +394,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SelfCheckError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_VERIFY
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return EXIT_USAGE
     except (
         sexpr.SexprError,
         DimensionMismatchError,
@@ -401,6 +405,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         SlotOrderCapError,
         ValueError,
         OSError,
+        RecursionError,
     ) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE

@@ -24,7 +24,9 @@ only places that build ``BasisTerm``s and ``Fraction``s from the store.
 Validation happens at the input boundary only.  The public constructors
 ``Polynomial(...)``, ``BasisTerm(...)`` and ``Cochain(...)`` check the
 dimension, index lengths, integer and nonnegative index entries, exact
-coefficient types and term types and dimensions.  The package's own
+coefficient types and term types and dimensions; the document reader in
+``sexpr`` makes the same checks once per term record and builds raw keys
+directly.  Both hand their terms to ``_integer_form``.  The package's own
 operations -- ``Polynomial.__mul__``, ``Cochain.apply``, the arithmetic
 operators, the cochain operations in ``operations`` and the decompositions
 in ``grading`` -- add integer numerators keyed on raw keys and build their
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import chain, product as _cartesian
 from math import factorial, gcd, lcm, perm
 from operator import add as _add, sub as _sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -47,6 +49,7 @@ Index = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
+_flatten = chain.from_iterable
 
 
 class DimensionMismatchError(ValueError):
@@ -118,6 +121,20 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
+def _integer_form(pairs) -> tuple[dict, int]:
+    """The reduced form of checked ``(raw key, int or Fraction)`` pairs.
+
+    Duplicate keys are summed and zero sums dropped.  Over the lcm of the
+    reduced denominators the numerators share no factor with it.  The public
+    constructor and the document parser both build their values here.
+    """
+    acc: dict = {}
+    for key, value in pairs:
+        acc[key] = value if (old := acc.get(key)) is None else old + value
+    d = lcm(*[c.denominator for c in acc.values() if c])
+    return {k: c.numerator * (d // c.denominator) for k, c in acc.items() if c}, d
+
+
 class _TermStore:
     """Sparse "key -> exact coefficient" store shared by Polynomial and Cochain.
 
@@ -142,15 +159,9 @@ class _TermStore:
 
     def __init__(self, dimension: int, terms=()):
         _check_dimension(dimension)
-        acc: dict = {}
-        for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            key = self._check_key(key, dimension)
-            value = _as_fraction(coeff)
-            acc[key] = value if (old := acc.get(key)) is None else old + value
-        acc = {k: c for k, c in acc.items() if c}
-        # Over the lcm of reduced denominators the numerators share no factor with it.
-        d = lcm(*[c.denominator for c in acc.values()])
-        self._set(dimension, {k: c.numerator * (d // c.denominator) for k, c in acc.items()}, d)
+        check = self._check_key
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        self._set(dimension, *_integer_form((check(key, dimension), _as_fraction(c)) for key, c in pairs))
 
     def _set(self, dimension: int, num: dict, d: int) -> None:
         object.__setattr__(self, "dimension", dimension)
@@ -187,9 +198,17 @@ class _TermStore:
         return cls(dimension)
 
     def _sorted_items(self) -> list[tuple]:
-        """``(raw key, Fraction)`` pairs in canonical order."""
+        """``(raw key, Fraction)`` pairs in canonical order; one ``Fraction`` per distinct numerator."""
         num, d = self._num, self._den
-        return [(k, Fraction(num[k], d)) for k in sorted(num, key=self._order)]
+        fractions: dict[int, Fraction] = {}
+        out = []
+        for k in sorted(num, key=self._order):
+            n = num[k]
+            c = fractions.get(n)
+            if c is None:
+                c = fractions[n] = Fraction(n, d)
+            out.append((k, c))
+        return out
 
     def items(self) -> Iterator[tuple]:
         """``(key, Fraction)`` pairs in canonical order."""
@@ -372,8 +391,10 @@ class Cochain(_TermStore):
     """
 
     __slots__ = ()
-    # The canonical order is BasisTerm.sort_key: (arity, x_part, slots).
-    _order = staticmethod(lambda raw: (len(raw[1]), raw))
+    # The canonical order is BasisTerm.sort_key: (arity, x_part, slots).  The
+    # key is that triple flattened: keys of one arity flatten to one length,
+    # so the order is the same, and flat tuples of ints compare faster.
+    _order = staticmethod(lambda raw: (len(raw[1]), *raw[0], *_flatten(raw[1])))
     _key = staticmethod(lambda dimension, raw: BasisTerm._trusted(dimension, *raw))
     _raw_key = staticmethod(
         lambda term, dimension: (term.x_part, term.slots)

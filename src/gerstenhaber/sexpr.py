@@ -26,7 +26,7 @@ from itertools import islice
 from reprlib import repr as _brief  # depth- and length-bounded repr for error messages
 from typing import Union
 
-from .cochains import BasisTerm, Cochain, Polynomial
+from .cochains import Cochain, Polynomial, _check_dimension, _integer_form
 from .starproduct import Deformation
 
 Node = Union[int, Fraction, str, tuple]
@@ -117,9 +117,12 @@ def parse_sexpr(text: str) -> Node:
 
     Iterative, with a stack of open lists, so any nesting depth parses.
     """
-    tokens = [token for token in _TOKEN.findall(text) if token[0] != ";"]
+    tokens = _TOKEN.findall(text)
+    if ";" in text:
+        tokens = [token for token in tokens if token[0] != ";"]
     if not tokens:
         raise SexprError("empty input", 1, 1)
+    atoms: dict[str, Node] = {}  # each distinct atom is converted once, at its first occurrence
     stack: list[tuple[list, int]] = []  # open lists: items, token index of their '('
     for index, token in enumerate(tokens):
         if token == "(":
@@ -130,7 +133,9 @@ def parse_sexpr(text: str) -> Node:
                 raise _error("unexpected ')'", text, index)
             node = tuple(stack.pop()[0])
         else:
-            node = _atom(token, text, index)
+            node = atoms.get(token)
+            if node is None:
+                node = atoms[token] = _atom(token, text, index)
         if not stack:
             break
         stack[-1][0].append(node)
@@ -142,12 +147,26 @@ def parse_sexpr(text: str) -> Node:
 
 
 def format_sexpr(node: Node) -> str:
-    """Deterministic text for a node, one line per nested top-level item."""
+    """Deterministic text for a node, one line per nested top-level item.
+
+    A term record ``("term", coefficient, index, ...)`` is joined in one
+    step, and each distinct index is rendered once per call.  Equal indices
+    print alike: an int and an equal ``Fraction`` print the same digits.
+    """
+    rendered: dict[tuple, str] = {}
+
+    def index_text(index: tuple) -> str:
+        text = rendered.get(index)
+        if text is None:
+            text = rendered[index] = flat(index)
+        return text
 
     def flat(n: Node) -> str:
-        if isinstance(n, tuple):
-            return "(" + " ".join(flat(x) for x in n) + ")"
-        return _decimal(n)
+        if not isinstance(n, tuple):
+            return _decimal(n)
+        if len(n) > 2 and n[0] == "term":
+            return "(term " + _decimal(n[1]) + " " + " ".join(map(index_text, n[2:])) + ")"
+        return "(" + " ".join(map(flat, n)) + ")"
 
     if not isinstance(node, tuple):
         return flat(node)
@@ -166,23 +185,38 @@ def _expect_list(node: Node, what: str) -> tuple:
     return node
 
 
-def _node_to_index(node: Node, dimension: int) -> tuple[int, ...]:
-    node = _expect_list(node, "index")
-    if len(node) != dimension or not all(isinstance(v, int) for v in node):
-        raise ValueError(f"index {_brief(node)} is not {dimension} integers")
-    return tuple(node)
+_is_int = int.__instancecheck__  # isinstance(v, int), for map()
 
 
-def _node_to_terms(nodes, dimension: int, *, min_indices: int):
+def _term_records(nodes, dimension: int):
+    """``(coefficient, indices)`` of each term record, checked for form.
+
+    A record is ``("term", rational, index, ...)`` with at least one index,
+    and an index is a list of ``dimension`` integers.  Signs are left to the
+    caller, which reports them in its own order.
+    """
     for node in nodes:
-        node = _expect_list(node, "term")
-        if len(node) < 2 + min_indices or node[0] != "term":
+        if not isinstance(node, tuple):
+            raise ValueError(f"expected a list for term, got {_brief(node)}")
+        if len(node) < 3 or node[0] != "term":
             raise ValueError(f"malformed term {_brief(node)}")
         coeff = node[1]
         if not isinstance(coeff, (int, Fraction)):
             raise ValueError(f"term coefficient {_brief(coeff)} is not rational")
-        indices = [_node_to_index(x, dimension) for x in node[2:]]
+        indices = node[2:]
+        for index in indices:
+            if not isinstance(index, tuple):
+                raise ValueError(f"expected a list for index, got {_brief(index)}")
+            if len(index) != dimension or not all(map(_is_int, index)):
+                raise ValueError(f"index {_brief(index)} is not {dimension} integers")
         yield coeff, indices
+
+
+def _check_signs(indices: tuple) -> None:
+    """Refuse the first of ``indices``, nonempty lists of integers, with a negative entry."""
+    if min(map(min, indices)) < 0:
+        bad = next(index for index in indices if min(index) < 0)
+        raise ValueError(f"exponent index must be nonnegative, got {bad}")
 
 
 def node_to_cochain(node: Node) -> Cochain:
@@ -191,9 +225,15 @@ def node_to_cochain(node: Node) -> Cochain:
         raise ValueError(f"malformed cochain document {_brief(node)}")
     dimension = node[1]
     pairs = []
-    for coeff, indices in _node_to_terms(node[2:], dimension, min_indices=1):
-        pairs.append((BasisTerm(dimension, indices[0], indices[1:]), coeff))
-    return Cochain(dimension, pairs)
+    # Each term is checked whole before the next one: its indices' form,
+    # then the dimension, then its indices' signs.
+    for coeff, indices in _term_records(node[2:], dimension):
+        if dimension < 1:
+            _check_dimension(dimension)
+        _check_signs(indices)
+        pairs.append(((indices[0], indices[1:]), coeff))
+    _check_dimension(dimension)
+    return Cochain._raw(dimension, *_integer_form(pairs))
 
 
 def cochain_to_node(c: Cochain) -> Node:
@@ -207,11 +247,15 @@ def node_to_polynomial(node: Node) -> Polynomial:
         raise ValueError(f"malformed poly document {_brief(node)}")
     dimension = node[1]
     pairs = []
-    for coeff, indices in _node_to_terms(node[2:], dimension, min_indices=1):
+    for coeff, indices in _term_records(node[2:], dimension):
         if len(indices) != 1:
             raise ValueError("polynomial terms carry exactly one index")
         pairs.append((indices[0], coeff))
-    return Polynomial(dimension, pairs)
+    # Every term's form is checked before the dimension and any sign.
+    _check_dimension(dimension)
+    if pairs:
+        _check_signs([e for e, _ in pairs])
+    return Polynomial._raw(dimension, *_integer_form(pairs))
 
 
 def polynomial_to_node(p: Polynomial) -> Node:

@@ -8,6 +8,7 @@ membership left inconclusive (3) and a defect that was expected to be zero
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -180,3 +181,79 @@ def test_cli_kind_mismatch_message(paths, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {paths['f']}: expected a cochain document, got poly\n"
+
+
+# -- large documents ------------------------------------------------------------
+
+
+def big_cochain_text(seed: int = 1212, keys: int = 3000) -> str:
+    """A seeded dimension-2 cochain document of several thousand term records.
+
+    Arities 0 to 3; coefficients written as unreduced fractions, integers and
+    signed integers.  About one key in six appears two or three times, and one
+    in twelve appears as a pair of opposite records that cancel to zero.
+    """
+    rng = random.Random(seed)
+    records = []
+    for _ in range(keys):
+        indices = [(rng.randint(0, 6), rng.randint(0, 6))]
+        indices += [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(0, 3))]
+        key = " ".join(f"({a} {b})" for a, b in indices)
+        roll = rng.random()
+        if roll < 1 / 12:
+            num, den = rng.randint(1, 9), rng.randint(1, 12)
+            records += [f"(term {num}/{den} {key})", f"(term -{2 * num}/{2 * den} {key})"]
+            continue
+        for _ in range(rng.choice((2, 3)) if roll < 3 / 12 else 1):
+            num, den = rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12)
+            coeff = rng.choice((f"{num}/{den}", f"{num}", f"+{abs(num)}" if num > 0 else f"{num}/1"))
+            records.append(f"(term {coeff} {key})")
+    rng.shuffle(records)
+    return "(cochain 2\n  " + "\n  ".join(records) + ")\n"
+
+
+BIG_CASES = {
+    "theta": ["theta", "{big}", "--indices=1,2"],
+    "bigrade": ["bigrade", "{big}"],
+    "weight": ["weight", "{big}"],
+    "project": ["project", "{big}", "--gen=0,-1", "--gen=-1,0", "--gen=-1,-1", "--cap=64"],
+}
+
+# id -> (sha256 of the s-expression stdout, sha256 of the --json stdout)
+BIG_EXPECTED = {
+    "bigrade": (
+        "c7e3baa6f7122800d7bd5f1d26bf2b25cbbb422c95ef61466004765b517adcd3",
+        "91e6a7f44519bd882b6b3efcd51ebed3d82a4e36b1085f18582780a5d427b80d",
+    ),
+    "project": (
+        "4cceb27927fdc59b43b025a06fbaa763f524478e441bd815582593e2765dc8da",
+        "9056b6ae997c2feb651c2f175926b2e3e23031330f9f124844efdfa9e4632c40",
+    ),
+    "theta": (
+        "6fc9f2e5d747451fd435539cc26b58b9f4824d2776f2b2fd73272ecd33be7a72",
+        "7b298ce7abfaaf3a46d49be8b7a1115e81f7387d80afaf77a342efb243acbb2b",
+    ),
+    "weight": (
+        "6e07875608e067315bc4b9aeccbc2d7c0e5d3dc524421dcf7d544e6f13c8973e",
+        "0c48322a1e76a3d19bbe91adf8442f1b80d56b71a0335e6a56bfbd826612da75",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def big_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("big") / "big.sexp"
+    path.write_text(big_cochain_text(), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["sexpr", "json"])
+@pytest.mark.parametrize("case", sorted(BIG_CASES))
+def test_cli_large_document_digest(big_path, capsys, case, as_json):
+    """Byte-identical output on a document of several thousand records with
+    duplicate, cancelling and unreduced terms."""
+    argv = [arg.format(big=big_path) for arg in BIG_CASES[case]]
+    assert main(["--json", *argv] if as_json else argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == BIG_EXPECTED[case][as_json]

@@ -361,3 +361,105 @@ def test_cli_failed_associativity_check_prints_no_document(tmp_path, capsys, mon
     assert code == 2
     assert captured.out == ""
     assert captured.err == "associativity check failed; solver output is inconsistent\n"
+
+
+# Each fault in a term record and the exact line it is reported with.  A
+# cochain term's faults are reported term by term, its indices' form before
+# their signs; a polynomial's signs are checked after every term's form.
+COCHAIN_WITH_ONE_TERM = "(cochain 2 (term 1 (0 0) (1 0)))"
+POLY_WITH_ONE_TERM = "(poly 2 (term 1 (1 0)))"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("bigrade", "(cochain 2 (term 1 (0 0) (1 -1)))", "exponent index must be nonnegative, got (1, -1)"),
+        ("bigrade", "(cochain 2 (term 1 (0 -3)))", "exponent index must be nonnegative, got (0, -3)"),
+        ("bigrade", "(cochain 2 (term 1 (0 0) (1 0 0)))", "index (1, 0, 0) is not 2 integers"),
+        ("bigrade", "(cochain 2 (term 1 (0 1/2)))", "index (0, Fraction(1, 2)) is not 2 integers"),
+        ("bigrade", "(cochain 2 (term 1 (0 x)))", "index (0, 'x') is not 2 integers"),
+        ("bigrade", "(cochain 2 (term 1 (0 (1))))", "index (0, (1,)) is not 2 integers"),
+        ("bigrade", "(cochain 2 (term 1 (0 0) 5))", "expected a list for index, got 5"),
+        ("bigrade", "(cochain 2 (term x (0 0)))", "term coefficient 'x' is not rational"),
+        ("bigrade", "(cochain 2 (term 1))", "malformed term ('term', 1)"),
+        ("bigrade", "(cochain 2 term)", "expected a list for term, got 'term'"),
+        ("bigrade", "(cochain 2 (term 1 (-1 0) (0 0 0)))", "index (0, 0, 0) is not 2 integers"),
+        ("bigrade", "(cochain 2 (term 1 (0 0) (-1 0) (1/2 0)))", "index (Fraction(1, 2), 0) is not 2 integers"),
+        ("bigrade", "(cochain 2 (term 1 (0 0)) (term 1 (0 -1)) (term 1 (0 0 0)))",
+         "exponent index must be nonnegative, got (0, -1)"),
+        ("bigrade", "(cochain 0 (term 1 ()))", "dimension must be a positive integer, got 0"),
+        ("bigrade", "(cochain 0 (term 1 (0)))", "index (0,) is not 0 integers"),
+        ("bigrade", "(cochain 0)", "dimension must be a positive integer, got 0"),
+        ("bigrade", "(cochain -1 (term 1 ()))", "index () is not -1 integers"),
+        ("apply", "(poly 2 (term 1 (-1 0)))", "exponent index must be nonnegative, got (-1, 0)"),
+        ("apply", "(poly 2 (term 1 (0 0) (1 1)))", "polynomial terms carry exactly one index"),
+        ("apply", "(poly 2 (term 1 (-1 0)) (term 1 (0 0) (1 1)))", "polynomial terms carry exactly one index"),
+        ("apply", "(poly 2 (term 1 (-1 0)) (term 1 (0 0 0)))", "index (0, 0, 0) is not 2 integers"),
+        ("apply", "(poly 0 (term 1 ()) (term 1 () ()))", "polynomial terms carry exactly one index"),
+        ("star-apply", "(deformation 2 (order 2) (pk 1 (term 1 (0 0) (-1 0))))",
+         "exponent index must be nonnegative, got (-1, 0)"),
+        ("star-apply", "(deformation 2 (order 2) (pk 2 (term 1 (0 0) (1))))", "index (1,) is not 2 integers"),
+    ],
+)
+def test_cli_term_fault_is_reported_on_one_line(tmp_path, capsys, command, text, message):
+    bad = tmp_path / "bad.sexp"
+    bad.write_text(text, encoding="utf-8")
+    cochain = tmp_path / "c.sexp"
+    cochain.write_text(COCHAIN_WITH_ONE_TERM, encoding="utf-8")
+    poly = tmp_path / "p.sexp"
+    poly.write_text(POLY_WITH_ONE_TERM, encoding="utf-8")
+    argv = {
+        "bigrade": ["bigrade", str(bad)],
+        "apply": ["apply", str(cochain), str(bad)],
+        "star-apply": ["star-apply", "--deformation", str(bad), str(poly), str(poly)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "atom, message",
+    [
+        ("1/0", "rational with zero denominator"),
+        ("7" * 5000, "integer literal of 5000 digits exceeds the limit of 4300"),
+        ("1/" + "3" * 4400, "integer literal of 4400 digits exceeds the limit of 4300"),
+    ],
+    ids=["zero-denominator", "overlong-integer", "overlong-denominator"],
+)
+def test_a_repeated_bad_atom_is_reported_where_it_first_occurs(tmp_path, capsys, atom, message):
+    text = f"(cochain 2\n  (term 1 (0 0))\n  (term {atom} (1 0))\n  (term {atom} (0 1)))"
+    with pytest.raises(SexprError) as err:
+        parse_sexpr(text)
+    assert (err.value.line, err.value.column) == (3, 9)
+    path = tmp_path / "c.sexp"
+    path.write_text(text, encoding="utf-8")
+    assert main(["bigrade", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 3, column 9: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "raised, line",
+    [
+        (MemoryError(), "error: out of memory"),
+        (RecursionError("maximum recursion depth exceeded"), "error: maximum recursion depth exceeded"),
+    ],
+    ids=["memory", "recursion"],
+)
+def test_cli_resource_exhaustion_exits_one_on_one_line(tmp_path, capsys, monkeypatch, raised, line):
+    """Running out of memory or stack ends in one ``error:`` line and exit
+    code 1, not a traceback."""
+    path = tmp_path / "c.sexp"
+    path.write_text(COCHAIN_WITH_ONE_TERM, encoding="utf-8")
+
+    def exhausted(args):
+        raise raised
+
+    monkeypatch.setattr("gerstenhaber.cli._cmd_delta", exhausted)
+    assert main(["delta", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{line}\n"

@@ -136,6 +136,59 @@ def test_roundtrip_report_document():
     assert parse_document(print_document(doc)) == doc
 
 
+def _record(coeff: tuple, indices) -> str:
+    """A term record; the coefficient ``(n, d)`` is written unreduced, or as an integer when d is 1."""
+    n, d = coeff
+    text = str(n) if d == 1 else f"{n}/{d}"
+    return f"(term {text} " + " ".join("(" + " ".join(map(str, i)) + ")" for i in indices) + ")"
+
+
+@st.composite
+def term_records(draw, arities):
+    """A dimension, and ``(coefficient, indices)`` records drawn from a small pool
+    of keys, so keys repeat; some records are followed by their negation."""
+    dimension = draw(st.integers(1, 3))
+    entry = st.integers(0, 3)
+    index = st.tuples(*[entry] * dimension)
+    keys = draw(st.lists(st.integers(*arities).flatmap(lambda p: st.tuples(*[index] * (p + 1))),
+                         min_size=1, max_size=6))
+    coeff = st.tuples(st.integers(-12, 12), st.sampled_from((1, 1, 2, 3, 4, 6, 9, 10)))
+    records = []
+    for key, (n, d), cancel in draw(st.lists(st.tuples(st.sampled_from(keys), coeff, st.booleans()),
+                                              max_size=25)):
+        records.append(((n, d), key))
+        if cancel:
+            records.append(((-n, d), key))
+    return dimension, records
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_records((0, 3)))
+def test_parsed_cochain_equals_the_constructed_one(drawn):
+    """The parser builds the same store as the public constructor from the
+    same terms, with duplicates summed, cancelled terms dropped and mixed
+    denominators brought to one; printing is a fixed point of parse∘print."""
+    dimension, records = drawn
+    text = f"(cochain {dimension} " + " ".join(_record(c, key) for c, key in records) + ")"
+    expected = Cochain(dimension, [(BasisTerm(dimension, key[0], key[1:]), Fraction(*c)) for c, key in records])
+    parsed = parse_document(text)
+    assert parsed == expected
+    printed = print_document(parsed)
+    assert print_document(parse_document(printed)) == printed
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_records((0, 0)))
+def test_parsed_polynomial_equals_the_constructed_one(drawn):
+    dimension, records = drawn
+    text = f"(poly {dimension} " + " ".join(_record(c, key) for c, key in records) + ")"
+    expected = Polynomial(dimension, [(key[0], Fraction(*c)) for c, key in records])
+    parsed = parse_document(text)
+    assert parsed == expected
+    printed = print_document(parsed)
+    assert print_document(parse_document(printed)) == printed
+
+
 def test_print_refuses_a_value_that_is_not_a_document():
     with pytest.raises(TypeError, match="not a document: BasisTerm"):
         print_document(term((0, 0), (1, 0)))
