@@ -257,3 +257,22 @@ def test_cli_large_document_digest(big_path, capsys, case, as_json):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == BIG_EXPECTED[case][as_json]
+
+
+# -- the benchmark's law suites ---------------------------------------------------
+
+# law seed -> sha256 of the s-expression stdout of `verify-axioms --seed S --trials 50`
+LAW_SUITE_EXPECTED = {
+    5: "b609a52fcad8565034a4cd4fa0af865361cf13d97ff604ee736ddaf19f2935ac",
+    6: "57e87a0f5e6426bad3cd17454859070693af2b2e82153c199f116ce2cb692ded",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LAW_SUITE_EXPECTED))
+def test_cli_law_suite_digest(capsys, seed):
+    """The full 50-trial law suites report byte for byte what they reported
+    before: every law passes with the same check counts."""
+    assert main(["verify-axioms", "--seed", str(seed), "--trials", "50"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == LAW_SUITE_EXPECTED[seed]

@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gerstenhaber import BasisTerm, Cochain, Polynomial
-from gerstenhaber.cochains import ArityError, DimensionMismatchError, index_add, index_splits, index_sub
+from gerstenhaber.cochains import (
+    ArityError,
+    DimensionMismatchError,
+    index_add,
+    index_splits,
+    index_sub,
+    leibniz_split,
+)
 from gerstenhaber.grading import (
     SemigroupSpec,
     decompose_by_bigrade,
@@ -25,7 +32,6 @@ from gerstenhaber.grading import (
     theta_split,
 )
 from gerstenhaber.operations import (
-    _delta_term,
     bracket,
     cup,
     delta_via_bracket,
@@ -258,10 +264,25 @@ def bracket_reference(f, g):
 
 
 def delta_reference(f):
-    return _summed(
-        (BasisTerm(DIM, t.x_part, slots), c * structure)
-        for t, c in f.items() for slots, structure in _delta_term(DIM, t.slots)
-    )
+    """The coboundary from its defining sum, one Leibniz split at a time.
+
+    ``(delta f)(u0, ..., up) = u0 f(u1, ..., up)
+    + sum_k (-1)^k f(u0, ..., u(k-1) uk, ..., up) + (-1)^(p+1) f(u0, ..., u(p-1)) up``;
+    on a basis term the outer summands add an identity slot, and ``d^s`` of
+    the product ``u(k-1) uk`` splits slot ``k`` by ``leibniz_split``.
+    """
+    zero = (0,) * DIM
+
+    def contributions():
+        for t, c in f.items():
+            p, x, slots = t.arity, t.x_part, t.slots
+            yield BasisTerm(DIM, x, (zero,) + slots), c
+            yield BasisTerm(DIM, x, slots + (zero,)), _sign(p + 1) * c
+            for k in range(1, p + 1):
+                for b, rest, binomial in leibniz_split(slots[k - 1]):
+                    yield BasisTerm(DIM, x, slots[: k - 1] + (b, rest) + slots[k:]), _sign(k) * binomial * c
+
+    return _summed(contributions())
 
 
 @KERNEL_SETTINGS
