@@ -14,12 +14,22 @@ Three layers:
 
 All three are immutable and hashable, and are stored in canonical form.
 ``Polynomial`` and ``Cochain`` share one store, ``_TermStore``: a dict from
-raw keys (an exponent tuple; an ``(x_part, slots)`` pair) to nonzero integer
-numerators, over one positive denominator coprime to the numerators' gcd.
-Equal values therefore have equal stores.  ``items()`` lists the terms in the
-canonical order (arity, then the x-exponent, then the slot list) with
+raw keys to nonzero integer numerators, over one positive denominator
+coprime to the numerators' gcd.  Equal values therefore have equal stores.
+A polynomial's raw key is its exponent tuple.  A cochain's raw key is one
+``int`` that packs the term: fixed ``_WIDTH``-bit fields, high to low, hold a
+sentinel 1, the x-part and slots 1..p, each index with its first coordinate
+highest.  The arity is read off ``bit_length()``, and integer order is the
+canonical order (arity, then the x-exponent, then the slot list), so sorting
+the keys sorts the terms.  ``items()`` lists the terms in that order with
 reduced ``Fraction`` coefficients; it, ``coefficient()`` and printing are the
 only places that build ``BasisTerm``s and ``Fraction``s from the store.
+
+Every exponent of a cochain term is at most ``EXPONENT_BUDGET``, the largest
+field value, so no field carries into its neighbour.  The constructor and
+the document reader refuse larger exponents, and each cochain carries an
+upper bound of its exponents that every operation checks, in O(1), for its
+result before packing a key; a refusal raises ``ExponentBudgetError``.
 
 Validation happens at the input boundary only.  The public constructors
 ``Polynomial(...)``, ``BasisTerm(...)`` and ``Cochain(...)`` check the
@@ -43,13 +53,17 @@ from functools import lru_cache
 from itertools import chain, product as _cartesian
 from math import factorial, gcd, lcm, perm
 from operator import add as _add, sub as _sub
+from struct import Struct
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Index = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_flatten = chain.from_iterable
+
+# Bits per exponent field of a packed cochain key; "H" below is a 16-bit field.
+_WIDTH = 16
+EXPONENT_BUDGET = (1 << _WIDTH) - 1
 
 
 class DimensionMismatchError(ValueError):
@@ -58,6 +72,52 @@ class DimensionMismatchError(ValueError):
 
 class ArityError(ValueError):
     """An operation's arity precondition was violated."""
+
+
+class ExponentBudgetError(ValueError):
+    """A cochain exponent, given or possible in a result, exceeds ``EXPONENT_BUDGET``."""
+
+
+def _within_budget(bound: int, what: str) -> int:
+    """``bound``, refused when it exceeds the exponent budget."""
+    if bound > EXPONENT_BUDGET:
+        # An exponent read from a document may be too long for str().
+        value = bound if bound.bit_length() <= 64 else f"of {bound.bit_length()} bits"
+        raise ExponentBudgetError(f"{what} {value} exceeds the exponent budget of {EXPONENT_BUDGET}")
+    return bound
+
+
+@lru_cache(maxsize=None)
+def _fields_struct(count: int) -> Struct:
+    return Struct(f">{count}H")
+
+
+def _pack(fields: Sequence[int]) -> int:
+    """The int whose ``_WIDTH``-bit fields, high to low, are ``fields``, each within the budget."""
+    return int.from_bytes(_fields_struct(len(fields)).pack(*fields), "big")
+
+
+def _fields(key: int) -> tuple[int, ...]:
+    """The fields of a packed cochain key, high to low: the sentinel 1, the x-part, the slots."""
+    count = (key.bit_length() + _WIDTH - 1) // _WIDTH
+    return _fields_struct(count).unpack(key.to_bytes(count * _WIDTH // 8, "big"))
+
+
+def _pack_term(indices: Sequence[Index]) -> int:
+    """The packed key of the term with x-part ``indices[0]`` and slots ``indices[1:]``."""
+    return _pack((1, *chain.from_iterable(indices)))
+
+
+def _indices(n: int, key: int) -> tuple[Index, ...]:
+    """The x-part and the slots of a packed key, in dimension ``n``."""
+    fields = iter(_fields(key))
+    next(fields)  # the sentinel
+    return tuple(zip(*[fields] * n))
+
+
+def _unpack_index(n: int, packed: int) -> Index:
+    """The index of ``n`` coordinates packed into one field group."""
+    return _fields_struct(n).unpack(packed.to_bytes(n * _WIDTH // 8, "big"))
 
 
 def zero_index(dimension: int) -> Index:
@@ -140,10 +200,12 @@ class _TermStore:
 
     A value is ``_num``, a dict from raw keys to nonzero integer numerators,
     over one denominator ``_den``.  A raw key is the exponent tuple of a
-    ``Polynomial`` term and the ``(x_part, slots)`` pair of a ``Cochain``
-    term.  The store is always reduced: ``_den >= 1`` and ``_den`` is coprime
-    to the gcd of the numerators, so each value has exactly one form, ``==``
-    compares dicts and equal values hash alike.
+    ``Polynomial`` term and the packed int of a ``Cochain`` term.  The store
+    is always reduced: ``_den >= 1`` and ``_den`` is coprime to the gcd of
+    the numerators, so each value has exactly one form, ``==`` compares
+    dicts and equal values hash alike.  ``_bound`` is at least every
+    exponent in a cochain's keys, within the exponent budget; polynomial
+    keys stay tuples, need no bound and keep 0.
 
     Operations read and write this form directly.  The public constructor
     validates every key and coefficient; ``_reduced`` takes integer
@@ -154,29 +216,30 @@ class _TermStore:
     ``coefficient()`` and printing.
     """
 
-    __slots__ = ("dimension", "_num", "_den")
-    _order = None  # sort key of raw keys in canonical order; None: the raw key itself
+    __slots__ = ("dimension", "_num", "_den", "_bound")
 
     def __init__(self, dimension: int, terms=()):
         _check_dimension(dimension)
         check = self._check_key
         pairs = terms.items() if isinstance(terms, Mapping) else terms
-        self._set(dimension, *_integer_form((check(key, dimension), _as_fraction(c)) for key, c in pairs))
+        num, d = _integer_form((check(key, dimension), _as_fraction(c)) for key, c in pairs)
+        self._set(dimension, num, d, self._bound_of(num))
 
-    def _set(self, dimension: int, num: dict, d: int) -> None:
+    def _set(self, dimension: int, num: dict, d: int, bound: int) -> None:
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", d)
+        object.__setattr__(self, "_bound", bound)
 
     @classmethod
-    def _raw(cls, dimension: int, num: dict, d: int):
+    def _raw(cls, dimension: int, num: dict, d: int, bound: int = 0):
         """The value ``num[k] / d`` of a reduced form with no zero numerator; nothing is checked."""
         self = object.__new__(cls)
-        self._set(dimension, num, d)
+        self._set(dimension, num, d, bound)
         return self
 
     @classmethod
-    def _reduced(cls, dimension: int, num: dict, d: int):
+    def _reduced(cls, dimension: int, num: dict, d: int, bound: int = 0):
         """The value ``num[k] / d`` for raw keys built from valid keys and ``d >= 1``.
 
         Zero numerators are dropped and the common factor of ``d`` and the
@@ -188,7 +251,7 @@ class _TermStore:
             if g != 1:
                 d //= g
                 num = {k: c // g for k, c in num.items()}
-        return cls._raw(dimension, num, d)
+        return cls._raw(dimension, num, d, bound)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -202,7 +265,7 @@ class _TermStore:
         num, d = self._num, self._den
         fractions: dict[int, Fraction] = {}
         out = []
-        for k in sorted(num, key=self._order):
+        for k in sorted(num):
             n = num[k]
             c = fractions.get(n)
             if c is None:
@@ -250,18 +313,19 @@ class _TermStore:
         acc = dict(self._num) if s1 == 1 else {k: c * s1 for k, c in self._num.items()}
         for k, c in other._num.items():
             acc[k] = acc.get(k, 0) + c * s2
-        return self._reduced(self.dimension, acc, d)
+        return self._reduced(self.dimension, acc, d, max(self._bound, other._bound))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._raw(self.dimension, {k: -c for k, c in self._num.items()}, self._den)
+        return self._raw(self.dimension, {k: -c for k, c in self._num.items()}, self._den, self._bound)
 
     def __mul__(self, scalar):
         s = _as_fraction(scalar)
         a = s.numerator
-        return self._reduced(self.dimension, {k: c * a for k, c in self._num.items()}, self._den * s.denominator)
+        num = {k: c * a for k, c in self._num.items()}
+        return self._reduced(self.dimension, num, self._den * s.denominator, self._bound)
 
     def __rmul__(self, scalar):
         return self.__mul__(scalar)
@@ -277,6 +341,7 @@ class Polynomial(_TermStore):
     __slots__ = ()
     _key = staticmethod(lambda dimension, expo: expo)
     _raw_key = staticmethod(lambda expo, dimension: tuple(expo))
+    _bound_of = staticmethod(lambda num: 0)
 
     @staticmethod
     def _check_key(expo: Sequence[int], dimension: int) -> Index:
@@ -391,33 +456,43 @@ class Cochain(_TermStore):
     """
 
     __slots__ = ()
-    # The canonical order is BasisTerm.sort_key: (arity, x_part, slots).  The
-    # key is that triple flattened: keys of one arity flatten to one length,
-    # so the order is the same, and flat tuples of ints compare faster.
-    _order = staticmethod(lambda raw: (len(raw[1]), *raw[0], *_flatten(raw[1])))
-    _key = staticmethod(lambda dimension, raw: BasisTerm._trusted(dimension, *raw))
-    _raw_key = staticmethod(
-        lambda term, dimension: (term.x_part, term.slots)
-        if isinstance(term, BasisTerm) and term.dimension == dimension
-        else None
-    )
 
     @staticmethod
-    def _check_key(term: BasisTerm, dimension: int) -> tuple[Index, tuple[Index, ...]]:
+    def _key(dimension: int, key: int) -> BasisTerm:
+        x_part, *slots = _indices(dimension, key)
+        return BasisTerm._trusted(dimension, x_part, tuple(slots))
+
+    @staticmethod
+    def _raw_key(term: BasisTerm, dimension: int):
+        """The packed key of ``term``, or None where no term of this cochain can equal it."""
+        if not isinstance(term, BasisTerm) or term.dimension != dimension:
+            return None
+        indices = (term.x_part, *term.slots)
+        return _pack_term(indices) if max(map(max, indices)) <= EXPONENT_BUDGET else None
+
+    @staticmethod
+    def _check_key(term: BasisTerm, dimension: int) -> int:
         if not isinstance(term, BasisTerm):
             raise TypeError(f"cochain terms must be BasisTerm, got {type(term).__name__}")
         if term.dimension != dimension:
             raise DimensionMismatchError(
                 f"term dimension {term.dimension} does not match cochain dimension {dimension}"
             )
-        return term.x_part, term.slots
+        indices = (term.x_part, *term.slots)
+        _within_budget(max(map(max, indices)), "exponent")
+        return _pack_term(indices)
+
+    @staticmethod
+    def _bound_of(num: dict) -> int:
+        return max((max(_fields(k)[1:]) for k in num), default=0)
 
     @classmethod
     def single(cls, term: BasisTerm, coeff: Scalar = 1) -> Cochain:
         return cls(term.dimension, {term: coeff})
 
     def arities(self) -> tuple[int, ...]:
-        return tuple(sorted({len(slots) for _, slots in self._num}))
+        width = _WIDTH * self.dimension
+        return tuple(sorted({k.bit_length() // width - 1 for k in self._num}))
 
     def homogeneous_arity(self) -> int:
         """Arity of an arity-homogeneous nonzero cochain."""
@@ -427,10 +502,12 @@ class Cochain(_TermStore):
         return arities[0]
 
     def components_by_arity(self) -> dict[int, Cochain]:
+        width = _WIDTH * self.dimension
         buckets: dict[int, dict] = {}
         for key, c in self._num.items():
-            buckets.setdefault(len(key[1]), {})[key] = c
-        return {p: Cochain._reduced(self.dimension, part, self._den) for p, part in sorted(buckets.items())}
+            buckets.setdefault(key.bit_length() // width - 1, {})[key] = c
+        n, d, bound = self.dimension, self._den, self._bound
+        return {p: Cochain._reduced(n, part, d, bound) for p, part in sorted(buckets.items())}
 
     def apply(self, args: Sequence[Polynomial]) -> Polynomial:
         """Evaluate on a tuple of polynomials, one per slot.
@@ -446,9 +523,11 @@ class Cochain(_TermStore):
                     f"argument dimension {u.dimension} does not match cochain dimension {self.dimension}"
                 )
         p = len(args)
-        for _, slots in self._num:
-            if len(slots) != p:
-                raise ArityError(f"term of arity {len(slots)} applied to {p} arguments")
+        width = _WIDTH * self.dimension
+        for key in self._num:
+            arity = key.bit_length() // width - 1
+            if arity != p:
+                raise ArityError(f"term of arity {arity} applied to {p} arguments")
         # Integer numerators throughout, over the product of the denominators.
         d = self._den
         numerators = []
@@ -457,7 +536,9 @@ class Cochain(_TermStore):
             d *= u._den
         derived: list[dict] = [{} for _ in args]  # per argument: slot -> its derivative
         acc: dict[Index, int] = {}
-        for (x_part, slots), coeff in self._num.items():
+        n = self.dimension
+        for key, coeff in self._num.items():
+            x_part, *slots = _indices(n, key)
             value = {x_part: coeff}
             for slot, num, cache in zip(slots, numerators, derived):
                 du = cache.get(slot)
@@ -512,6 +593,20 @@ def index_splits(a: Index, parts: int) -> tuple[tuple[tuple[Index, ...], int], .
             coeff *= c
         out.append((pieces, coeff))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _packed_splits(n: int, a: int, parts: int) -> tuple[tuple[int, int], ...]:
+    """``index_splits`` of the packed index ``a``, each split packed into one slot block.
+
+    A split's pieces fill ``parts`` consecutive slot fields, piece 1 highest,
+    so adding the block to a block of ``parts`` slots shifts each slot by its
+    piece.
+    """
+    return tuple(
+        (_pack(tuple(chain.from_iterable(pieces))), coeff)
+        for pieces, coeff in index_splits(_unpack_index(n, a), parts)
+    )
 
 
 def leibniz_split(a: Sequence[int]) -> tuple[tuple[Index, Index, int], ...]:

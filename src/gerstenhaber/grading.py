@@ -21,10 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cochains import BasisTerm, Cochain, DimensionMismatchError, Index, index_add, index_sub, zero_index
+from .cochains import (
+    BasisTerm,
+    Cochain,
+    DimensionMismatchError,
+    Index,
+    _fields,
+    index_add,
+    zero_index,
+)
 from .linsolve import solve_unique
 
 YES = "yes"
@@ -36,41 +44,48 @@ class InconclusiveMembershipError(Exception):
     """A definite semigroup decision was required but the search cap bound."""
 
 
-def _weight(x_part: Index, slots: tuple[Index, ...]) -> Index:
-    total = x_part
-    for s in slots:
-        total = index_sub(total, s)
-    return total
+def _grade_fields(n: int, fields: Sequence[int], sign: int) -> Index:
+    """x-part plus ``sign`` times the slot sum, from a term's packed-key fields
+    (the sentinel, then the x-part, then the slots, each of ``n`` entries)."""
+    return tuple(fields[1 + i] + sign * sum(fields[1 + n + i :: n]) for i in range(n))
 
 
-def _bigrade(x_part: Index, slots: tuple[Index, ...]) -> tuple[Index, Index]:
-    down = up = x_part
-    for s in slots:
-        down = index_sub(down, s)
-        up = index_add(up, s)
-    return down, up
+def _weight(n: int, key: int) -> Index:
+    return _grade_fields(n, _fields(key), -1)
+
+
+def _bigrade(n: int, key: int) -> tuple[Index, Index]:
+    fields = _fields(key)
+    return _grade_fields(n, fields, -1), _grade_fields(n, fields, 1)
+
+
+def _term_fields(term: BasisTerm) -> tuple[int, ...]:
+    return (1, *term.x_part, *chain.from_iterable(term.slots))
 
 
 def weight_of(term: BasisTerm) -> Index:
     """x-exponent minus the sum of slot orders, an integer vector."""
-    return _weight(term.x_part, term.slots)
+    return _grade_fields(term.dimension, _term_fields(term), -1)
 
 
 def bigrade_of(term: BasisTerm) -> tuple[Index, Index]:
     """The pair (x_part - sum(slots), x_part + sum(slots))."""
-    return _bigrade(term.x_part, term.slots)
+    fields = _term_fields(term)
+    return _grade_fields(term.dimension, fields, -1), _grade_fields(term.dimension, fields, 1)
 
 
 def weights_of(c: Cochain) -> set[Index]:
     """The set of weights of the terms of ``c``."""
-    return {_weight(*key) for key in c._num}
+    n = c.dimension
+    return {_weight(n, key) for key in c._num}
 
 
 def _decompose(c: Cochain, grade) -> dict:
+    n, d, bound = c.dimension, c._den, c._bound
     buckets: dict = {}
     for key, num in c._num.items():
-        buckets.setdefault(grade(*key), {})[key] = num
-    return {g: Cochain._reduced(c.dimension, part, c._den) for g, part in sorted(buckets.items())}
+        buckets.setdefault(grade(n, key), {})[key] = num
+    return {g: Cochain._reduced(n, part, d, bound) for g, part in sorted(buckets.items())}
 
 
 def decompose_by_weight(c: Cochain) -> dict[Index, Cochain]:
@@ -281,8 +296,9 @@ def project_subalgebra(c: Cochain, spec: SemigroupSpec) -> Cochain:
             )
         if status == YES:
             kept.add(w)
-    kept_num = {key: num for key, num in c._num.items() if _weight(*key) in kept}
-    return Cochain._reduced(c.dimension, kept_num, c._den)
+    n = c.dimension
+    kept_num = {key: num for key, num in c._num.items() if _weight(n, key) in kept}
+    return Cochain._reduced(n, kept_num, c._den, c._bound)
 
 
 def in_ideal(c: Cochain, spec: SemigroupSpec, fold: int = 2) -> Membership:
@@ -316,12 +332,13 @@ def _check_indices(indices: Sequence[int], dimension: int) -> tuple[int, ...]:
 
 def theta_apply(c: Cochain, indices: Sequence[int]) -> Cochain:
     """Sign each term by the parity of its weight summed over ``indices`` (1-based)."""
-    idx = _check_indices(indices, c.dimension)
+    n = c.dimension
+    idx = _check_indices(indices, n)
     out = {}
     for key, num in c._num.items():
-        w = _weight(*key)
+        w = _weight(n, key)
         out[key] = -num if sum(w[i - 1] for i in idx) % 2 else num
-    return Cochain._raw(c.dimension, out, c._den)
+    return Cochain._raw(n, out, c._den, c._bound)
 
 
 def theta_split(c: Cochain, indices: Sequence[int]) -> tuple[Cochain, Cochain]:
@@ -536,7 +553,7 @@ def filtration_contains(c: Cochain, alpha, mode: str = CUMULATIVE) -> bool:
     mode = _check_mode(mode)
     a, b = validate_filtration_index(alpha, c.dimension)
     for key in c._num:
-        down, up = _bigrade(*key)
+        down, up = _bigrade(c.dimension, key)
         if mode == LITERAL:
             if down != a or not a <= up <= b:
                 return False
@@ -551,7 +568,7 @@ def filtration_index(c: Cochain, mode: str = CUMULATIVE) -> tuple[Index, Index]:
     mode = _check_mode(mode)
     if c.is_zero:
         raise ValueError("the zero cochain has no filtration index")
-    bigrades = [_bigrade(*key) for key in c._num]
+    bigrades = [_bigrade(c.dimension, key) for key in c._num]
     if mode == CUMULATIVE:
         return max(bigrades)
     weights = {bg[0] for bg in bigrades}

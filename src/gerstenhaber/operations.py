@@ -10,16 +10,24 @@ the two code paths is one of the verified laws.
 
 Insertion and coboundary structure constants are integers.  Each operation
 reads its operands' integer numerators straight from the store, adds
-``numerator x structure constant`` into a dict keyed on raw ``(x_part,
-slots)`` tuples, and hands that dict and the product of the operands'
+``numerator x structure constant`` into a dict keyed on packed term keys
+(see ``cochains``), and hands that dict and the product of the operands'
 denominators to ``Cochain._reduced``; no ``BasisTerm`` or ``Fraction`` is
 built per term.  Every term here is built from valid terms, so no result is
-validated again.
+validated again.  Each operation first checks, in O(1), that its operands'
+exponent bounds keep every field of its result within the exponent budget.
+
+A packed key holds fixed-width fields, so term surgery is integer
+arithmetic: with ``width`` bits per index, the slots after slot ``k`` of an
+arity-p key are its low ``width * (p - k)`` bits, slot ``k`` the next
+``width`` bits, and the sentinel, x-part and earlier slots the rest.  Adding
+two field groups adds their indices.  Each operation splits its operands'
+keys once per call.
 
 Both operations carry the outer term's x-part through unchanged, so it stays
 out of the cached kernels: ``_insert_term`` keys on the receiving slot and
-the inserted term's x-part and slots, ``_delta_term`` on a slot list, and
-callers add the x-part back, once per group of terms that share it.
+the inserted term's x-part and slot block, ``_delta_term`` on a slot block,
+and callers add the x-part back, once per group of terms that share it.
 """
 
 from __future__ import annotations
@@ -29,14 +37,14 @@ from itertools import product as _cartesian
 from math import comb, perm
 
 from .cochains import (
+    _WIDTH,
     BasisTerm,
     Cochain,
     ArityError,
-    Index,
-    index_add,
-    index_splits,
-    index_sub,
-    leibniz_split,
+    _pack,
+    _packed_splits,
+    _unpack_index,
+    _within_budget,
     zero_index,
 )
 
@@ -50,6 +58,20 @@ def multiplication_cochain(dimension: int) -> Cochain:
     return Cochain.single(BasisTerm(dimension, zero, (zero, zero)))
 
 
+def _split_terms(c: Cochain, width: int) -> list[tuple]:
+    """``(key, arity, x-part, slot block, numerator)`` of each term, x-part and
+    slot block packed; ``width`` is the bits of one index."""
+    out = []
+    for key, num in c._num.items():
+        low = key.bit_length() - width - 1  # bits of the slot block
+        out.append((key, low // width, (key >> low) ^ (1 << width), key & ((1 << low) - 1), num))
+    return out
+
+
+def _result_bound(f: Cochain, g: Cochain, what: str) -> int:
+    return _within_budget(f._bound + g._bound, f"{what} result exponent bound")
+
+
 def cup(f: Cochain, g: Cochain) -> Cochain:
     """Cup product: x-exponents add, slot lists concatenate.
 
@@ -57,50 +79,59 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
     second on the trailing slots, multiplying the results.
     """
     f._check_same_dimension(g)
-    gs = g._num.items()
-    acc: dict[tuple, int] = {}
-    for (xf, sf), cf in f._num.items():
-        for (xg, sg), cg in gs:
-            key = (index_add(xf, xg), sf + sg)
+    bound = _result_bound(f, g, "cup")
+    width = _WIDTH * f.dimension
+    gs = [(width * q, xg, sg, cg) for _, q, xg, sg, cg in _split_terms(g, width)]
+    acc: dict[int, int] = {}
+    for kf, cf in f._num.items():
+        x_low = kf.bit_length() - 1 - width  # the lowest bit of f's x-part
+        for gslots, xg, sg, cg in gs:
+            key = (kf << gslots) + (xg << (x_low + gslots)) | sg
             acc[key] = acc.get(key, 0) + cf * cg
-    return Cochain._reduced(f.dimension, acc, f._den * g._den)
+    return Cochain._reduced(f.dimension, acc, f._den * g._den, bound)
 
 
 @lru_cache(maxsize=200_000)
-def _insert_term(a: Index, b0: Index, slots: tuple[Index, ...]) -> tuple[tuple[Index, tuple], ...]:
+def _insert_term(n: int, a: int, b0: int, slots: int, q: int) -> tuple[tuple[int, tuple], ...]:
     """Apply ``d^a`` to the output of the basis term ``x^b0 d^s1 (x) ... (x) d^sq``.
 
-    The derivative distributes over the x-part and each slot output.  The
-    x-part's share ``c0`` runs over the box ``0 <= c0 <= min(a, b0)`` with
-    coefficient ``binom(a, c0) perm(b0, c0)``, and only ``a - c0`` is split
-    among the slots, so every split enumerated contributes.  Returns
-    ``(x_left, ((differentiated slots, integer multiplicity), ...))`` with
-    one group per ``x_left = b0 - c0``.
+    Indices are packed in dimension ``n``; ``slots`` is the block of the q
+    slots.  The derivative distributes over the x-part and each slot output.
+    The x-part's share ``c0`` runs over the box ``0 <= c0 <= min(a, b0)``
+    with coefficient ``binom(a, c0) perm(b0, c0)``, and only ``a - c0`` is
+    split among the slots, so every split enumerated contributes.  Returns
+    ``(x_left, ((differentiated slot block, integer multiplicity), ...))``
+    with one group per ``x_left = b0 - c0``.
     """
+    a_index, b_index = _unpack_index(n, a), _unpack_index(n, b0)
     out = []
-    for c0 in _cartesian(*[range(min(ai, bi) + 1) for ai, bi in zip(a, b0)]):
-        rest = index_sub(a, c0)
-        splits = index_splits(rest, len(slots))
+    for c0 in _cartesian(*[range(min(ai, bi) + 1) for ai, bi in zip(a_index, b_index)]):
+        packed_c0 = _pack(c0)
+        splits = _packed_splits(n, a - packed_c0, q)
         if not splits:
             continue  # an arity-0 term takes no derivative beyond its x-part
         scale = 1
-        for ai, bi, ci in zip(a, b0, c0):
+        for ai, bi, ci in zip(a_index, b_index, c0):
             scale *= comb(ai, ci) * perm(bi, ci)
-        # Distinct splits give distinct slot lists, so nothing needs merging.
-        middles = tuple((tuple(map(index_add, slots, pieces)), scale * mult) for pieces, mult in splits)
-        out.append((index_sub(b0, c0), middles))
+        # Distinct splits give distinct slot blocks, so nothing needs merging.
+        middles = tuple((slots + pieces, scale * mult) for pieces, mult in splits)
+        out.append((b0 - packed_c0, middles))
     return tuple(out)
 
 
-def _add_inserted(acc: dict, f_key: tuple, k: int, g_key: tuple, scale: int) -> None:
-    """Add ``scale`` times the term ``g_key`` substituted into slot ``k`` (1-based)
-    of the term ``f_key`` into ``acc``, keyed on raw ``(x_part, slots)`` pairs."""
-    xf, sf = f_key
-    head, tail = sf[: k - 1], sf[k:]
-    for x_left, middles in _insert_term(sf[k - 1], *g_key):
-        x = index_add(xf, x_left)
+def _add_inserted(acc: dict, n: int, width: int, kf: int, p: int, k: int, g_term: tuple, scale: int) -> None:
+    """Add ``scale`` times the term ``g_term`` (as ``_split_terms`` gives it)
+    substituted into slot ``k`` (1-based) of the arity-p key ``kf`` into ``acc``."""
+    _, q, xg, sg, _ = g_term
+    low = width * (p - k)  # bits of the slots after slot k
+    tail = kf & ((1 << low) - 1)
+    # The sentinel, f's x-part and the slots before k, moved up past g's slots.
+    head = (kf >> (low + width)) << (low + width * q)
+    x_shift = width * (p + q - 1)
+    for x_left, middles in _insert_term(n, (kf >> low) & ((1 << width) - 1), xg, sg, q):
+        base = head + (x_left << x_shift) | tail
         for middle, mult in middles:
-            key = (x, head + middle + tail)
+            key = base | middle << low
             acc[key] = acc.get(key, 0) + scale * mult
 
 
@@ -120,12 +151,15 @@ def insert(f: Cochain, k: int, g: Cochain) -> Cochain:
         raise ArityError("insertion needs at least one slot in the outer cochain")
     if not 1 <= k <= p:
         raise ArityError(f"slot position {k} out of range 1..{p}")
-    gs = g._num.items()
-    acc: dict[tuple, int] = {}
-    for tf, cf in f._num.items():
-        for tg, cg in gs:
-            _add_inserted(acc, tf, k, tg, cf * cg)
-    return Cochain._reduced(f.dimension, acc, f._den * g._den)
+    bound = _result_bound(f, g, "insertion")
+    n = f.dimension
+    width = _WIDTH * n
+    gs = _split_terms(g, width)
+    acc: dict[int, int] = {}
+    for kf, cf in f._num.items():
+        for tg in gs:
+            _add_inserted(acc, n, width, kf, p, k, tg, cf * tg[4])
+    return Cochain._reduced(n, acc, f._den * g._den, bound)
 
 
 def bracket(f: Cochain, g: Cochain) -> Cochain:
@@ -137,53 +171,63 @@ def bracket(f: Cochain, g: Cochain) -> Cochain:
                  - (-1)^((p-1)(q-1)) sum_k (-1)^((k-1)(p-1)) g o_k f
     """
     f._check_same_dimension(g)
-    gs = g._num.items()
-    acc: dict[tuple, int] = {}
-    for tf, cf in f._num.items():
-        p = len(tf[1])
-        for tg, cg in gs:
-            q = len(tg[1])
+    bound = _result_bound(f, g, "bracket")
+    n = f.dimension
+    width = _WIDTH * n
+    gs = _split_terms(g, width)
+    acc: dict[int, int] = {}
+    for tf in _split_terms(f, width):
+        kf, p, _, _, cf = tf
+        for tg in gs:
+            kg, q, _, _, cg = tg
             scale = cf * cg
             for k in range(1, p + 1):
-                _add_inserted(acc, tf, k, tg, scale * _sign((k - 1) * (q - 1)))
+                _add_inserted(acc, n, width, kf, p, k, tg, scale * _sign((k - 1) * (q - 1)))
             swap = -scale * _sign((p - 1) * (q - 1))
             for k in range(1, q + 1):
-                _add_inserted(acc, tg, k, tf, swap * _sign((k - 1) * (p - 1)))
-    return Cochain._reduced(f.dimension, acc, f._den * g._den)
+                _add_inserted(acc, n, width, kg, q, k, tf, swap * _sign((k - 1) * (p - 1)))
+    return Cochain._reduced(n, acc, f._den * g._den, bound)
 
 
 @lru_cache(maxsize=200_000)
-def _delta_term(n: int, slots: tuple[Index, ...]) -> tuple[tuple[tuple[Index, ...], int], ...]:
-    """Coboundary of a basis term with these slots, straight from the defining sum.
+def _delta_term(n: int, slots: int, p: int) -> tuple[tuple[int, int], ...]:
+    """Coboundary of a basis term whose p slots pack into ``slots``, from the defining sum.
 
     The outer summands prepend and append an identity slot; the k-th inner
     summand splits slot k over two arguments with binomial coefficients and
-    sign (-1)^k.  Every summand keeps the x-part, so this returns slot lists.
+    sign (-1)^k.  Every summand keeps the x-part, so this returns packed
+    blocks of p + 1 slots.
     """
-    p = len(slots)
-    zero = zero_index(n)
-    acc: dict[tuple[Index, ...], int] = {}
+    width = _WIDTH * n
+    acc: dict[int, int] = {}
 
-    def add(image: tuple[Index, ...], c: int) -> None:
+    def add(image: int, c: int) -> None:
         acc[image] = acc.get(image, 0) + c
 
-    add((zero,) + slots, 1)
-    add(slots + (zero,), _sign(p + 1))
+    add(slots, 1)  # a zero slot prepended: the block is unchanged below it
+    add(slots << width, _sign(p + 1))
     for k in range(1, p + 1):
         sk = _sign(k)
-        for b, rest, coeff in leibniz_split(slots[k - 1]):
-            add(slots[: k - 1] + (b, rest) + slots[k:], sk * coeff)
+        low = width * (p - k)
+        head = (slots >> (low + width)) << (low + 2 * width)
+        tail = slots & ((1 << low) - 1)
+        for pieces, coeff in _packed_splits(n, (slots >> low) & ((1 << width) - 1), 2):
+            add(head | pieces << low | tail, sk * coeff)
     return tuple(item for item in acc.items() if item[1])
 
 
 def hochschild_delta(f: Cochain) -> Cochain:
     """Hochschild coboundary, raising arity by one; linear in ``f``."""
-    acc: dict[tuple, int] = {}
-    for (x_part, slots), c in f._num.items():
-        for image, structure in _delta_term(f.dimension, slots):
-            key = (x_part, image)
-            acc[key] = acc.get(key, 0) + c * structure
-    return Cochain._reduced(f.dimension, acc, f._den)
+    n = f.dimension
+    width = _WIDTH * n
+    acc: dict[int, int] = {}
+    for key, c in f._num.items():
+        low = key.bit_length() - width - 1  # bits of the slot block
+        top = (key >> low) << (low + width)  # the sentinel and x-part, past one more slot
+        for image, structure in _delta_term(n, key & ((1 << low) - 1), low // width):
+            image |= top
+            acc[image] = acc.get(image, 0) + c * structure
+    return Cochain._reduced(n, acc, f._den, f._bound)
 
 
 def delta_via_bracket(f: Cochain) -> Cochain:

@@ -26,7 +26,15 @@ from itertools import islice
 from reprlib import repr as _brief  # depth- and length-bounded repr for error messages
 from typing import Union
 
-from .cochains import Cochain, Polynomial, _check_dimension, _integer_form
+from .cochains import (
+    Cochain,
+    Polynomial,
+    _check_dimension,
+    _indices,
+    _integer_form,
+    _pack_term,
+    _within_budget,
+)
 from .starproduct import Deformation
 
 Node = Union[int, Fraction, str, tuple]
@@ -225,20 +233,25 @@ def node_to_cochain(node: Node) -> Cochain:
         raise ValueError(f"malformed cochain document {_brief(node)}")
     dimension = node[1]
     pairs = []
+    bound = 0
     # Each term is checked whole before the next one: its indices' form,
-    # then the dimension, then its indices' signs.
+    # then the dimension, then its indices' signs, then the exponent budget.
     for coeff, indices in _term_records(node[2:], dimension):
         if dimension < 1:
             _check_dimension(dimension)
         _check_signs(indices)
-        pairs.append(((indices[0], indices[1:]), coeff))
+        top = max(map(max, indices))
+        if top > bound:
+            bound = _within_budget(top, "exponent")
+        pairs.append((_pack_term(indices), coeff))
     _check_dimension(dimension)
-    return Cochain._raw(dimension, *_integer_form(pairs))
+    return Cochain._raw(dimension, *_integer_form(pairs), bound)
 
 
 def cochain_to_node(c: Cochain) -> Node:
-    terms = tuple(("term", coeff, x_part) + slots for (x_part, slots), coeff in c._sorted_items())
-    return ("cochain", c.dimension) + terms
+    n = c.dimension
+    terms = tuple(("term", coeff) + _indices(n, key) for key, coeff in c._sorted_items())
+    return ("cochain", n) + terms
 
 
 def node_to_polynomial(node: Node) -> Polynomial:

@@ -29,12 +29,16 @@ from math import lcm
 from typing import Mapping, Optional
 
 from .cochains import (
+    _WIDTH,
     ArityError,
     Cochain,
     DimensionMismatchError,
     Index,
     Polynomial,
-    index_splits,
+    _fields,
+    _pack,
+    _packed_splits,
+    _within_budget,
 )
 from .grading import SemigroupSpec, _bigrade, in_ideal, in_subalgebra
 from .linsolve import solve_particular
@@ -111,15 +115,17 @@ class BlockSystem:
     """The coboundary from arity-2 to arity-3 slot lists of one slot total.
 
     The coboundary keeps a term's x-part, so every bigrade block with this
-    slot total has this matrix.  ``matrix[r][c]`` is the coefficient of the
-    arity-3 slot list in row ``r`` in the coboundary of ``slots2[c]``;
-    entries are integers (structure constants).  ``row_of`` maps each
-    arity-3 slot list to its row, in row order.
+    slot total has this matrix.  Slot lists are packed slot blocks (see
+    ``cochains``), whose integer order is the order of the lists.
+    ``matrix[r][c]`` is the coefficient of the arity-3 slot list in row
+    ``r`` in the coboundary of ``slots2[c]``; entries are integers
+    (structure constants).  ``row_of`` maps each arity-3 slot list to its
+    row, in row order.
     """
 
     slot_total: Index
-    slots2: tuple[tuple[Index, ...], ...]
-    row_of: dict[tuple[Index, ...], int]
+    slots2: tuple[int, ...]
+    row_of: dict[int, int]
     matrix: tuple[tuple[int, ...], ...]
 
 
@@ -129,12 +135,13 @@ def build_block(slot_total: Index) -> BlockSystem:
     if any(s < 0 for s in slot_total):
         raise ValueError(f"invalid slot total {slot_total}: entries must be nonnegative")
     n = len(slot_total)
-    slots2 = tuple(sorted(pieces for pieces, _ in index_splits(slot_total, 2)))
-    slots3 = sorted(pieces for pieces, _ in index_splits(slot_total, 3))
+    total = _pack(slot_total)
+    slots2 = tuple(sorted(pieces for pieces, _ in _packed_splits(n, total, 2)))
+    slots3 = sorted(pieces for pieces, _ in _packed_splits(n, total, 3))
     row_of = {slots: r for r, slots in enumerate(slots3)}
     matrix = [[0] * len(slots2) for _ in slots3]
     for c, slots in enumerate(slots2):
-        for image, coeff in _delta_term(n, slots):
+        for image, coeff in _delta_term(n, slots, 2):
             matrix[row_of[image]][c] = coeff
     return BlockSystem(slot_total, slots2, row_of, tuple(map(tuple, matrix)))
 
@@ -152,32 +159,45 @@ def solve_delta(target: Cochain) -> Cochain:
         return Cochain.zero(target.dimension)
     if target.arities() != (3,):
         raise ArityError("solve_delta expects an arity-3 cochain")
+    n = target.dimension
+    width = _WIDTH * n
+    slot_bits = 3 * width
     components: dict[tuple[Index, Index], dict] = {}
-    for (x_part, slots), num in target._num.items():
-        components.setdefault(_bigrade(x_part, slots), {})[slots] = num
+    for key, num in target._num.items():
+        components.setdefault(_bigrade(n, key), {})[key & ((1 << slot_bits) - 1)] = num
     # Each block is solved on the integer numerators; the solution is over
     # the target's denominator times the lcm of the blocks' denominators.
-    solution: dict[tuple, Fraction] = {}
+    solution: dict[int, Fraction] = {}
+    bound = 0
     # Sorted, so CoboundaryError names the same first block on every run.
     for bigrade, component in sorted(components.items()):
         down, up = bigrade
         x_part = tuple((d + u) // 2 for d, u in zip(down, up))
-        block = build_block(tuple((u - d) // 2 for d, u in zip(down, up)))
+        slot_total = tuple((u - d) // 2 for d, u in zip(down, up))
+        # A preimage's slots split the slot total, so its exponents are at most these.
+        bound = max(bound, _within_budget(max(*x_part, *slot_total), "preimage exponent bound"))
+        block = build_block(slot_total)
         rhs = [0] * len(block.row_of)
         for slots, num in component.items():
             rhs[block.row_of[slots]] = num
         x = solve_particular(block.matrix, rhs)
         if x is None:
             raise CoboundaryError(bigrade)
+        top = ((1 << width) | _pack(x_part)) << (2 * width)  # the sentinel and x-part of an arity-2 key
         # Blocks have distinct bigrades, so their basis terms never overlap.
-        solution.update(((x_part, slots), v) for slots, v in zip(block.slots2, x) if v)
+        solution.update((top | slots, v) for slots, v in zip(block.slots2, x) if v)
     d = lcm(*[v.denominator for v in solution.values()])
     num = {key: v.numerator * (d // v.denominator) for key, v in solution.items()}
-    return Cochain._reduced(target.dimension, num, d * target._den)
+    return Cochain._reduced(n, num, d * target._den, bound)
 
 
 def _max_slot_order(c: Cochain) -> int:
-    return max((sum(s) for _, slots in c._num for s in slots), default=0)
+    """The largest total order of one slot over the terms of ``c``."""
+    n = c.dimension
+    return max(
+        (sum(fields[i : i + n]) for fields in map(_fields, c._num) for i in range(1 + n, len(fields), n)),
+        default=0,
+    )
 
 
 def solve_maurer_cartan(

@@ -21,7 +21,7 @@ from gerstenhaber import (
     star_apply,
     weight_of,
 )
-from gerstenhaber.cochains import ArityError, DimensionMismatchError
+from gerstenhaber.cochains import ArityError, DimensionMismatchError, _indices
 from gerstenhaber.axioms import random_homogeneous_cochain, random_polynomial
 
 
@@ -115,17 +115,22 @@ def test_block_composition_count():
     assert len(block.row_of) == 36
 
 
+def slot_list(block, arity):
+    """The slots of a packed dimension-2 slot block: those of the key with x-part zero."""
+    return _indices(2, (1 << 32 * (arity + 1)) | block)[1:]
+
+
 def test_diagonal_block_is_single_term():
     block = build_block((0, 0))  # the slot total of every bigrade (w, w)
-    assert block.slots2 == (((0, 0), (0, 0)),)
+    assert [slot_list(s, 2) for s in block.slots2] == [((0, 0), (0, 0))]
 
 
 def test_block_columns_are_coboundary_coordinates():
     block = build_block((1, 1))
     for x_part in ((0, 0), (3, 1)):
         for c, slots in enumerate(block.slots2):
-            image = hochschild_delta(Cochain.single(term(x_part, *slots)))
-            column = [(term(x_part, *s), block.matrix[r][c]) for s, r in block.row_of.items()]
+            image = hochschild_delta(Cochain.single(term(x_part, *slot_list(slots, 2))))
+            column = [(term(x_part, *slot_list(s, 3)), block.matrix[r][c]) for s, r in block.row_of.items()]
             assert image == Cochain(2, column)
 
 
