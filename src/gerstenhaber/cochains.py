@@ -92,9 +92,11 @@ def _fields_struct(count: int) -> Struct:
     return Struct(f">{count}H")
 
 
-def _pack(fields: Sequence[int]) -> int:
-    """The int whose ``_WIDTH``-bit fields, high to low, are ``fields``, each within the budget."""
-    return int.from_bytes(_fields_struct(len(fields)).pack(*fields), "big")
+def _pack(fields: Iterable[int], key: int = 0) -> int:
+    """``key`` followed by ``fields`` as ``_WIDTH``-bit fields, high to low; each within the budget."""
+    for field in fields:
+        key = key << _WIDTH | field
+    return key
 
 
 def _fields(key: int) -> tuple[int, ...]:
@@ -105,7 +107,7 @@ def _fields(key: int) -> tuple[int, ...]:
 
 def _pack_term(indices: Sequence[Index]) -> int:
     """The packed key of the term with x-part ``indices[0]`` and slots ``indices[1:]``."""
-    return _pack((1, *chain.from_iterable(indices)))
+    return _pack(chain.from_iterable(indices), 1)
 
 
 def _indices(n: int, key: int) -> tuple[Index, ...]:
@@ -220,10 +222,9 @@ class _TermStore:
 
     def __init__(self, dimension: int, terms=()):
         _check_dimension(dimension)
-        check = self._check_key
         pairs = terms.items() if isinstance(terms, Mapping) else terms
-        num, d = _integer_form((check(key, dimension), _as_fraction(c)) for key, c in pairs)
-        self._set(dimension, num, d, self._bound_of(num))
+        keyed, bound = self._checked(pairs, dimension)
+        self._set(dimension, *_integer_form(keyed), bound)
 
     def _set(self, dimension: int, num: dict, d: int, bound: int) -> None:
         object.__setattr__(self, "dimension", dimension)
@@ -341,11 +342,11 @@ class Polynomial(_TermStore):
     __slots__ = ()
     _key = staticmethod(lambda dimension, expo: expo)
     _raw_key = staticmethod(lambda expo, dimension: tuple(expo))
-    _bound_of = staticmethod(lambda num: 0)
 
     @staticmethod
-    def _check_key(expo: Sequence[int], dimension: int) -> Index:
-        return _check_index(expo, dimension, nonnegative=True)
+    def _checked(pairs, dimension: int) -> tuple[list, int]:
+        """Checked ``(exponent tuple, Fraction)`` pairs, and the bound 0."""
+        return [(_check_index(e, dimension, nonnegative=True), _as_fraction(c)) for e, c in pairs], 0
 
     @classmethod
     def constant(cls, dimension: int, value: Scalar) -> Polynomial:
@@ -471,20 +472,22 @@ class Cochain(_TermStore):
         return _pack_term(indices) if max(map(max, indices)) <= EXPONENT_BUDGET else None
 
     @staticmethod
-    def _check_key(term: BasisTerm, dimension: int) -> int:
-        if not isinstance(term, BasisTerm):
-            raise TypeError(f"cochain terms must be BasisTerm, got {type(term).__name__}")
-        if term.dimension != dimension:
-            raise DimensionMismatchError(
-                f"term dimension {term.dimension} does not match cochain dimension {dimension}"
-            )
-        indices = (term.x_part, *term.slots)
-        _within_budget(max(map(max, indices)), "exponent")
-        return _pack_term(indices)
-
-    @staticmethod
-    def _bound_of(num: dict) -> int:
-        return max((max(_fields(k)[1:]) for k in num), default=0)
+    def _checked(pairs, dimension: int) -> tuple[list, int]:
+        """Checked ``(packed key, Fraction)`` pairs, and the largest exponent in them."""
+        keyed, bound = [], 0
+        for term, c in pairs:
+            if not isinstance(term, BasisTerm):
+                raise TypeError(f"cochain terms must be BasisTerm, got {type(term).__name__}")
+            if term.dimension != dimension:
+                raise DimensionMismatchError(
+                    f"term dimension {term.dimension} does not match cochain dimension {dimension}"
+                )
+            indices = (term.x_part, *term.slots)
+            top = max(map(max, indices))
+            if top > bound:
+                bound = _within_budget(top, "exponent")
+            keyed.append((_pack_term(indices), _as_fraction(c)))
+        return keyed, bound
 
     @classmethod
     def single(cls, term: BasisTerm, coeff: Scalar = 1) -> Cochain:
@@ -604,7 +607,7 @@ def _packed_splits(n: int, a: int, parts: int) -> tuple[tuple[int, int], ...]:
     piece.
     """
     return tuple(
-        (_pack(tuple(chain.from_iterable(pieces))), coeff)
+        (_pack(chain.from_iterable(pieces)), coeff)
         for pieces, coeff in index_splits(_unpack_index(n, a), parts)
     )
 

@@ -24,15 +24,7 @@ from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cochains import (
-    BasisTerm,
-    Cochain,
-    DimensionMismatchError,
-    Index,
-    _fields,
-    index_add,
-    zero_index,
-)
+from .cochains import BasisTerm, Cochain, DimensionMismatchError, Index, _fields, index_add, zero_index
 from .linsolve import solve_unique
 
 YES = "yes"

@@ -26,15 +26,7 @@ from itertools import islice
 from reprlib import repr as _brief  # depth- and length-bounded repr for error messages
 from typing import Union
 
-from .cochains import (
-    Cochain,
-    Polynomial,
-    _check_dimension,
-    _indices,
-    _integer_form,
-    _pack_term,
-    _within_budget,
-)
+from .cochains import Cochain, Polynomial, _check_dimension, _indices, _integer_form, _pack_term, _within_budget
 from .starproduct import Deformation
 
 Node = Union[int, Fraction, str, tuple]

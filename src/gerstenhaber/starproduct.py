@@ -161,10 +161,9 @@ def solve_delta(target: Cochain) -> Cochain:
         raise ArityError("solve_delta expects an arity-3 cochain")
     n = target.dimension
     width = _WIDTH * n
-    slot_bits = 3 * width
     components: dict[tuple[Index, Index], dict] = {}
     for key, num in target._num.items():
-        components.setdefault(_bigrade(n, key), {})[key & ((1 << slot_bits) - 1)] = num
+        components.setdefault(_bigrade(n, key), {})[key & ((1 << 3 * width) - 1)] = num
     # Each block is solved on the integer numerators; the solution is over
     # the target's denominator times the lcm of the blocks' denominators.
     solution: dict[int, Fraction] = {}
@@ -183,7 +182,7 @@ def solve_delta(target: Cochain) -> Cochain:
         x = solve_particular(block.matrix, rhs)
         if x is None:
             raise CoboundaryError(bigrade)
-        top = ((1 << width) | _pack(x_part)) << (2 * width)  # the sentinel and x-part of an arity-2 key
+        top = _pack(x_part, 1) << (2 * width)  # the sentinel and x-part of an arity-2 key
         # Blocks have distinct bigrades, so their basis terms never overlap.
         solution.update((top | slots, v) for slots, v in zip(block.slots2, x) if v)
     d = lcm(*[v.denominator for v in solution.values()])

@@ -94,6 +94,10 @@ def test_operations_refuse_a_result_bound_past_the_budget():
     for operation in (cup, bracket):
         with pytest.raises(ExponentBudgetError, match="result exponent bound 65536 exceeds"):
             operation(half, half)
+    # A preimage slot may take a whole slot total, the sum of three target slots.
+    wide = Cochain(2, {BasisTerm(2, (0, 0), ((40000, 0), (40000, 0), (0, 0))): 1})
+    with pytest.raises(ExponentBudgetError, match="preimage exponent bound 80000 exceeds"):
+        solve_delta(wide)
 
 
 def _run_cli(tmp_path, *documents_and_args):
