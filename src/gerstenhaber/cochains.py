@@ -110,6 +110,15 @@ def _pack_term(indices: Sequence[Index]) -> int:
     return _pack(chain.from_iterable(indices), 1)
 
 
+def _pack_checked(indices: Sequence[Index], bound: int) -> tuple[int, int]:
+    """The packed key of a term's nonnegative ``indices``, refused past the exponent
+    budget, and ``bound`` raised to the term's largest exponent."""
+    top = max(map(max, indices))
+    if top > bound:
+        bound = _within_budget(top, "exponent")
+    return _pack_term(indices), bound
+
+
 def _indices(n: int, key: int) -> tuple[Index, ...]:
     """The x-part and the slots of a packed key, in dimension ``n``."""
     fields = iter(_fields(key))
@@ -482,11 +491,8 @@ class Cochain(_TermStore):
                 raise DimensionMismatchError(
                     f"term dimension {term.dimension} does not match cochain dimension {dimension}"
                 )
-            indices = (term.x_part, *term.slots)
-            top = max(map(max, indices))
-            if top > bound:
-                bound = _within_budget(top, "exponent")
-            keyed.append((_pack_term(indices), _as_fraction(c)))
+            key, bound = _pack_checked((term.x_part, *term.slots), bound)
+            keyed.append((key, _as_fraction(c)))
         return keyed, bound
 
     @classmethod

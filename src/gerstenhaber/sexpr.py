@@ -26,7 +26,7 @@ from itertools import islice
 from reprlib import repr as _brief  # depth- and length-bounded repr for error messages
 from typing import Union
 
-from .cochains import Cochain, Polynomial, _check_dimension, _indices, _integer_form, _pack_term, _within_budget
+from .cochains import Cochain, Polynomial, _check_dimension, _indices, _integer_form, _pack_checked
 from .starproduct import Deformation
 
 Node = Union[int, Fraction, str, tuple]
@@ -232,10 +232,8 @@ def node_to_cochain(node: Node) -> Cochain:
         if dimension < 1:
             _check_dimension(dimension)
         _check_signs(indices)
-        top = max(map(max, indices))
-        if top > bound:
-            bound = _within_budget(top, "exponent")
-        pairs.append((_pack_term(indices), coeff))
+        key, bound = _pack_checked(indices, bound)
+        pairs.append((key, coeff))
     _check_dimension(dimension)
     return Cochain._raw(dimension, *_integer_form(pairs), bound)
 
