@@ -13,6 +13,8 @@ import random
 import pytest
 
 from gerstenhaber.cli import main
+from gerstenhaber.sexpr import parse_document, print_document
+from gerstenhaber.starproduct import solve_maurer_cartan
 
 INPUTS = {
     "pi1": "(cochain 2 (term 1 (0 0) (1 0) (0 1)) (term -1 (0 0) (0 1) (1 0)))",
@@ -276,3 +278,90 @@ def test_cli_law_suite_digest(capsys, seed):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == LAW_SUITE_EXPECTED[seed]
+
+
+# -- evaluation at the benchmark's scale --------------------------------------------
+
+# x-exponent of each unit bivector x^a (d1 (x) d2 - d2 (x) d1).
+BIVECTOR_X = {"const": (0, 0), "x1": (1, 0), "x1x2": (1, 1)}
+EVAL_ORDER = 4
+
+
+def eval_polynomial_text(label: str, size: int = 14) -> str:
+    """A polynomial of ``size`` distinct terms of total degree 8 to 14, its
+    exponents and coefficients fixed by ``label``."""
+    rng = random.Random(f"eval:{label}")
+    exponents: list = []
+    while len(exponents) < size:
+        d = 8 + len(exponents) % 7
+        a = rng.randint(0, d)
+        if (a, d - a) not in exponents:
+            exponents.append((a, d - a))
+    records = [f"(term {rng.choice((-3, -2, -1, 1, 2, 3))}/{rng.randint(1, 4)} ({a} {b}))" for a, b in exponents]
+    return "(poly 2\n  " + "\n  ".join(records) + ")\n"
+
+
+@pytest.fixture(scope="module")
+def eval_paths(tmp_path_factory):
+    """Per bivector: its order-4 deformation, solved here, and that
+    deformation's top coefficient as a cochain document; plus ``f`` and ``g``."""
+    root = tmp_path_factory.mktemp("eval")
+    texts = {"f": eval_polynomial_text("f"), "g": eval_polynomial_text("g")}
+    for key, (a, b) in BIVECTOR_X.items():
+        pi1 = parse_document(f"(cochain 2 (term 1 ({a} {b}) (1 0) (0 1)) (term -1 ({a} {b}) (0 1) (1 0)))")
+        deformation = solve_maurer_cartan(pi1, EVAL_ORDER)
+        texts[key] = print_document(deformation)
+        texts[f"{key}_top"] = print_document(deformation.coefficient(EVAL_ORDER))
+    out = {}
+    for name, text in texts.items():
+        path = root / f"{name}.sexp"
+        path.write_text(text, encoding="utf-8")
+        out[name] = str(path)
+    return out
+
+
+EVAL_CASES = {
+    **{f"star-apply-{key}": ["star-apply", "--deformation", f"{{{key}}}", "{f}", "{g}"] for key in BIVECTOR_X},
+    **{f"apply-{key}": ["apply", f"{{{key}_top}}", "{f}", "{g}"] for key in BIVECTOR_X},
+}
+
+# id -> (sha256 of the s-expression stdout, sha256 of the --json stdout)
+EVAL_EXPECTED = {
+    "apply-const": (
+        "8ed5e3fd601401c19b61390b8e84165b85f0a8e6717b1166138cb13428902452",
+        "277ff61c11654948e6acbc0f9d171cb1836318f2c2456e2456cb4fc7c814ace1",
+    ),
+    "apply-x1": (
+        "379391896abb3c1e1c9ee57e7ac79e4add5ccfa3b08d77f86f3bae45f0660876",
+        "e992f38b3bc571ffd6709fb28577c53083638481ea977a4578a8589a65fd06c4",
+    ),
+    "apply-x1x2": (
+        "3a607c29692cf32b18bd12ac1e0b04507d6b6bc2858ffa7480a676f98ac78d91",
+        "d2652b3245e9c0cf2ccc04a074495f1591704530f8206ab4eeb9c4dd5176bec9",
+    ),
+    "star-apply-const": (
+        "a0d6c6af9967fe12b9cacc1d36daaea9aff30d10d0e28a8a9855bd2059167800",
+        "478d758cf7af0f9b240e2626c70f17524751cdc1f0e545d55d41c279954d5521",
+    ),
+    "star-apply-x1": (
+        "d002e8f50b653aa7721337af55d5a59474e115f2c9440517e5475ac15350e70b",
+        "fd0ae2d8047f33ff58821401c62d5318de263bdff470f19c8ed632e3abc549c7",
+    ),
+    "star-apply-x1x2": (
+        "2cf8b68e20822ff9314601022ba9b77ff47c3579c63eb28194b1ebadee987365",
+        "04fa7908be72b20b925e160af7749b17d793413d6818cfd6c312f74c692655aa",
+    ),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["sexpr", "json"])
+@pytest.mark.parametrize("case", sorted(EVAL_CASES))
+def test_cli_evaluation_digest(eval_paths, capsys, case, as_json):
+    """Byte-identical evaluation of degree 8-14 polynomials under solved
+    order-4 deformations, the inputs of the benchmark's evaluation jobs at a
+    lower order."""
+    argv = [arg.format(**eval_paths) for arg in EVAL_CASES[case]]
+    assert main(["--json", *argv] if as_json else argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == EVAL_EXPECTED[case][as_json]
