@@ -6,7 +6,8 @@ of the mathematical objects they represent.
 
 Three layers:
 
-* ``Polynomial`` -- sparse multivariate polynomial, exponent tuple -> coefficient.
+* ``Polynomial`` -- sparse multivariate polynomial, exponent -> coefficient;
+  the arity-0 cochains, ``C^0(A, A) = A``.
 * ``BasisTerm``  -- one monomial operator ``x^(a0) d^(a1) (x) ... (x) d^(ap)``
   acting on ``p`` polynomial arguments (the ``slots``).
 * ``Cochain``    -- finite rational combination of basis terms; the arity-p
@@ -16,20 +17,20 @@ All three are immutable and hashable, and are stored in canonical form.
 ``Polynomial`` and ``Cochain`` share one store, ``_TermStore``: a dict from
 raw keys to nonzero integer numerators, over one positive denominator
 coprime to the numerators' gcd.  Equal values therefore have equal stores.
-A polynomial's raw key is its exponent tuple.  A cochain's raw key is one
-``int`` that packs the term: fixed ``_WIDTH``-bit fields, high to low, hold a
-sentinel 1, the x-part and slots 1..p, each index with its first coordinate
-highest.  The arity is read off ``bit_length()``, and integer order is the
+A raw key is one ``int`` that packs a term: fixed ``_WIDTH``-bit fields, high
+to low, hold a sentinel 1, the x-part and slots 1..p, each index with its
+first coordinate highest; a polynomial term is the arity-0 term with its
+exponent.  The arity is read off ``bit_length()``, and integer order is the
 canonical order (arity, then the x-exponent, then the slot list), so sorting
 the keys sorts the terms.  ``items()`` lists the terms in that order with
 reduced ``Fraction`` coefficients; it, ``coefficient()`` and printing are the
-only places that build ``BasisTerm``s and ``Fraction``s from the store.
+only places that build index tuples and ``Fraction``s from the store.
 
-Every exponent of a cochain term is at most ``EXPONENT_BUDGET``, the largest
-field value, so no field carries into its neighbour.  The constructor and
-the document reader refuse larger exponents, and each cochain carries an
-upper bound of its exponents that every operation checks, in O(1), for its
-result before packing a key; a refusal raises ``ExponentBudgetError``.
+Every exponent is at most ``EXPONENT_BUDGET``, the largest field value, so
+no field carries into its neighbour.  The constructors and the document
+reader refuse larger exponents, and each value carries an upper bound of
+its exponents that every operation checks, in O(1), for its result before
+packing a key; a refusal raises ``ExponentBudgetError``.
 
 Validation happens at the input boundary only.  The public constructors
 ``Polynomial(...)``, ``BasisTerm(...)`` and ``Cochain(...)`` check the
@@ -51,8 +52,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product as _cartesian
-from math import factorial, gcd, lcm, perm
-from operator import add as _add, sub as _sub
+from math import factorial, gcd, lcm, perm, prod
+from operator import add as _add
 from struct import Struct
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -75,7 +76,7 @@ class ArityError(ValueError):
 
 
 class ExponentBudgetError(ValueError):
-    """A cochain exponent, given or possible in a result, exceeds ``EXPONENT_BUDGET``."""
+    """An exponent, given or possible in a result, exceeds ``EXPONENT_BUDGET``."""
 
 
 def _within_budget(bound: int, what: str) -> int:
@@ -139,48 +140,47 @@ def index_add(a: Index, b: Index) -> Index:
     return tuple(map(_add, a, b))
 
 
-def index_sub(a: Index, b: Index) -> Index:
-    return tuple(map(_sub, a, b))
-
-
 def _check_dimension(dimension: int) -> None:
     if not isinstance(dimension, int) or dimension < 1:
         raise DimensionMismatchError(f"dimension must be a positive integer, got {dimension!r}")
 
 
-def _check_index(a: Sequence[int], dimension: int, *, nonnegative: bool) -> Index:
+def _check_index(a: Sequence[int], dimension: int) -> Index:
     a = tuple(a)
     if len(a) != dimension:
         raise DimensionMismatchError(f"index {a} has length {len(a)}, expected {dimension}")
     for entry in a:
         if not isinstance(entry, int):
             raise ValueError(f"index entries must be integers, got {entry!r}")
-        if nonnegative and entry < 0:
+        if entry < 0:
             raise ValueError(f"exponent index must be nonnegative, got {a}")
     return a
 
 
-def _product(f, g) -> dict[Index, int]:
-    """The product of two ``(exponent, int)`` term lists, summed per exponent."""
-    acc: dict[Index, int] = {}
-    for e1, c1 in f:
-        for e2, c2 in g:
-            e = index_add(e1, e2)
-            acc[e] = acc.get(e, 0) + c1 * c2
+def _product(f, g) -> dict[int, int]:
+    """The product of two ``(polynomial key, int)`` term lists, summed per key;
+    ``g``'s keys come without their sentinel, so adding keys adds exponents."""
+    acc: dict[int, int] = {}
+    for k1, c1 in f:
+        for k2, c2 in g:
+            k = k1 + k2
+            acc[k] = acc.get(k, 0) + c1 * c2
     return acc
 
 
-def _derive_terms(terms, a: Index) -> list:
-    """``d^a`` of ``(exponent, integer numerator)`` pairs."""
+def _derive_terms(terms, a: int, n: int) -> list:
+    """``d^a`` of ``(polynomial key, integer numerator)`` pairs in dimension ``n``,
+    for the packed index ``a``; a key may come with or without its sentinel."""
+    orders = _unpack_index(n, a)
+    mask = (1 << _WIDTH * n) - 1
     out = []
-    for e, c in terms:
-        factor = 1
-        for ei, ai in zip(e, a):
-            if ei < ai:
+    for key, c in terms:
+        for e, order in zip(_unpack_index(n, key & mask), orders):
+            if e < order:
                 break
-            factor *= perm(ei, ai)
+            c *= perm(e, order)
         else:
-            out.append((index_sub(e, a), c * factor))
+            out.append((key - a, c))
     return out
 
 
@@ -210,13 +210,12 @@ class _TermStore:
     """Sparse "key -> exact coefficient" store shared by Polynomial and Cochain.
 
     A value is ``_num``, a dict from raw keys to nonzero integer numerators,
-    over one denominator ``_den``.  A raw key is the exponent tuple of a
-    ``Polynomial`` term and the packed int of a ``Cochain`` term.  The store
-    is always reduced: ``_den >= 1`` and ``_den`` is coprime to the gcd of
-    the numerators, so each value has exactly one form, ``==`` compares
-    dicts and equal values hash alike.  ``_bound`` is at least every
-    exponent in a cochain's keys, within the exponent budget; polynomial
-    keys stay tuples, need no bound and keep 0.
+    over one denominator ``_den``.  A raw key is the packed int of a term;
+    a ``Polynomial`` term is packed as the arity-0 term with its exponent.
+    The store is always reduced: ``_den >= 1`` and ``_den`` is coprime to
+    the gcd of the numerators, so each value has exactly one form, ``==``
+    compares dicts and equal values hash alike.  ``_bound`` is at least
+    every exponent in the keys, within the exponent budget.
 
     Operations read and write this form directly.  The public constructor
     validates every key and coefficient; ``_reduced`` takes integer
@@ -231,8 +230,10 @@ class _TermStore:
 
     def __init__(self, dimension: int, terms=()):
         _check_dimension(dimension)
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
-        keyed, bound = self._checked(pairs, dimension)
+        keyed, bound = [], 0
+        for term, c in terms.items() if isinstance(terms, Mapping) else terms:
+            key, bound = _pack_checked(self._checked_indices(term, dimension), bound)
+            keyed.append((key, _as_fraction(c)))
         self._set(dimension, *_integer_form(keyed), bound)
 
     def _set(self, dimension: int, num: dict, d: int, bound: int) -> None:
@@ -344,18 +345,21 @@ class _TermStore:
 class Polynomial(_TermStore):
     """Sparse polynomial over the rationals in ``dimension`` variables.
 
-    Terms map exponent tuples to nonzero coefficients; the zero polynomial
-    stores no terms.  Instances are immutable.
+    Terms map exponent tuples to nonzero coefficients, stored as arity-0
+    cochain terms; the zero polynomial stores no terms.  Instances are immutable.
     """
 
     __slots__ = ()
-    _key = staticmethod(lambda dimension, expo: expo)
-    _raw_key = staticmethod(lambda expo, dimension: tuple(expo))
+    _key = staticmethod(lambda dimension, key: _indices(dimension, key)[0])
 
     @staticmethod
-    def _checked(pairs, dimension: int) -> tuple[list, int]:
-        """Checked ``(exponent tuple, Fraction)`` pairs, and the bound 0."""
-        return [(_check_index(e, dimension, nonnegative=True), _as_fraction(c)) for e, c in pairs], 0
+    def _raw_key(expo, dimension: int):
+        """The key of the exponent ``expo``, or None where no term can have it."""
+        expo = tuple(expo)
+        if len(expo) == dimension and all(isinstance(e, int) and 0 <= e <= EXPONENT_BUDGET for e in expo):
+            return _pack_term((expo,))
+
+    _checked_indices = staticmethod(lambda expo, dimension: (_check_index(expo, dimension),))
 
     @classmethod
     def constant(cls, dimension: int, value: Scalar) -> Polynomial:
@@ -378,19 +382,24 @@ class Polynomial(_TermStore):
         if not isinstance(other, Polynomial):
             return super().__mul__(other)
         self._check_same_dimension(other)
-        product = _product(self._num.items(), other._num.items())
-        return Polynomial._reduced(self.dimension, product, self._den * other._den)
+        bound = _within_budget(self._bound + other._bound, "product result exponent bound")
+        sentinel = 1 << _WIDTH * self.dimension
+        product = _product(self._num.items(), [(k ^ sentinel, c) for k, c in other._num.items()])
+        return Polynomial._reduced(self.dimension, product, self._den * other._den, bound)
 
     def derive(self, a: Sequence[int]) -> Polynomial:
         """Apply the mixed partial derivative ``d^a = d1^(a1) ... dn^(an)``."""
-        a = _check_index(a, self.dimension, nonnegative=True)
-        return Polynomial._reduced(self.dimension, dict(_derive_terms(self._num.items(), a)), self._den)
+        n = self.dimension
+        a = _check_index(a, n)
+        if max(a) > EXPONENT_BUDGET:  # past every exponent
+            return Polynomial.zero(n)
+        return Polynomial._reduced(n, dict(_derive_terms(self._num.items(), _pack(a), n)), self._den, self._bound)
 
     def __repr__(self):
         if not self._num:
             return "0"
         parts = []
-        for e, c in self._sorted_items():
+        for e, c in self.items():
             factors = [f"x{i + 1}^{p}" if p > 1 else f"x{i + 1}" for i, p in enumerate(e) if p]
             if not factors:
                 parts.append(str(c))
@@ -413,8 +422,9 @@ class BasisTerm:
 
     def __init__(self, dimension: int, x_part: Sequence[int], slots: Iterable[Sequence[int]] = ()):
         _check_dimension(dimension)
-        x_part = _check_index(x_part, dimension, nonnegative=True)
-        slots = tuple(_check_index(s, dimension, nonnegative=True) for s in slots)
+        self._set(dimension, _check_index(x_part, dimension), tuple(_check_index(s, dimension) for s in slots))
+
+    def _set(self, dimension: int, x_part: Index, slots: tuple[Index, ...]) -> None:
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "x_part", x_part)
         object.__setattr__(self, "slots", slots)
@@ -423,9 +433,7 @@ class BasisTerm:
     def _trusted(cls, dimension: int, x_part: Index, slots: tuple[Index, ...]) -> BasisTerm:
         """A term from indices derived from valid terms' indices; nothing is checked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "x_part", x_part)
-        object.__setattr__(self, "slots", slots)
+        self._set(dimension, x_part, slots)
         return self
 
     def __setattr__(self, name, value):
@@ -481,19 +489,14 @@ class Cochain(_TermStore):
         return _pack_term(indices) if max(map(max, indices)) <= EXPONENT_BUDGET else None
 
     @staticmethod
-    def _checked(pairs, dimension: int) -> tuple[list, int]:
-        """Checked ``(packed key, Fraction)`` pairs, and the largest exponent in them."""
-        keyed, bound = [], 0
-        for term, c in pairs:
-            if not isinstance(term, BasisTerm):
-                raise TypeError(f"cochain terms must be BasisTerm, got {type(term).__name__}")
-            if term.dimension != dimension:
-                raise DimensionMismatchError(
-                    f"term dimension {term.dimension} does not match cochain dimension {dimension}"
-                )
-            key, bound = _pack_checked((term.x_part, *term.slots), bound)
-            keyed.append((key, _as_fraction(c)))
-        return keyed, bound
+    def _checked_indices(term: BasisTerm, dimension: int) -> tuple[Index, ...]:
+        if not isinstance(term, BasisTerm):
+            raise TypeError(f"cochain terms must be BasisTerm, got {type(term).__name__}")
+        if term.dimension != dimension:
+            raise DimensionMismatchError(
+                f"term dimension {term.dimension} does not match cochain dimension {dimension}"
+            )
+        return (term.x_part, *term.slots)
 
     @classmethod
     def single(cls, term: BasisTerm, coeff: Scalar = 1) -> Cochain:
@@ -522,7 +525,8 @@ class Cochain(_TermStore):
         """Evaluate on a tuple of polynomials, one per slot.
 
         Every term must have arity ``len(args)``; the zero cochain accepts
-        any argument count.
+        any argument count.  This cochain's exponent bound plus the arguments'
+        must be within the budget, a conservative check: derivatives lower exponents.
         """
         for u in args:
             if not isinstance(u, Polynomial):
@@ -532,31 +536,33 @@ class Cochain(_TermStore):
                     f"argument dimension {u.dimension} does not match cochain dimension {self.dimension}"
                 )
         p = len(args)
-        width = _WIDTH * self.dimension
+        n = self.dimension
+        width = _WIDTH * n
         for key in self._num:
             arity = key.bit_length() // width - 1
             if arity != p:
                 raise ArityError(f"term of arity {arity} applied to {p} arguments")
-        # Integer numerators throughout, over the product of the denominators.
-        d = self._den
-        numerators = []
-        for u in args:
-            numerators.append(list(u._num.items()))
-            d *= u._den
+        bound = _within_budget(self._bound + sum(u._bound for u in args), "apply result exponent bound")
+        # Integer numerators throughout, over the product of the denominators;
+        # the arguments' keys lose their sentinel, as _product takes them.
+        sentinel = 1 << width
+        numerators = [[(k ^ sentinel, c) for k, c in u._num.items()] for u in args]
+        d = prod((u._den for u in args), start=self._den)
         derived: list[dict] = [{} for _ in args]  # per argument: slot -> its derivative
-        acc: dict[Index, int] = {}
-        n = self.dimension
+        shifts = [width * i for i in range(p - 1, -1, -1)]  # of slots 1..p
+        mask = sentinel - 1
+        acc: dict[int, int] = {}
         for key, coeff in self._num.items():
-            x_part, *slots = _indices(n, key)
-            value = {x_part: coeff}
-            for slot, num, cache in zip(slots, numerators, derived):
+            value = {key >> width * p: coeff}  # the x-part, as a polynomial key
+            for shift, num, cache in zip(shifts, numerators, derived):
+                slot = key >> shift & mask
                 du = cache.get(slot)
                 if du is None:
-                    du = cache[slot] = _derive_terms(num, slot)
+                    du = cache[slot] = _derive_terms(num, slot, n)
                 value = _product(value.items(), du)
-            for e, c in value.items():
-                acc[e] = acc.get(e, 0) + c
-        return Polynomial._reduced(self.dimension, acc, d)
+            for k, c in value.items():
+                acc[k] = acc.get(k, 0) + c
+        return Polynomial._reduced(n, acc, d, bound)
 
     def __repr__(self):
         if not self._num:

@@ -33,6 +33,10 @@ Node = Union[int, Fraction, str, tuple]
 
 KINDS = ("cochain", "poly", "deformation", "report")
 
+# The largest order a deformation document may declare: each order costs a
+# cochain, and an evaluation per star product, even without terms.
+ORDER_LIMIT = 4096
+
 
 class SexprError(ValueError):
     """Parse failure, with 1-based line and column."""
@@ -188,12 +192,13 @@ def _expect_list(node: Node, what: str) -> tuple:
 _is_int = int.__instancecheck__  # isinstance(v, int), for map()
 
 
-def _term_records(nodes, dimension: int):
+def _term_records(nodes, dimension: int, one_index: bool):
     """``(coefficient, indices)`` of each term record, checked for form.
 
     A record is ``("term", rational, index, ...)`` with at least one index,
-    and an index is a list of ``dimension`` integers.  Signs are left to the
-    caller, which reports them in its own order.
+    or exactly one where ``one_index``, and an index is a list of
+    ``dimension`` integers.  Signs are left to the caller, which reports
+    them in its own order.
     """
     for node in nodes:
         if not isinstance(node, tuple):
@@ -209,61 +214,57 @@ def _term_records(nodes, dimension: int):
                 raise ValueError(f"expected a list for index, got {_brief(index)}")
             if len(index) != dimension or not all(map(_is_int, index)):
                 raise ValueError(f"index {_brief(index)} is not {dimension} integers")
+        if one_index and len(indices) != 1:
+            raise ValueError("polynomial terms carry exactly one index")
         yield coeff, indices
 
 
-def _check_signs(indices: tuple) -> None:
+def _check_signs(indices) -> None:
     """Refuse the first of ``indices``, nonempty lists of integers, with a negative entry."""
-    if min(map(min, indices)) < 0:
+    if min(map(min, indices), default=0) < 0:
         bad = next(index for index in indices if min(index) < 0)
         raise ValueError(f"exponent index must be nonnegative, got {bad}")
 
 
-def node_to_cochain(node: Node) -> Cochain:
-    node = _expect_list(node, "cochain")
-    if len(node) < 2 or node[0] != "cochain" or not isinstance(node[1], int):
-        raise ValueError(f"malformed cochain document {_brief(node)}")
+def _node_to_store(node: Node, kind: str, cls):
+    """The ``Cochain`` or ``Polynomial`` of a ``cochain`` or ``poly`` document.
+
+    A cochain's terms are checked one after another: form, dimension, signs,
+    exponent budget.  A polynomial's every term's form comes first, then the
+    dimension and every sign, then each term's budget.
+    """
+    node = _expect_list(node, kind)
+    if len(node) < 2 or node[0] != kind or not isinstance(node[1], int):
+        raise ValueError(f"malformed {kind} document {_brief(node)}")
     dimension = node[1]
+    records = _term_records(node[2:], dimension, cls is Polynomial)
+    if cls is Polynomial:
+        records = list(records)
+        _check_dimension(dimension)
+        _check_signs([index for _, indices in records for index in indices])
     pairs = []
     bound = 0
-    # Each term is checked whole before the next one: its indices' form,
-    # then the dimension, then its indices' signs, then the exponent budget.
-    for coeff, indices in _term_records(node[2:], dimension):
+    for coeff, indices in records:
         if dimension < 1:
             _check_dimension(dimension)
         _check_signs(indices)
         key, bound = _pack_checked(indices, bound)
         pairs.append((key, coeff))
     _check_dimension(dimension)
-    return Cochain._raw(dimension, *_integer_form(pairs), bound)
+    return cls._raw(dimension, *_integer_form(pairs), bound)
+
+
+def _store_to_node(kind: str, value) -> Node:
+    n = value.dimension
+    return (kind, n) + tuple(("term", coeff) + _indices(n, key) for key, coeff in value._sorted_items())
+
+
+def node_to_cochain(node: Node) -> Cochain:
+    return _node_to_store(node, "cochain", Cochain)
 
 
 def cochain_to_node(c: Cochain) -> Node:
-    n = c.dimension
-    terms = tuple(("term", coeff) + _indices(n, key) for key, coeff in c._sorted_items())
-    return ("cochain", n) + terms
-
-
-def node_to_polynomial(node: Node) -> Polynomial:
-    node = _expect_list(node, "poly")
-    if len(node) < 2 or node[0] != "poly" or not isinstance(node[1], int):
-        raise ValueError(f"malformed poly document {_brief(node)}")
-    dimension = node[1]
-    pairs = []
-    for coeff, indices in _term_records(node[2:], dimension):
-        if len(indices) != 1:
-            raise ValueError("polynomial terms carry exactly one index")
-        pairs.append((indices[0], coeff))
-    # Every term's form is checked before the dimension and any sign.
-    _check_dimension(dimension)
-    if pairs:
-        _check_signs([e for e, _ in pairs])
-    return Polynomial._raw(dimension, *_integer_form(pairs))
-
-
-def polynomial_to_node(p: Polynomial) -> Node:
-    terms = tuple(("term", coeff, e) for e, coeff in p._sorted_items())
-    return ("poly", p.dimension) + terms
+    return _store_to_node("cochain", c)
 
 
 def node_to_deformation(node: Node) -> Deformation:
@@ -279,6 +280,8 @@ def node_to_deformation(node: Node) -> Deformation:
     order = node[2][1]
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"malformed deformation order {_brief(order)}")
+    if order > ORDER_LIMIT:
+        raise ValueError(f"deformation order {order} exceeds the limit of {ORDER_LIMIT}")
     by_order: dict[int, Cochain] = {}
     for entry in node[3:]:
         entry = _expect_list(entry, "deformation coefficient")
@@ -306,7 +309,7 @@ def deformation_to_node(d: Deformation) -> Node:
 # attribute (the benchmark's tracer) sees every call.
 _TYPED = {
     "cochain": (Cochain, lambda node: node_to_cochain(node), lambda c: cochain_to_node(c)),
-    "poly": (Polynomial, lambda node: node_to_polynomial(node), lambda p: polynomial_to_node(p)),
+    "poly": (Polynomial, lambda node: _node_to_store(node, "poly", Polynomial), lambda p: _store_to_node("poly", p)),
     "deformation": (Deformation, lambda node: node_to_deformation(node), lambda d: deformation_to_node(d)),
 }
 
@@ -321,7 +324,8 @@ def kind_of(document) -> str:
     raise TypeError(f"not a document: {type(document).__name__}")
 
 
-def _to_node(document) -> Node:
+def to_node(document) -> Node:
+    """The node ``document`` prints as."""
     if isinstance(document, tuple):
         return document
     return _TYPED[kind_of(document)][2](document)
@@ -338,7 +342,7 @@ def parse_document(text: str):
 
 
 def print_document(document) -> str:
-    return format_sexpr(_to_node(document))
+    return format_sexpr(to_node(document))
 
 
 def node_to_json(node: Node):
@@ -353,5 +357,5 @@ def node_to_json(node: Node):
 
 def document_to_json(document):
     """JSON mirror of the s-expression: same nesting, rationals as strings."""
-    node = _to_node(document)
+    node = to_node(document)
     return {"kind": node[0], "dimension": node[1], "body": node_to_json(node[2:])}

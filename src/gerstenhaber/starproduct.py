@@ -199,6 +199,11 @@ def _max_slot_order(c: Cochain) -> int:
     )
 
 
+def _first_block(c: Cochain) -> str:
+    """The name of the least bigrade block holding a term of a nonzero cochain."""
+    return f"bigrade block {min(_bigrade(c.dimension, key) for key in c._num)}"
+
+
 def solve_maurer_cartan(
     pi1: Cochain,
     order: int,
@@ -240,11 +245,13 @@ def solve_maurer_cartan(
             raise SlotOrderCapError(
                 f"slot order of the order-{k} obstruction exceeds cap {slot_order_cap}"
             )
-        if not hochschild_delta(b_k).is_zero:
-            raise SelfCheckError(f"order-{k} obstruction is not closed; bracket engine bug")
+        closure = hochschild_delta(b_k)
+        if not closure.is_zero:
+            raise SelfCheckError(f"order-{k} obstruction is not closed in {_first_block(closure)}; bracket engine bug")
         p_k = solve_delta(b_k)
-        if hochschild_delta(p_k) != b_k:
-            raise SelfCheckError(f"order-{k} block solve failed verification")
+        image = hochschild_delta(p_k)
+        if image != b_k:
+            raise SelfCheckError(f"order-{k} block solve failed verification in {_first_block(image - b_k)}")
         if delta_spec is not None and not b_k.is_zero:
             decision = in_ideal(p_k, delta_spec, fold=2)
             if not decision.is_yes:

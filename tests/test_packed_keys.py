@@ -1,23 +1,25 @@
-"""Packed cochain keys and the exponent budget.
+"""Packed term keys and the exponent budget.
 
-A cochain term's store key is one int of fixed-width fields.  Decoding must
-invert encoding, integer order must be the canonical term order, every
-field up to ``EXPONENT_BUDGET`` must survive the kernels' shifts, and an
-exponent past the budget, read or computed, must be refused rather than
-carried into a neighbouring field.
+A cochain term's store key is one int of fixed-width fields, and a
+polynomial term's key is that of the arity-0 term with its exponent.
+Decoding must invert encoding, integer order must be the canonical term
+order, every field up to ``EXPONENT_BUDGET`` must survive the kernels'
+shifts, and an exponent past the budget, read or computed, must be refused
+rather than carried into a neighbouring field.
 """
 
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerstenhaber import BasisTerm, Cochain
+from gerstenhaber import BasisTerm, Cochain, Polynomial
 from gerstenhaber.cochains import EXPONENT_BUDGET, ExponentBudgetError, _indices, _pack_term
 from gerstenhaber.grading import decompose_by_bigrade, theta_apply
 from gerstenhaber.operations import bracket, cup, hochschild_delta, insert
@@ -54,6 +56,44 @@ def test_packing_round_trips_and_orders_like_the_canonical_order(terms):
     ]
 
 
+EXPONENTS = st.integers(1, 3).flatmap(lambda n: st.lists(st.tuples(*[FIELD] * n), min_size=1, max_size=8, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPONENTS)
+def test_polynomial_keys_are_arity_0_cochain_keys_in_tuple_order(exponents):
+    n = len(exponents[0])
+    p = Polynomial(n, {e: i + 1 for i, e in enumerate(exponents)})
+    assert p._num == Cochain(n, {BasisTerm(n, e, ()): i + 1 for i, e in enumerate(exponents)})._num
+    for e in exponents:
+        assert Polynomial._key(n, Polynomial._raw_key(e, n)) == e
+    assert [e for e, _ in p.items()] == sorted(exponents)
+    assert sorted(p._num) == [_pack_term((e,)) for e in sorted(exponents)]
+
+
+def test_polynomial_coefficient_of_an_impossible_exponent_is_zero():
+    p = Polynomial(2, {(1, 0): 5, (0, EXPONENT_BUDGET): 7})
+    assert p.coefficient((1, 0)) == 5 and p.coefficient([0, EXPONENT_BUDGET]) == 7
+    # (0, 65536) would pack to the key of (1, 0) if its field carried.
+    for expo in [(0, EXPONENT_BUDGET + 1), (-1, 0), (1, -1), (1,), (1, 0, 0), (), (0, 2**70)]:
+        assert p.coefficient(expo) == 0
+
+
+def test_polynomial_budget_is_checked_at_construction_and_in_products():
+    at = Polynomial.monomial(2, (EXPONENT_BUDGET, 0))
+    assert list(at.items()) == [((EXPONENT_BUDGET, 0), 1)]
+    with pytest.raises(ExponentBudgetError, match="exponent 65536 exceeds the exponent budget of 65535"):
+        Polynomial.monomial(2, (0, EXPONENT_BUDGET + 1))
+    half = Polynomial.monomial(2, (32768, 0))
+    assert list((half * Polynomial.monomial(2, (32767, 1))).items()) == [((EXPONENT_BUDGET, 1), 1)]
+    with pytest.raises(ExponentBudgetError, match="product result exponent bound 65536 exceeds"):
+        half * half
+    with pytest.raises(ExponentBudgetError, match="apply result exponent bound 65536 exceeds"):
+        Cochain(2, {BasisTerm(2, (0, 0), ((1, 0),)): 1}).apply([at])
+    assert at.derive((EXPONENT_BUDGET + 1, 0)).is_zero
+    assert list(at.derive((EXPONENT_BUDGET, 0)).items()) == [((0, 0), factorial(EXPONENT_BUDGET))]
+
+
 SMALL = st.integers(0, 2)
 
 
@@ -75,6 +115,19 @@ def test_carried_bound_covers_every_result_exponent(f, g, y):
                theta_apply(f, (1,)), solve_delta(hochschild_delta(y)), *decompose_by_bigrade(f).values()]
     for result in results:
         assert max_exponent(result) <= result._bound <= EXPONENT_BUDGET
+
+
+SMALL_POLYNOMIAL = st.lists(st.tuples(st.tuples(SMALL, SMALL), st.integers(-3, 3)), max_size=3).map(
+    lambda p: Polynomial(2, p)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_POLYNOMIAL, SMALL_POLYNOMIAL, st.tuples(SMALL, SMALL), small_cochains(2))
+def test_carried_bound_covers_every_polynomial_exponent(u, v, a, f):
+    for result in (u * v, u + v, u - v, u * Fraction(1, 3), u.derive(a), f.apply([u, v])):
+        top = max((max(e) for e, _ in result.items()), default=0)
+        assert top <= result._bound <= EXPONENT_BUDGET
 
 
 def test_constructor_refuses_an_exponent_past_the_budget():
@@ -144,6 +197,53 @@ def test_cli_exponent_at_the_budget_survives_the_kernels(tmp_path):
     ids=["x-part", "slot", "cup", "bracket"],
 )
 def test_cli_refuses_past_the_budget_in_one_line(tmp_path, args, message):
+    result = _run_cli(tmp_path, *args)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {message}"]
+
+
+# 1 (x) 1, the plain product as an arity-2 cochain: every exponent bound is 0.
+PRODUCT_DEFORMATION = "(deformation 2 (order 1) (pk 1 (term 1 (0 0) (0 0) (0 0))))"
+ONE = "(poly 2 (term 1 (0 0)))"
+
+
+@pytest.mark.parametrize(
+    "args, stdout",
+    [
+        (["apply", "(cochain 2 (term 3 (0 0) (0 0)))", "(poly 2 (term 1 (65535 65535)))"],
+         "(poly 2\n  (term 3 (65535 65535)))\n"),
+        (["star-apply", "--deformation", PRODUCT_DEFORMATION, "(poly 2 (term 1/2 (0 65535)))", ONE],
+         "(report 2\n  (order 1)\n  (tpow 0 (term 1/2 (0 65535)))\n  (tpow 1 (term 1/2 (0 65535))))\n"),
+        (["assoc-defect", "--deformation", PRODUCT_DEFORMATION, ONE, "(poly 2 (term 1 (65535 0)))", ONE],
+         "(report 2\n  (order 1)\n  (zero yes))\n"),
+    ],
+    ids=["apply", "star-apply", "assoc-defect"],
+)
+def test_cli_polynomial_exponent_at_the_budget_is_accepted(tmp_path, args, stdout):
+    result = _run_cli(tmp_path, *args)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == stdout
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["apply", "(cochain 2 (term 1 (0 0)))", "(poly 2 (term 1 (0 65536)))"],
+         "exponent 65536 exceeds the exponent budget of 65535"),
+        (["star-apply", "--deformation", PRODUCT_DEFORMATION, ONE, "(poly 2 (term 1 (1 0)) (term 1 (65536 0)))"],
+         "exponent 65536 exceeds the exponent budget of 65535"),
+        (["assoc-defect", "--deformation", PRODUCT_DEFORMATION, "(poly 2 (term 1 (65536 0)))", ONE, ONE],
+         "exponent 65536 exceeds the exponent budget of 65535"),
+        (["star-apply", "--deformation", PRODUCT_DEFORMATION, "(poly 2 (term 1 (40000 0)))",
+          "(poly 2 (term 1 (0 30000)))"],
+         "product result exponent bound 70000 exceeds the exponent budget of 65535"),
+        (["apply", "(cochain 2 (term 1 (0 0) (1 0)))", "(poly 2 (term 1 (65535 0)))"],
+         "apply result exponent bound 65536 exceeds the exponent budget of 65535"),
+    ],
+    ids=["apply", "star-apply", "assoc-defect", "product-bound", "apply-bound"],
+)
+def test_cli_refuses_a_polynomial_past_the_budget_in_one_line(tmp_path, args, message):
     result = _run_cli(tmp_path, *args)
     assert result.returncode == 1
     assert result.stdout == ""

@@ -336,13 +336,13 @@ def _delta_adding(extra_for):
             "hochschild_delta",
             _delta_adding(lambda c: c if c.arities() == (3,) else Cochain.zero(2)),
             [],
-            "order-2 obstruction is not closed; bracket engine bug",
+            "order-2 obstruction is not closed in bigrade block ((-2, -2), (2, 2)); bracket engine bug",
         ),
         (
             "hochschild_delta",
             _delta_adding(lambda c: STRAY if c.arities() == (2,) and c != P1 else Cochain.zero(2)),
             [],
-            "order-2 block solve failed verification",
+            "order-2 block solve failed verification in bigrade block ((-3, 0), (3, 0))",
         ),
         (
             "in_ideal",
@@ -354,8 +354,9 @@ def _delta_adding(extra_for):
     ids=["not-closed", "solve-unverified", "escaped-ideal"],
 )
 def test_cli_solver_self_check_failure_exits_two(tmp_path, capsys, monkeypatch, attr, broken, gen, message):
-    """A failed self-check of the solver names its order on one stderr line
-    and exits 2, the verification-failure code, without a traceback."""
+    """A failed self-check of the solver names its order, and the first
+    bigrade block where the check fails, on one stderr line and exits 2, the
+    verification-failure code, without a traceback."""
     pi1 = tmp_path / "pi1.sexp"
     pi1.write_text(CONSTANT_BIVECTOR, encoding="utf-8")
     monkeypatch.setattr(f"gerstenhaber.starproduct.{attr}", broken)

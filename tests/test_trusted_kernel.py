@@ -20,7 +20,6 @@ from gerstenhaber.cochains import (
     DimensionMismatchError,
     index_add,
     index_splits,
-    index_sub,
     leibniz_split,
 )
 from gerstenhaber.grading import (
@@ -231,7 +230,7 @@ def _insertions(tf, k, tg, scale):
         for b, c in zip(tg.x_part, pieces[0]):
             falling *= perm(b, c)
         if falling:
-            x_part = index_add(tf.x_part, index_sub(tg.x_part, pieces[0]))
+            x_part = index_add(tf.x_part, tuple(a - b for a, b in zip(tg.x_part, pieces[0])))
             middle = tuple(map(index_add, tg.slots, pieces[1:]))
             yield BasisTerm(DIM, x_part, head + middle + tail), scale * multinomial * falling
 
