@@ -111,7 +111,6 @@ def _report(dimension: int, *body) -> tuple:
 
 
 def _terms(value) -> tuple:
-    """The term records of a cochain or polynomial."""
     return sexpr.to_node(value)[2:]
 
 
@@ -288,22 +287,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit the JSON mirror of the document")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *positionals):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        for positional in positionals:
-            p.add_argument(positional)
         return p
 
-    add("cup", lambda a: _cmd_binary(a, cup), "cup product of two cochains", "left", "right")
-    add("bracket", lambda a: _cmd_binary(a, bracket), "Gerstenhaber bracket of two cochains", "left", "right")
-    add("delta", _cmd_delta, "Hochschild coboundary of a cochain", "cochain")
+    p = add("cup", lambda a: _cmd_binary(a, cup), "cup product of two cochains")
+    p.add_argument("left")
+    p.add_argument("right")
 
-    p = add("apply", _cmd_apply, "evaluate a cochain on polynomial arguments", "cochain")
+    p = add("bracket", lambda a: _cmd_binary(a, bracket), "Gerstenhaber bracket of two cochains")
+    p.add_argument("left")
+    p.add_argument("right")
+
+    p = add("delta", _cmd_delta, "Hochschild coboundary of a cochain")
+    p.add_argument("cochain")
+
+    p = add("apply", _cmd_apply, "evaluate a cochain on polynomial arguments")
+    p.add_argument("cochain")
     p.add_argument("args", nargs="*", metavar="poly")
 
-    add("weight", _cmd_weight, "weight decomposition of a cochain", "cochain")
-    add("bigrade", _cmd_bigrade, "bigrade decomposition of a cochain", "cochain")
+    p = add("weight", _cmd_weight, "weight decomposition of a cochain")
+    p.add_argument("cochain")
+
+    p = add("bigrade", _cmd_bigrade, "bigrade decomposition of a cochain")
+    p.add_argument("cochain")
 
     def add_semigroup(p):
         p.add_argument("--gen", action="append", default=[], help="semigroup generator; use --gen=-1,-1")
@@ -313,20 +321,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True, help="comma-separated integers; use --weight=-3,-3")
     add_semigroup(p)
 
-    p = add("ideal-member", _cmd_ideal_member, "membership of a cochain in the r-fold ideal", "cochain")
+    p = add("ideal-member", _cmd_ideal_member, "membership of a cochain in the r-fold ideal")
+    p.add_argument("cochain")
     add_semigroup(p)
     p.add_argument("--fold", "-r", type=int, default=2, help="how many semigroup summands")
 
-    p = add("project", _cmd_project, "membership in and projection onto a weight subalgebra", "cochain")
+    p = add("project", _cmd_project, "membership in and projection onto a weight subalgebra")
+    p.add_argument("cochain")
     add_semigroup(p)
 
-    p = add("theta", _cmd_theta, "parity involution for a coordinate index set", "cochain")
+    p = add("theta", _cmd_theta, "parity involution for a coordinate index set")
+    p.add_argument("cochain")
     p.add_argument("--indices", required=True, help="1-based coordinates, e.g. 1,2")
 
-    p = add("theta-split", _cmd_theta_split, "split into involution-even and -odd parts", "cochain")
+    p = add("theta-split", _cmd_theta_split, "split into involution-even and -odd parts")
+    p.add_argument("cochain")
     p.add_argument("--indices", required=True)
 
-    p = add("filtration", _cmd_filtration, "filtration index of, or stage membership for, a cochain", "cochain")
+    p = add("filtration", _cmd_filtration, "filtration index of, or stage membership for, a cochain")
+    p.add_argument("cochain")
     p.add_argument("--mode", choices=("literal", "cumulative"), default="cumulative")
     p.add_argument("--alpha", help="stage index 'a1,a2:b1,b2'; omitted: least stage")
 
@@ -339,11 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assoc-trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("star-apply", _cmd_star_apply, "deformed product of two polynomials", "left", "right")
+    p = add("star-apply", _cmd_star_apply, "deformed product of two polynomials")
     p.add_argument("--deformation", required=True)
+    p.add_argument("left")
+    p.add_argument("right")
 
-    p = add("assoc-defect", _cmd_assoc_defect, "associativity defect of a deformation on a triple", "f", "g", "h")
+    p = add("assoc-defect", _cmd_assoc_defect, "associativity defect of a deformation on a triple")
     p.add_argument("--deformation", required=True)
+    p.add_argument("f")
+    p.add_argument("g")
+    p.add_argument("h")
     p.add_argument("--expect-zero", action="store_true", help="exit 2 when the defect is nonzero")
 
     p = add("verify-axioms", _cmd_verify, "run the seeded law-verification suites")

@@ -101,23 +101,13 @@ def _pack(fields: Iterable[int], key: int = 0) -> int:
 
 
 def _fields(key: int) -> tuple[int, ...]:
-    """The fields of a packed cochain key, high to low: the sentinel 1, the x-part, the slots."""
-    count = (key.bit_length() + _WIDTH - 1) // _WIDTH
-    return _fields_struct(count).unpack(key.to_bytes(count * _WIDTH // 8, "big"))
+    """The fields of a packed key, high to low: the sentinel 1, the x-part, the slots."""
+    return _unpack_index((key.bit_length() + _WIDTH - 1) // _WIDTH, key)
 
 
 def _pack_term(indices: Sequence[Index]) -> int:
     """The packed key of the term with x-part ``indices[0]`` and slots ``indices[1:]``."""
     return _pack(chain.from_iterable(indices), 1)
-
-
-def _pack_checked(indices: Sequence[Index], bound: int) -> tuple[int, int]:
-    """The packed key of a term's nonnegative ``indices``, refused past the exponent
-    budget, and ``bound`` raised to the term's largest exponent."""
-    top = max(map(max, indices))
-    if top > bound:
-        bound = _within_budget(top, "exponent")
-    return _pack_term(indices), bound
 
 
 def _indices(n: int, key: int) -> tuple[Index, ...]:
@@ -192,18 +182,25 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-def _integer_form(pairs) -> tuple[dict, int]:
-    """The reduced form of checked ``(raw key, int or Fraction)`` pairs.
+def _integer_form(pairs) -> tuple[dict, int, int]:
+    """The reduced form of ``(indices, int or Fraction)`` pairs of checked
+    nonnegative indices, and the largest exponent in them.
 
+    Each term is packed as it comes, refused past the exponent budget.
     Duplicate keys are summed and zero sums dropped.  Over the lcm of the
     reduced denominators the numerators share no factor with it.  The public
-    constructor and the document parser both build their values here.
+    constructors and the document parser both build their values here.
     """
     acc: dict = {}
-    for key, value in pairs:
+    bound = 0
+    for indices, value in pairs:
+        top = max(map(max, indices))
+        if top > bound:
+            bound = _within_budget(top, "exponent")
+        key = _pack_term(indices)
         acc[key] = value if (old := acc.get(key)) is None else old + value
     d = lcm(*[c.denominator for c in acc.values() if c])
-    return {k: c.numerator * (d // c.denominator) for k, c in acc.items() if c}, d
+    return {k: c.numerator * (d // c.denominator) for k, c in acc.items() if c}, d, bound
 
 
 class _TermStore:
@@ -230,11 +227,8 @@ class _TermStore:
 
     def __init__(self, dimension: int, terms=()):
         _check_dimension(dimension)
-        keyed, bound = [], 0
-        for term, c in terms.items() if isinstance(terms, Mapping) else terms:
-            key, bound = _pack_checked(self._checked_indices(term, dimension), bound)
-            keyed.append((key, _as_fraction(c)))
-        self._set(dimension, *_integer_form(keyed), bound)
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        self._set(dimension, *_integer_form((self._checked_indices(t, dimension), _as_fraction(c)) for t, c in pairs))
 
     def _set(self, dimension: int, num: dict, d: int, bound: int) -> None:
         object.__setattr__(self, "dimension", dimension)
@@ -538,8 +532,7 @@ class Cochain(_TermStore):
         p = len(args)
         n = self.dimension
         width = _WIDTH * n
-        for key in self._num:
-            arity = key.bit_length() // width - 1
+        for arity in self.arities():
             if arity != p:
                 raise ArityError(f"term of arity {arity} applied to {p} arguments")
         bound = _within_budget(self._bound + sum(u._bound for u in args), "apply result exponent bound")

@@ -26,7 +26,7 @@ from itertools import islice
 from reprlib import repr as _brief  # depth- and length-bounded repr for error messages
 from typing import Union
 
-from .cochains import Cochain, Polynomial, _check_dimension, _indices, _integer_form, _pack_checked
+from .cochains import Cochain, Polynomial, _check_dimension, _indices, _integer_form
 from .starproduct import Deformation
 
 Node = Union[int, Fraction, str, tuple]
@@ -192,13 +192,13 @@ def _expect_list(node: Node, what: str) -> tuple:
 _is_int = int.__instancecheck__  # isinstance(v, int), for map()
 
 
-def _term_records(nodes, dimension: int, one_index: bool):
-    """``(coefficient, indices)`` of each term record, checked for form.
+def _term_records(nodes, dimension: int, polynomial: bool):
+    """``(indices, coefficient)`` of each term record, checked for form.
 
     A record is ``("term", rational, index, ...)`` with at least one index,
-    or exactly one where ``one_index``, and an index is a list of
-    ``dimension`` integers.  Signs are left to the caller, which reports
-    them in its own order.
+    exactly one in a polynomial, and an index is a list of ``dimension``
+    integers.  A cochain's record is then checked for the dimension and its
+    signs; a polynomial's caller checks those once every record is read.
     """
     for node in nodes:
         if not isinstance(node, tuple):
@@ -214,9 +214,14 @@ def _term_records(nodes, dimension: int, one_index: bool):
                 raise ValueError(f"expected a list for index, got {_brief(index)}")
             if len(index) != dimension or not all(map(_is_int, index)):
                 raise ValueError(f"index {_brief(index)} is not {dimension} integers")
-        if one_index and len(indices) != 1:
-            raise ValueError("polynomial terms carry exactly one index")
-        yield coeff, indices
+        if polynomial:
+            if len(indices) != 1:
+                raise ValueError("polynomial terms carry exactly one index")
+        else:
+            if dimension < 1:
+                _check_dimension(dimension)
+            _check_signs(indices)
+        yield indices, coeff
 
 
 def _check_signs(indices) -> None:
@@ -229,9 +234,9 @@ def _check_signs(indices) -> None:
 def _node_to_store(node: Node, kind: str, cls):
     """The ``Cochain`` or ``Polynomial`` of a ``cochain`` or ``poly`` document.
 
-    A cochain's terms are checked one after another: form, dimension, signs,
-    exponent budget.  A polynomial's every term's form comes first, then the
-    dimension and every sign, then each term's budget.
+    Each term is checked for the exponent budget last: a cochain's one
+    after another, a polynomial's once every form, the dimension and every
+    sign are checked.
     """
     node = _expect_list(node, kind)
     if len(node) < 2 or node[0] != kind or not isinstance(node[1], int):
@@ -241,26 +246,15 @@ def _node_to_store(node: Node, kind: str, cls):
     if cls is Polynomial:
         records = list(records)
         _check_dimension(dimension)
-        _check_signs([index for _, indices in records for index in indices])
-    pairs = []
-    bound = 0
-    for coeff, indices in records:
-        if dimension < 1:
-            _check_dimension(dimension)
-        _check_signs(indices)
-        key, bound = _pack_checked(indices, bound)
-        pairs.append((key, coeff))
+        _check_signs([indices[0] for indices, _ in records])
+    form = _integer_form(records)
     _check_dimension(dimension)
-    return cls._raw(dimension, *_integer_form(pairs), bound)
+    return cls._raw(dimension, *form)
 
 
 def _store_to_node(kind: str, value) -> Node:
     n = value.dimension
     return (kind, n) + tuple(("term", coeff) + _indices(n, key) for key, coeff in value._sorted_items())
-
-
-def node_to_cochain(node: Node) -> Cochain:
-    return _node_to_store(node, "cochain", Cochain)
 
 
 def cochain_to_node(c: Cochain) -> Node:
@@ -290,7 +284,7 @@ def node_to_deformation(node: Node) -> Deformation:
         k = entry[1]
         if not 1 <= k <= order or k in by_order:
             raise ValueError(f"deformation coefficient order {k} out of range or repeated")
-        by_order[k] = node_to_cochain(("cochain", dimension) + tuple(entry[2:]))
+        by_order[k] = _node_to_store(("cochain", dimension) + tuple(entry[2:]), "cochain", Cochain)
     cochains = tuple(by_order.get(k, Cochain.zero(dimension)) for k in range(1, order + 1))
     return Deformation(dimension=dimension, cochains=cochains)
 
@@ -308,7 +302,7 @@ def deformation_to_node(d: Deformation) -> Node:
 # are looked up by name when called, so a wrapper installed on the module
 # attribute (the benchmark's tracer) sees every call.
 _TYPED = {
-    "cochain": (Cochain, lambda node: node_to_cochain(node), lambda c: cochain_to_node(c)),
+    "cochain": (Cochain, lambda node: _node_to_store(node, "cochain", Cochain), lambda c: cochain_to_node(c)),
     "poly": (Polynomial, lambda node: _node_to_store(node, "poly", Polynomial), lambda p: _store_to_node("poly", p)),
     "deformation": (Deformation, lambda node: node_to_deformation(node), lambda d: deformation_to_node(d)),
 }
