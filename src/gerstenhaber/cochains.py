@@ -102,7 +102,8 @@ def _pack(fields: Iterable[int], key: int = 0) -> int:
 
 def _fields(key: int) -> tuple[int, ...]:
     """The fields of a packed key, high to low: the sentinel 1, the x-part, the slots."""
-    return _unpack_index((key.bit_length() + _WIDTH - 1) // _WIDTH, key)
+    count = (key.bit_length() + _WIDTH - 1) // _WIDTH
+    return _fields_struct(count).unpack(key.to_bytes(count * _WIDTH // 8, "big"))
 
 
 def _pack_term(indices: Sequence[Index]) -> int:

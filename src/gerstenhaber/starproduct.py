@@ -200,7 +200,6 @@ def _max_slot_order(c: Cochain) -> int:
 
 
 def _first_block(c: Cochain) -> str:
-    """The name of the least bigrade block holding a term of a nonzero cochain."""
     return f"bigrade block {min(_bigrade(c.dimension, key) for key in c._num)}"
 
 
