@@ -20,7 +20,7 @@ import sys
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .cochains import ArityError, Cochain, DimensionMismatchError, Polynomial
+from .cochains import ArityError, DimensionMismatchError, Polynomial
 from .grading import (
     InconclusiveMembershipError,
     SemigroupSpec,

@@ -151,7 +151,7 @@ def run_bounded(argv):
 
 
 FUZZ_SETTINGS = settings(
-    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow]
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 
