@@ -16,6 +16,7 @@ from gerstenhaber import (
     solve_delta,
 )
 from gerstenhaber.sexpr import SexprError, parse_sexpr
+from gerstenhaber.starproduct import obstruction
 from gerstenhaber.cli import main
 
 
@@ -318,6 +319,8 @@ CONSTANT_BIVECTOR = "(cochain 2 (term 1 (0 0) (1 0) (0 1)) (term -1 (0 0) (0 1) 
 P1 = Cochain(2, {BasisTerm(2, (0, 0), ((1, 0), (0, 1))): Fraction(1, 2),
                  BasisTerm(2, (0, 0), ((0, 1), (1, 0))): Fraction(-1, 2)})
 STRAY = Cochain(2, {BasisTerm(2, (0, 0), ((1, 0), (1, 0), (1, 0))): 1})
+# A 3-cochain with a nonzero coboundary: what a bracket bug would add to an obstruction.
+NOT_CLOSED = Cochain(2, {BasisTerm(2, (0, 0), ((2, 0), (1, 1), (1, 0))): 1})
 
 
 def _delta_adding(extra_for):
@@ -333,10 +336,10 @@ def _delta_adding(extra_for):
     "attr, broken, gen, message",
     [
         (
-            "hochschild_delta",
-            _delta_adding(lambda c: c if c.arities() == (3,) else Cochain.zero(2)),
+            "obstruction",
+            lambda d, k: obstruction(d, k) + (NOT_CLOSED if k == 3 else Cochain.zero(2)),
             [],
-            "order-2 obstruction is not closed in bigrade block ((-2, -2), (2, 2)); bracket engine bug",
+            "order-3 obstruction is not closed in bigrade block ((-4, -1), (4, 1)); bracket engine bug",
         ),
         (
             "hochschild_delta",
