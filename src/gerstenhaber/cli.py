@@ -36,7 +36,6 @@ from .grading import (
 )
 from .operations import bracket, cup, hochschild_delta
 from .starproduct import (
-    CoboundaryError,
     SelfCheckError,
     SlotOrderCapError,
     associativity_defect,
@@ -398,7 +397,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sexpr.SexprError,
         DimensionMismatchError,
         ArityError,
-        CoboundaryError,
         SlotOrderCapError,
         ValueError,
         OSError,

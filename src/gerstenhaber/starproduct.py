@@ -7,14 +7,14 @@ cochains ``p_1 .. p_N``; the deformed product is
 
 and associativity through order N is equivalent to the coboundary equations
 ``delta p_k = B_k`` with ``B_k = 1/2 sum_{i+j=k} [p_i, p_j]``.  The solver
-builds each ``B_k``, checks it is closed, and inverts the coboundary on the
-finite bigrade blocks it touches: the coboundary preserves the bigrade, and
-a fixed bigrade pins both the x-exponent and the total slot order, leaving
-finitely many basis terms per arity.  The coboundary carries the x-exponent
-through, so a block's matrix depends only on its slot total and is built
-once per slot total from slot lists.  Block systems are solved by exact
-rational elimination with free variables pinned to zero, so the output is a
-deterministic function of the input (no cocycle is ever added).
+builds each ``B_k`` and inverts the coboundary on the finite bigrade blocks
+it touches: the coboundary preserves the bigrade, and a fixed bigrade pins
+both the x-exponent and the total slot order, leaving finitely many basis
+terms per arity.  The coboundary carries the x-exponent through, so a
+block's sparse columns and pivot columns depend only on its slot total.
+Each block's square system on its pivot columns is solved exactly, the
+other variables pinned to zero, so the output is a deterministic function
+of the input (no cocycle is ever added); one coboundary checks it.
 
 Conventions: callers hand the solver a Poisson bivector ``pi1`` and the head
 coefficient is ``p_1 = pi1 / 2``; all reported cochains are the ``p_k``.
@@ -41,7 +41,7 @@ from .cochains import (
     _within_budget,
 )
 from .grading import SemigroupSpec, _bigrade, in_ideal, in_subalgebra
-from .linsolve import solve_particular
+from .linsolve import pivot_columns, solve_particular
 from .operations import _delta_term, bracket, hochschild_delta
 
 HALF = Fraction(1, 2)
@@ -115,45 +115,36 @@ class BlockSystem:
     """The coboundary from arity-2 to arity-3 slot lists of one slot total.
 
     The coboundary keeps a term's x-part, so every bigrade block with this
-    slot total has this matrix.  Slot lists are packed slot blocks (see
-    ``cochains``), whose integer order is the order of the lists.
-    ``matrix[r][c]`` is the coefficient of the arity-3 slot list in row
-    ``r`` in the coboundary of ``slots2[c]``; entries are integers
-    (structure constants).  ``row_of`` maps each arity-3 slot list to its
-    row, in row order.
+    slot total has these columns.  Slot lists are packed slot blocks (see
+    ``cochains``), whose integer order is the order of the lists and is the
+    row order.  ``columns[c]`` is the coboundary of ``slots2[c]``: integer
+    coefficients (structure constants) keyed by arity-3 slot list.
+    ``pivots`` are its ``pivot_columns``, each with its row.
     """
 
-    slot_total: Index
     slots2: tuple[int, ...]
-    row_of: dict[int, int]
-    matrix: tuple[tuple[int, ...], ...]
+    columns: tuple[dict[int, int], ...]
+    pivots: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
 def build_block(slot_total: Index) -> BlockSystem:
-    """The coboundary matrix on the sorted two- and three-slot splits of ``slot_total``."""
+    """The sparse coboundary columns of the sorted two-slot splits of ``slot_total``."""
     if any(s < 0 for s in slot_total):
         raise ValueError(f"invalid slot total {slot_total}: entries must be nonnegative")
     n = len(slot_total)
-    total = _pack(slot_total)
-    slots2 = tuple(sorted(pieces for pieces, _ in _packed_splits(n, total, 2)))
-    slots3 = sorted(pieces for pieces, _ in _packed_splits(n, total, 3))
-    row_of = {slots: r for r, slots in enumerate(slots3)}
-    matrix = [[0] * len(slots2) for _ in slots3]
-    for c, slots in enumerate(slots2):
-        for image, coeff in _delta_term(n, slots, 2):
-            matrix[row_of[image]][c] = coeff
-    return BlockSystem(slot_total, slots2, row_of, tuple(map(tuple, matrix)))
+    slots2 = tuple(sorted(pieces for pieces, _ in _packed_splits(n, _pack(slot_total), 2)))
+    columns = tuple(dict(_delta_term(n, slots, 2)) for slots in slots2)
+    return BlockSystem(slots2, columns, pivot_columns(columns))
 
 
 def solve_delta(target: Cochain) -> Cochain:
     """Exact preimage of an arity-3 cochain under the coboundary.
 
-    Decomposes by bigrade and solves each block system; raises
-    ``CoboundaryError`` naming the first offending block when some component
-    is not a coboundary.  The returned preimage is the reduced-echelon
-    particular solution in every block (free variables zero), making the
-    result deterministic.
+    Solves each bigrade block's square system on its pivot columns and
+    their rows, the other variables zero: the reduced-echelon particular
+    solution, so the result is deterministic.  Raises ``CoboundaryError``
+    naming the first block where the preimage's coboundary misses the target.
     """
     if target.is_zero:
         return Cochain.zero(target.dimension)
@@ -168,26 +159,26 @@ def solve_delta(target: Cochain) -> Cochain:
     # the target's denominator times the lcm of the blocks' denominators.
     solution: dict[int, Fraction] = {}
     bound = 0
-    # Sorted, so CoboundaryError names the same first block on every run.
-    for bigrade, component in sorted(components.items()):
+    for bigrade, component in components.items():
         down, up = bigrade
         x_part = tuple((d + u) // 2 for d, u in zip(down, up))
         slot_total = tuple((u - d) // 2 for d, u in zip(down, up))
         # A preimage's slots split the slot total, so its exponents are at most these.
         bound = max(bound, _within_budget(max(*x_part, *slot_total), "preimage exponent bound"))
         block = build_block(slot_total)
-        rhs = [0] * len(block.row_of)
-        for slots, num in component.items():
-            rhs[block.row_of[slots]] = num
-        x = solve_particular(block.matrix, rhs)
-        if x is None:
-            raise CoboundaryError(bigrade)
+        square = [[block.columns[c].get(row, 0) for c, _ in block.pivots] for _, row in block.pivots]
+        x = solve_particular(square, [component.get(row, 0) for _, row in block.pivots])
         top = _pack(x_part, 1) << (2 * width)  # the sentinel and x-part of an arity-2 key
         # Blocks have distinct bigrades, so their basis terms never overlap.
-        solution.update((top | slots, v) for slots, v in zip(block.slots2, x) if v)
+        solution.update((top | block.slots2[c], v) for (c, _), v in zip(block.pivots, x) if v)
     d = lcm(*[v.denominator for v in solution.values()])
     num = {key: v.numerator * (d // v.denominator) for key, v in solution.items()}
-    return Cochain._reduced(n, num, d * target._den, bound)
+    preimage = Cochain._reduced(n, num, d * target._den, bound)
+    # The coboundary keeps bigrades, so only a block with no preimage differs.
+    wrong = hochschild_delta(preimage) - target
+    if not wrong.is_zero:
+        raise CoboundaryError(min(_bigrade(n, key) for key in wrong._num))
+    return preimage
 
 
 def _max_slot_order(c: Cochain) -> int:
@@ -197,10 +188,6 @@ def _max_slot_order(c: Cochain) -> int:
         (sum(fields[i : i + n]) for fields in map(_fields, c._num) for i in range(1 + n, len(fields), n)),
         default=0,
     )
-
-
-def _first_block(c: Cochain) -> str:
-    return f"bigrade block {min(_bigrade(c.dimension, key) for key in c._num)}"
 
 
 def solve_maurer_cartan(
@@ -217,7 +204,7 @@ def solve_maurer_cartan(
     ``pi1`` must lie in its weight subalgebra and every higher coefficient is
     verified to lie in the 2-fold ideal. Raises ``SlotOrderCapError`` instead
     of silently truncating when obstruction terms outgrow ``slot_order_cap``,
-    and ``SelfCheckError`` when one of the checks after each order fails.
+    and ``SelfCheckError`` when a block solve or the ideal check fails.
     """
     if pi1.dimension != 2:
         raise DimensionMismatchError(
@@ -244,13 +231,15 @@ def solve_maurer_cartan(
             raise SlotOrderCapError(
                 f"slot order of the order-{k} obstruction exceeds cap {slot_order_cap}"
             )
-        closure = hochschild_delta(b_k)
-        if not closure.is_zero:
-            raise SelfCheckError(f"order-{k} obstruction is not closed in {_first_block(closure)}; bracket engine bug")
-        p_k = solve_delta(b_k)
-        image = hochschild_delta(p_k)
-        if image != b_k:
-            raise SelfCheckError(f"order-{k} block solve failed verification in {_first_block(image - b_k)}")
+        try:
+            p_k = solve_delta(b_k)
+        except CoboundaryError as err:
+            # In dimension 2 every closed 3-cochain is exact, so either way this is an engine bug.
+            closure = hochschild_delta(b_k)
+            if closure.is_zero:
+                raise SelfCheckError(f"order-{k} block solve failed verification in bigrade block {err.bigrade}") from err
+            block = min(_bigrade(2, key) for key in closure._num)
+            raise SelfCheckError(f"order-{k} obstruction is not closed in bigrade block {block}; bracket engine bug") from err
         if delta_spec is not None and not b_k.is_zero:
             decision = in_ideal(p_k, delta_spec, fold=2)
             if not decision.is_yes:

@@ -14,7 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerstenhaber.linsolve import solve_particular, solve_unique
+from gerstenhaber.linsolve import _eliminate, pivot_columns, solve_particular, solve_unique
 
 # Mostly zeros, like the coboundary blocks the solver hands over.
 ENTRY = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2, -3])
@@ -139,6 +139,34 @@ def test_inconsistent_rhs_gives_none(kind, data):
     assert _reference(matrix, rhs)[0] is None
     assert solve_particular(matrix, rhs) is None
     assert solve_unique(matrix, rhs) is None
+
+
+@pytest.mark.parametrize("kind", ["small", "big"])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_pivot_solve_matches_elimination(kind, data):
+    """The column-pivot solve: the square system on the pivot columns and
+    their rows, every other variable zero, then a check against all rows."""
+    cols = data.draw(st.integers(1, 6))
+    matrix = [[data.draw(ENTRIES[kind]) for _ in range(cols)] for _ in range(data.draw(st.integers(cols, 3 * cols)))]
+    rhs = _times(matrix, [data.draw(VALUE) for _ in range(cols)])
+    if data.draw(st.booleans()):  # often inconsistent, sometimes not
+        rhs = [b + data.draw(st.sampled_from([0, 0, 1, Fraction(-1, 2)])) for b in rhs]
+    columns = [{r: row[j] for r, row in enumerate(matrix) if row[j]} for j in range(cols)]
+    pivots = pivot_columns(columns)
+    reference_pivots = list(sympy.Matrix(matrix).rref()[1])
+    assert [j for j, _ in pivots] == reference_pivots
+    assert len(pivots) == _eliminate(matrix, [0] * len(matrix))[1]
+    square = [[columns[j].get(r, 0) for j, _ in pivots] for _, r in pivots]
+    x = solve_unique(square, [rhs[r] for _, r in pivots]) if pivots else []
+    assert x is not None  # nonsingular
+    full = [Fraction(0)] * cols
+    for (j, _), v in zip(pivots, x):
+        full[j] = v
+    expected = solve_particular(matrix, rhs)
+    assert (_times(matrix, full) == rhs) == (expected is not None)
+    if expected is not None:
+        _assert_same(full, expected)
 
 
 def test_free_variables_pinned_to_zero():

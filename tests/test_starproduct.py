@@ -11,8 +11,10 @@ from gerstenhaber import (
     Polynomial,
     SemigroupSpec,
     associativity_defect,
+    bigrade_of,
     bracket,
     build_block,
+    decompose_by_bigrade,
     hochschild_delta,
     in_ideal,
     obstruction,
@@ -22,6 +24,7 @@ from gerstenhaber import (
     weight_of,
 )
 from gerstenhaber.cochains import ArityError, DimensionMismatchError, _indices
+from gerstenhaber.linsolve import solve_unique
 from gerstenhaber.axioms import random_homogeneous_cochain, random_polynomial
 
 
@@ -109,15 +112,27 @@ def test_obstructions_closed_for_solver_output():
 # -- blocks --------------------------------------------------------------------
 
 
-def test_block_composition_count():
-    block = build_block((2, 2))
-    assert len(block.slots2) == 9  # ordered pairs summing to (2, 2)
-    assert len(block.row_of) == 36
-
-
 def slot_list(block, arity):
     """The slots of a packed dimension-2 slot block: those of the key with x-part zero."""
     return _indices(2, (1 << 32 * (arity + 1)) | block)[1:]
+
+
+def test_block_composition_count():
+    block = build_block((2, 2))
+    assert len(block.slots2) == 9  # ordered pairs summing to (2, 2)
+    indices = [(a, b) for a in range(3) for b in range(3)]
+    slots3 = {(s, t, (2 - s[0] - t[0], 2 - s[1] - t[1]))
+              for s in indices for t in indices if s[0] + t[0] <= 2 and s[1] + t[1] <= 2}
+    assert len(slots3) == 36  # ordered triples summing to (2, 2)
+    assert len(block.columns) == 9
+    for column in block.columns:
+        assert column and {slot_list(s, 3) for s in column} <= slots3
+    # One 2-cocycle in the block, so the coboundary has rank 9 - 1; the
+    # pivots and their rows carry a nonsingular square system.
+    assert len(block.pivots) == 8
+    assert {slot_list(row, 3) for _, row in block.pivots} <= slots3
+    square = [[block.columns[c].get(row, 0) for c, _ in block.pivots] for _, row in block.pivots]
+    assert solve_unique(square, [0] * 8) == [0] * 8
 
 
 def test_diagonal_block_is_single_term():
@@ -130,7 +145,8 @@ def test_block_columns_are_coboundary_coordinates():
     for x_part in ((0, 0), (3, 1)):
         for c, slots in enumerate(block.slots2):
             image = hochschild_delta(Cochain.single(term(x_part, *slot_list(slots, 2))))
-            column = [(term(x_part, *slot_list(s, 3)), block.matrix[r][c]) for s, r in block.row_of.items()]
+            column = [(term(x_part, *slot_list(s, 3)), v) for s, v in block.columns[c].items()]
+            assert all(v for _, v in column)
             assert image == Cochain(2, column)
 
 
@@ -176,7 +192,29 @@ def test_solve_delta_rejects_non_coboundary():
         except CoboundaryError as err:
             corrupted = err.bigrade
             break
-    assert corrupted is not None
+    assert corrupted == bigrade_of(t)
+
+
+# Not closed, so not coboundaries: each alone makes its block inconsistent.
+NOT_EXACT = term((0, 0), (2, 0), (1, 1), (1, 0))  # bigrade ((-4, -1), (4, 1))
+NOT_EXACT_LATER = term((1, 0), (2, 0), (1, 1), (1, 0))  # bigrade ((-3, -1), (5, 1))
+
+
+def test_solve_delta_names_an_inconsistent_block_after_a_consistent_one():
+    exact = hochschild_delta(Cochain.single(term((0, 0), (3, 0), (2, 1))))
+    assert max(decompose_by_bigrade(exact)) < bigrade_of(NOT_EXACT)
+    with pytest.raises(CoboundaryError) as caught:
+        solve_delta(exact + Cochain.single(NOT_EXACT))
+    assert caught.value.bigrade == bigrade_of(NOT_EXACT) == ((-4, -1), (4, 1))
+
+
+def test_solve_delta_names_the_smaller_of_two_inconsistent_blocks():
+    assert bigrade_of(NOT_EXACT) < bigrade_of(NOT_EXACT_LATER)
+    exact = hochschild_delta(Cochain.single(term((0, 0), (3, 0), (2, 1))))
+    target = Cochain.single(NOT_EXACT_LATER) + exact + Cochain(2, {NOT_EXACT: Fraction(-2, 3)})
+    with pytest.raises(CoboundaryError) as caught:
+        solve_delta(target)
+    assert caught.value.bigrade == bigrade_of(NOT_EXACT)
 
 
 def test_solve_delta_requires_arity_three():
@@ -192,6 +230,21 @@ def test_solve_delta_deterministic():
 
 
 # -- the full recursion ---------------------------------------------------------
+
+
+def test_solver_applies_the_coboundary_once_per_order(monkeypatch):
+    """No closedness check of the obstruction on the success path: the only
+    coboundaries are that of p_1 and the check of each p_k inside solve_delta."""
+    arities = []
+
+    def counting(c):
+        arities.append(c.arities())
+        return hochschild_delta(c)
+
+    monkeypatch.setattr("gerstenhaber.starproduct.hochschild_delta", counting)
+    d = solve_maurer_cartan(linear_bivector(), 5)
+    assert all(not d.coefficient(k).is_zero for k in range(1, 6))
+    assert arities == [(2,)] * 5
 
 
 def test_constant_symplectic_solves_to_order_four():
