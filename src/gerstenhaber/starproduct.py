@@ -159,8 +159,7 @@ def solve_delta(target: Cochain) -> Cochain:
     # the target's denominator times the lcm of the blocks' denominators.
     solution: dict[int, Fraction] = {}
     bound = 0
-    for bigrade, component in components.items():
-        down, up = bigrade
+    for (down, up), component in components.items():
         x_part = tuple((d + u) // 2 for d, u in zip(down, up))
         slot_total = tuple((u - d) // 2 for d, u in zip(down, up))
         # A preimage's slots split the slot total, so its exponents are at most these.
