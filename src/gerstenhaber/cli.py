@@ -24,8 +24,7 @@ from .cochains import ArityError, DimensionMismatchError, Polynomial
 from .grading import (
     InconclusiveMembershipError,
     SemigroupSpec,
-    decompose_by_bigrade,
-    decompose_by_weight,
+    bigrade_groups,
     filtration_contains,
     filtration_index,
     in_ideal,
@@ -33,6 +32,7 @@ from .grading import (
     semigroup_member,
     theta_apply,
     theta_split,
+    weight_groups,
 )
 from .operations import bracket, cup, hochschild_delta
 from .starproduct import (
@@ -42,6 +42,7 @@ from .starproduct import (
     solve_maurer_cartan,
     star_apply,
 )
+from .sexpr import Terms
 from . import axioms, sexpr
 
 EXIT_OK = 0
@@ -109,12 +110,8 @@ def _report(dimension: int, *body) -> tuple:
     return ("report", dimension) + body
 
 
-def _terms(value) -> tuple:
-    return sexpr.to_node(value)[2:]
-
-
 def _series_body(series: dict[int, Polynomial]) -> tuple:
-    return tuple(("tpow", k) + _terms(p) for k, p in sorted(series.items()))
+    return tuple(("tpow", k, Terms(p)) for k, p in sorted(series.items()))
 
 
 def _membership_body(decision) -> tuple:
@@ -149,18 +146,13 @@ def _cmd_apply(args) -> tuple:
 
 def _cmd_weight(args) -> tuple:
     c = _load(args.cochain, "cochain")
-    body = tuple(
-        ("weight", w) + _terms(part) for w, part in decompose_by_weight(c).items()
-    )
+    body = tuple(("weight", w, Terms(c, keys)) for w, keys in weight_groups(c))
     return _report(c.dimension, *body), EXIT_OK
 
 
 def _cmd_bigrade(args) -> tuple:
     c = _load(args.cochain, "cochain")
-    body = tuple(
-        ("bigrade", bg[0], bg[1]) + _terms(part)
-        for bg, part in decompose_by_bigrade(c).items()
-    )
+    body = tuple(("bigrade", down, up, Terms(c, keys)) for (down, up), keys in bigrade_groups(c))
     return _report(c.dimension, *body), EXIT_OK
 
 
@@ -188,7 +180,7 @@ def _cmd_project(args) -> tuple:
     c = _load(args.cochain, "cochain")
     projected = project_subalgebra(c, _semigroup_from_args(args, c.dimension))
     member = "yes" if projected == c else "no"
-    body = (("member", member), ("projection",) + _terms(projected))
+    body = (("member", member), ("projection", Terms(projected)))
     return _report(c.dimension, *body), EXIT_OK
 
 
@@ -202,7 +194,7 @@ def _cmd_theta_split(args) -> tuple:
     c = _load(args.cochain, "cochain")
     indices = _parse_vector(args.indices, "--indices")
     plus, minus = theta_split(c, indices)
-    body = (("plus",) + _terms(plus), ("minus",) + _terms(minus))
+    body = (("plus", Terms(plus)), ("minus", Terms(minus)))
     return _report(c.dimension, *body), EXIT_OK
 
 

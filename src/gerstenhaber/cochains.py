@@ -23,8 +23,10 @@ first coordinate highest; a polynomial term is the arity-0 term with its
 exponent.  The arity is read off ``bit_length()``, and integer order is the
 canonical order (arity, then the x-exponent, then the slot list), so sorting
 the keys sorts the terms.  ``items()`` lists the terms in that order with
-reduced ``Fraction`` coefficients; it, ``coefficient()`` and printing are the
-only places that build index tuples and ``Fraction``s from the store.
+reduced ``Fraction`` coefficients; it and ``coefficient()`` are the only
+places that build index tuples and ``Fraction``s from the store.  The
+printer in ``sexpr`` reads the keys' field groups and the numerators
+directly.
 
 Every exponent is at most ``EXPONENT_BUDGET``, the largest field value, so
 no field carries into its neighbour.  The constructors and the document
@@ -35,9 +37,10 @@ packing a key; a refusal raises ``ExponentBudgetError``.
 Validation happens at the input boundary only.  The public constructors
 ``Polynomial(...)``, ``BasisTerm(...)`` and ``Cochain(...)`` check the
 dimension, index lengths, integer and nonnegative index entries, exact
-coefficient types and term types and dimensions; the document reader in
-``sexpr`` makes the same checks once per term record and builds raw keys
-directly.  Both hand their terms to ``_integer_form``.  The package's own
+coefficient types and term types and dimensions, and hand their terms to
+``_integer_form``; the document reader in ``sexpr`` makes the same checks
+once per distinct index and builds raw keys directly.  Both bring their
+summed coefficients over one denominator with ``_over_lcm``.  The package's own
 operations -- ``Polynomial.__mul__``, ``Cochain.apply``, the arithmetic
 operators, the cochain operations in ``operations`` and the decompositions
 in ``grading`` -- add integer numerators keyed on raw keys and build their
@@ -91,6 +94,19 @@ def _within_budget(bound: int, what: str) -> int:
 @lru_cache(maxsize=None)
 def _fields_struct(count: int) -> Struct:
     return Struct(f">{count}H")
+
+
+class _Memo(dict):
+    """``compute(key)`` for each key, computed at the key's first lookup."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 def _pack(fields: Iterable[int], key: int = 0) -> int:
@@ -188,9 +204,8 @@ def _integer_form(pairs) -> tuple[dict, int, int]:
     nonnegative indices, and the largest exponent in them.
 
     Each term is packed as it comes, refused past the exponent budget.
-    Duplicate keys are summed and zero sums dropped.  Over the lcm of the
-    reduced denominators the numerators share no factor with it.  The public
-    constructors and the document parser both build their values here.
+    Duplicate keys are summed, then brought over one denominator by
+    ``_over_lcm``.  The public constructors build their values here.
     """
     acc: dict = {}
     bound = 0
@@ -200,8 +215,14 @@ def _integer_form(pairs) -> tuple[dict, int, int]:
             bound = _within_budget(top, "exponent")
         key = _pack_term(indices)
         acc[key] = value if (old := acc.get(key)) is None else old + value
+    return *_over_lcm(acc), bound
+
+
+def _over_lcm(acc: dict) -> tuple[dict, int]:
+    """Integer numerators of ``key -> int or Fraction`` over the lcm of the
+    reduced denominators, zeros dropped; the numerators share no factor with it."""
     d = lcm(*[c.denominator for c in acc.values() if c])
-    return {k: c.numerator * (d // c.denominator) for k, c in acc.items() if c}, d, bound
+    return {k: c.numerator * (d // c.denominator) for k, c in acc.items() if c}, d
 
 
 class _TermStore:
@@ -266,23 +287,12 @@ class _TermStore:
     def zero(cls, dimension: int):
         return cls(dimension)
 
-    def _sorted_items(self) -> list[tuple]:
-        """``(raw key, Fraction)`` pairs in canonical order; one ``Fraction`` per distinct numerator."""
-        num, d = self._num, self._den
-        fractions: dict[int, Fraction] = {}
-        out = []
-        for k in sorted(num):
-            n = num[k]
-            c = fractions.get(n)
-            if c is None:
-                c = fractions[n] = Fraction(n, d)
-            out.append((k, c))
-        return out
-
     def items(self) -> Iterator[tuple]:
-        """``(key, Fraction)`` pairs in canonical order."""
-        key, n = self._key, self.dimension
-        return ((key(n, k), c) for k, c in self._sorted_items())
+        """``(key, Fraction)`` pairs in canonical order; one ``Fraction`` per distinct numerator."""
+        key, n, num, d = self._key, self.dimension, self._num, self._den
+        fractions = _Memo(lambda m: Fraction(m, d))
+        for k in sorted(num):
+            yield key(n, k), fractions[num[k]]
 
     def coefficient(self, key) -> Fraction:
         c = self._num.get(self._raw_key(key, self.dimension))

@@ -14,7 +14,16 @@ printing is deterministic byte for byte.  The JSON encoding mirrors the
 s-expression structure one-to-one, with rationals as strings.
 
 A ``Cochain``, ``Polynomial`` or ``Deformation`` is its own document; a
-report is its node ``("report", dimension, *body)``.
+report is its node ``("report", dimension, *body)``.  In these nodes the
+term records of a store are one ``Terms`` item, printed straight from the
+store's sorted packed keys and numerators.
+
+Reading and printing convert each distinct index once.  The tokenizer takes
+an index list of short numerals, such as ``(6 3)``, as one token, which the
+atom cache converts once; the reader checks each distinct index once and
+packs it into its field group, and a term's key is its groups after the
+sentinel.  The printer renders each distinct field group and each distinct
+numerator once per document, in s-expression and JSON output alike.
 """
 
 from __future__ import annotations
@@ -26,10 +35,21 @@ from itertools import islice
 from reprlib import repr as _brief  # depth- and length-bounded repr for error messages
 from typing import Union
 
-from .cochains import Cochain, Polynomial, _check_dimension, _indices, _integer_form
+from .cochains import (
+    EXPONENT_BUDGET,
+    _WIDTH,
+    Cochain,
+    Polynomial,
+    _Memo,
+    _check_dimension,
+    _over_lcm,
+    _pack,
+    _unpack_index,
+    _within_budget,
+)
 from .starproduct import Deformation
 
-Node = Union[int, Fraction, str, tuple]
+Node = Union[int, Fraction, str, tuple, "Terms"]
 
 KINDS = ("cochain", "poly", "deformation", "report")
 
@@ -47,9 +67,12 @@ class SexprError(ValueError):
         self.column = column
 
 
-# A comment, a parenthesis or an atom.  Only space, tab, CR and LF separate
-# tokens; every other character (VT, NBSP, ...) is part of an atom.
-_TOKEN = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
+# A comment, an index list, a parenthesis or an atom.  Only space, tab, CR
+# and LF separate tokens; every other character (VT, NBSP, ...) is part of an
+# atom.  An index list is ASCII numerals of at most 5 digits, one space apart,
+# as the printer writes them; any other list (a longer numeral, a sign, a
+# comment, another blank) is read token by token, with the same result.
+_TOKEN = re.compile(r";[^\n]*|\([0-9]{1,5}(?: [0-9]{1,5})*\)|[()]|[^ \t\r\n();]+")
 
 
 def _error(message: str, text: str, index: int) -> SexprError:
@@ -97,6 +120,8 @@ def _decimal(value: Union[int, Fraction, str]) -> str:
 
 
 def _atom(token: str, text: str, index: int) -> Node:
+    if token[0] == "(":  # an index list
+        return tuple(map(int, token[1:-1].split(" ")))
     # isdecimal, not isdigit: int() rejects superscript digits such as '²'.
     body = token[1:] if token[0] in "+-" else token
     if body.isdecimal():
@@ -120,6 +145,8 @@ def parse_sexpr(text: str) -> Node:
     """Parse one s-expression; trailing content is an error.
 
     Iterative, with a stack of open lists, so any nesting depth parses.
+    An index-list token is one atom, so each distinct index is converted
+    once; trailing content that starts with one is reported as its '('.
     """
     tokens = _TOKEN.findall(text)
     if ";" in text:
@@ -146,41 +173,78 @@ def parse_sexpr(text: str) -> Node:
     else:
         raise _error("unexpected end of input inside list", text, stack[-1][1])
     if index + 1 != len(tokens):
-        raise _error(f"unexpected trailing content {tokens[index + 1]!r}", text, index + 1)
+        trailing = tokens[index + 1]
+        trailing = trailing[0] if trailing[0] == "(" else trailing
+        raise _error(f"unexpected trailing content {trailing!r}", text, index + 1)
     return node
+
+
+class Terms:
+    """The term records of a store's terms ``keys``, one item of a node.
+
+    ``keys`` are packed keys of ``num``, in canonical (sorted) order; all of
+    the store's keys when not given.  A record prints straight from its key
+    and numerator: the coefficient is ``num[key] / den`` and the indices are
+    the key's field groups.  Only the printers read a ``Terms``.
+    """
+
+    __slots__ = ("dimension", "num", "den", "keys")
+
+    def __init__(self, store, keys=None):
+        self.dimension, self.num, self.den = store.dimension, store._num, store._den
+        self.keys = sorted(store._num) if keys is None else keys
+
+
+class _Records:
+    """Term records as ``(coefficient text, [form of each index])``, each
+    distinct field group and each distinct numerator rendered once."""
+
+    def __init__(self, index_form):
+        # Per dimension, each field group's form; per denominator, each numerator's text.
+        self.groups = _Memo(lambda n: _Memo(lambda group: index_form(_unpack_index(n, group))))
+        self.coefficients = _Memo(lambda den: _Memo(lambda m: _decimal(Fraction(m, den))))
+
+    def __call__(self, terms: Terms):
+        if not terms.keys:  # a zero value may have any dimension
+            return
+        n, num = terms.dimension, terms.num
+        groups, coefficients = self.groups[n], self.coefficients[terms.den]
+        width = _WIDTH * n
+        mask = (1 << width) - 1
+        for key in terms.keys:
+            # Below the sentinel, one field group per index, the x-part highest.
+            shifts = range(key.bit_length() - 1 - width, -1, -width)
+            yield coefficients[num[key]], [groups[key >> shift & mask] for shift in shifts]
+
+
+def _index_text(index: tuple) -> str:
+    return "(" + " ".join(map(str, index)) + ")"
 
 
 def format_sexpr(node: Node) -> str:
     """Deterministic text for a node, one line per nested top-level item.
 
-    A term record ``("term", coefficient, index, ...)`` is joined in one
-    step, and each distinct index is rendered once per call.  Equal indices
-    print alike: an int and an equal ``Fraction`` print the same digits.
+    A ``Terms`` item gives one item per term record.  Equal atoms print
+    alike: an int and an equal ``Fraction`` print the same digits.
     """
-    rendered: dict[tuple, str] = {}
+    records = _Records(_index_text)
 
-    def index_text(index: tuple) -> str:
-        text = rendered.get(index)
-        if text is None:
-            text = rendered[index] = flat(index)
-        return text
-
-    def flat(n: Node) -> str:
-        if not isinstance(n, tuple):
-            return _decimal(n)
-        if len(n) > 2 and n[0] == "term":
-            return "(term " + _decimal(n[1]) + " " + " ".join(map(index_text, n[2:])) + ")"
-        return "(" + " ".join(map(flat, n)) + ")"
+    def items(n) -> list[str]:
+        out = []
+        for x in n:
+            if isinstance(x, Terms):
+                out.extend("(term " + c + " " + " ".join(indices) + ")" for c, indices in records(x))
+            elif isinstance(x, tuple):
+                out.append("(" + " ".join(items(x)) + ")")
+            else:
+                out.append(_decimal(x))
+        return out
 
     if not isinstance(node, tuple):
-        return flat(node)
-    head = [flat(x) for x in node if not isinstance(x, tuple)]
-    body = [flat(x) for x in node if isinstance(x, tuple)]
-    if not body:
-        return "(" + " ".join(head) + ")"
-    lines = ["(" + " ".join(head)]
-    lines.extend("  " + item for item in body)
-    return "\n".join(lines) + ")"
+        return _decimal(node)
+    head = [_decimal(x) for x in node if not isinstance(x, (tuple, Terms))]
+    body = items([x for x in node if isinstance(x, (tuple, Terms))])
+    return "\n  ".join(["(" + " ".join(head), *body]) + ")"
 
 
 def _expect_list(node: Node, what: str) -> tuple:
@@ -192,14 +256,36 @@ def _expect_list(node: Node, what: str) -> tuple:
 _is_int = int.__instancecheck__  # isinstance(v, int), for map()
 
 
-def _term_records(nodes, dimension: int, polynomial: bool):
-    """``(indices, coefficient)`` of each term record, checked for form.
+def _index_group(index: Node, dimension: int) -> int:
+    """The field group of a term record's index, checked for form; -1 when
+    an entry is negative or past the exponent budget."""
+    if not isinstance(index, tuple):
+        raise ValueError(f"expected a list for index, got {_brief(index)}")
+    if len(index) != dimension or not all(map(_is_int, index)):
+        raise ValueError(f"index {_brief(index)} is not {dimension} integers")
+    if index and not 0 <= min(index) <= max(index) <= EXPONENT_BUDGET:
+        return -1
+    return _pack(index)
+
+
+def _read_terms(nodes, dimension: int, polynomial: bool) -> tuple[dict, int, int]:
+    """The reduced form of term records and the largest exponent in them.
 
     A record is ``("term", rational, index, ...)`` with at least one index,
     exactly one in a polynomial, and an index is a list of ``dimension``
-    integers.  A cochain's record is then checked for the dimension and its
-    signs; a polynomial's caller checks those once every record is read.
+    integers.  Each distinct index object is checked and packed into its
+    field group once (the parser gives equal index tokens one object), and a
+    record's key is its groups after the sentinel.  A record with a negative
+    exponent, or one past the budget, is refused, naming its first negative
+    index, else its largest exponent: a cochain's record when it is read,
+    a polynomial's once every record's form is checked.
     """
+    width = _WIDTH * dimension
+    # id of each index object seen -> its field group; ``nodes`` keeps them alive.
+    groups: dict[int, int] = {}
+    bound = 0
+    acc: dict = {}
+    refused = []  # the indices of a polynomial's records that are refused
     for node in nodes:
         if not isinstance(node, tuple):
             raise ValueError(f"expected a list for term, got {_brief(node)}")
@@ -208,20 +294,30 @@ def _term_records(nodes, dimension: int, polynomial: bool):
         coeff = node[1]
         if not isinstance(coeff, (int, Fraction)):
             raise ValueError(f"term coefficient {_brief(coeff)} is not rational")
-        indices = node[2:]
-        for index in indices:
-            if not isinstance(index, tuple):
-                raise ValueError(f"expected a list for index, got {_brief(index)}")
-            if len(index) != dimension or not all(map(_is_int, index)):
-                raise ValueError(f"index {_brief(index)} is not {dimension} integers")
+        key = 1
+        for index in islice(node, 2, None):
+            group = groups.get(id(index))
+            if group is None:
+                group = groups[id(index)] = _index_group(index, dimension)
+                if group > 0:
+                    bound = max(bound, *index)
+            key = key << width | group  # negative from a -1 group on
         if polynomial:
-            if len(indices) != 1:
+            if len(node) != 3:
                 raise ValueError("polynomial terms carry exactly one index")
-        else:
-            if dimension < 1:
-                _check_dimension(dimension)
-            _check_signs(indices)
-        yield indices, coeff
+        elif dimension < 1:
+            _check_dimension(dimension)
+        if key < 0:
+            if polynomial:
+                refused.append(node[2:])
+                continue
+            _check_signs(node[2:])
+            _within_budget(max(map(max, node[2:])), "exponent")
+        acc[key] = coeff if (old := acc.get(key)) is None else old + coeff
+    if refused:
+        _check_signs([indices[0] for indices in refused])
+        _within_budget(max(refused[0][0]), "exponent")
+    return *_over_lcm(acc), bound
 
 
 def _check_signs(indices) -> None:
@@ -232,29 +328,18 @@ def _check_signs(indices) -> None:
 
 
 def _node_to_store(node: Node, kind: str, cls):
-    """The ``Cochain`` or ``Polynomial`` of a ``cochain`` or ``poly`` document.
-
-    Each term is checked for the exponent budget last: a cochain's one
-    after another, a polynomial's once every form, the dimension and every
-    sign are checked.
-    """
+    """The ``Cochain`` or ``Polynomial`` of a ``cochain`` or ``poly`` document."""
     node = _expect_list(node, kind)
     if len(node) < 2 or node[0] != kind or not isinstance(node[1], int):
         raise ValueError(f"malformed {kind} document {_brief(node)}")
     dimension = node[1]
-    records = _term_records(node[2:], dimension, cls is Polynomial)
-    if cls is Polynomial:
-        records = list(records)
-        _check_dimension(dimension)
-        _check_signs([indices[0] for indices, _ in records])
-    form = _integer_form(records)
+    form = _read_terms(node[2:], dimension, cls is Polynomial)
     _check_dimension(dimension)
     return cls._raw(dimension, *form)
 
 
 def _store_to_node(kind: str, value) -> Node:
-    n = value.dimension
-    return (kind, n) + tuple(("term", coeff) + _indices(n, key) for key, coeff in value._sorted_items())
+    return (kind, value.dimension, Terms(value))
 
 
 def cochain_to_node(c: Cochain) -> Node:
@@ -339,17 +424,28 @@ def print_document(document) -> str:
     return format_sexpr(to_node(document))
 
 
-def node_to_json(node: Node):
-    if isinstance(node, tuple):
-        return [node_to_json(x) for x in node]
-    if isinstance(node, Fraction):
-        return _decimal(node)
-    if isinstance(node, int):
-        _decimal(node)  # json.dumps converts it the same way; refuse here, naming the limit
-    return node
-
-
 def document_to_json(document):
-    """JSON mirror of the s-expression: same nesting, rationals as strings."""
+    """JSON mirror of the s-expression: same nesting, rationals as strings.
+
+    Term records come from the same renderer as the s-expression's, so an
+    index is one list per distinct field group.
+    """
     node = to_node(document)
-    return {"kind": node[0], "dimension": node[1], "body": node_to_json(node[2:])}
+    records = _Records(list)
+
+    def items(n) -> list:
+        out = []
+        for x in n:
+            if isinstance(x, Terms):
+                out.extend(["term", c, *indices] for c, indices in records(x))
+            elif isinstance(x, tuple):
+                out.append(items(x))
+            elif isinstance(x, Fraction):
+                out.append(_decimal(x))
+            else:
+                if isinstance(x, int):
+                    _decimal(x)  # json.dumps converts it the same way; refuse here, naming the limit
+                out.append(x)
+        return out
+
+    return {"kind": node[0], "dimension": node[1], "body": items(node[2:])}

@@ -257,6 +257,39 @@ def test_cli_overlong_exponent_is_refused_by_the_exponent_budget(tmp_path, json_
     ]
 
 
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("(poly 2 (term 1 (0 0))) (1 0)", 1, 25, "unexpected trailing content '('"),
+        ("(poly 2 (term 1 (0 0)))\n(1 0)", 2, 1, "unexpected trailing content '('"),
+        ("(poly 2 (term 1 (0 0))) ()", 1, 25, "unexpected trailing content '('"),
+        ("(1 0) (1 0)", 1, 7, "unexpected trailing content '('"),
+        ("(poly 2 (term 1 (1 0))))", 1, 24, "unexpected trailing content ')'"),
+        ("(cochain 2 (term 1 (0 " + "7" * 4301 + ")))", 1, 23, "integer literal of 4301 digits exceeds the limit of 4300"),
+        ("(cochain 2 (term 1 (0 0)\n (1 1/0)))", 2, 5, "rational with zero denominator"),
+        ("(cochain 2 (term 1 (0 0)\n\t(1\r1/0)))", 2, 5, "rational with zero denominator"),
+        ("(cochain 2 (term 1 (0 0) (1 ;c\n 1/0)))", 2, 2, "rational with zero denominator"),
+        ("(cochain 2 (term 1 (0 0) (1 0)", 1, 12, "unexpected end of input inside list"),
+        ("(cochain 2 (term 1 (0 0) (1 0", 1, 26, "unexpected end of input inside list"),
+    ],
+    ids=["trailing-index", "trailing-index-next-line", "trailing-empty-list", "index-then-index",
+         "trailing-paren", "overlong-numeral-in-index", "index-after-newline", "tab-and-cr-in-index",
+         "comment-in-index", "unclosed-after-index", "unclosed-index"],
+)
+def test_syntax_errors_around_index_lists_keep_their_position(tmp_path, capsys, text, line, column, message):
+    """An index list read as one token, or token by token when it holds a long
+    numeral, a signed entry, another blank or a comment, moves no error."""
+    with pytest.raises(SexprError) as err:
+        parse_sexpr(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    path = tmp_path / "c.sexp"
+    path.write_bytes(text.encode("utf-8"))
+    assert main(["bigrade", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {err.value}\n")
+
+
 def test_cli_reads_standard_input_once_for_two_dashes(tmp_path):
     """``bracket - -`` brackets the piped cochain with itself."""
     text = "(cochain 2 (term 1/3 (1 0) (1 0) (0 1)) (term -2 (0 1) (0 1) (1 0)))"
@@ -418,6 +451,26 @@ POLY_WITH_ONE_TERM = "(poly 2 (term 1 (1 0)))"
         ("star-apply", "(deformation 2 (order 2) (pk 1 (term 1 (0 0) (-1 0))))",
          "exponent index must be nonnegative, got (-1, 0)"),
         ("star-apply", "(deformation 2 (order 2) (pk 2 (term 1 (0 0) (1))))", "index (1,) is not 2 integers"),
+        # Index lists: a numeral too long to be read as part of an index-list
+        # token, the first exponent past the budget, a record's faults in the
+        # same order as above, an index repeated after it was refused, and an
+        # entry that equals an integer without being one.
+        ("bigrade", "(cochain 2 (term 1 (0 0) (123456 0)))", "exponent 123456 exceeds the exponent budget of 65535"),
+        ("bigrade", "(cochain 2 (term 1 (0 0) (65536 0)))", "exponent 65536 exceeds the exponent budget of 65535"),
+        ("bigrade", "(cochain 1 (term 1 (0) (65535) (65536)))", "exponent 65536 exceeds the exponent budget of 65535"),
+        ("bigrade", "(cochain 2 (term 1 (0 0) (70000 0) (65536 1)))",
+         "exponent 70000 exceeds the exponent budget of 65535"),
+        ("bigrade", "(cochain 2 (term 1 (65536 0) (-1 0)))", "exponent index must be nonnegative, got (-1, 0)"),
+        ("bigrade", "(cochain 2 (term 1 (0 0) (65536 0) (0 0 0)))", "index (0, 0, 0) is not 2 integers"),
+        ("bigrade", "(cochain 2 (term 1 ()))", "index () is not 2 integers"),
+        ("bigrade", "(cochain 2 (term 1 ( )))", "index () is not 2 integers"),
+        ("bigrade", "(cochain 2 (term 1 (+1 -1)))", "exponent index must be nonnegative, got (1, -1)"),
+        ("bigrade", "(cochain 2 (term 1 (0 0)) (term 1 (0 0) (1 -1)) (term 1 (1 -1)))",
+         "exponent index must be nonnegative, got (1, -1)"),
+        ("bigrade", "(cochain 2 (term 1 (0 1)) (term 1 (0 1/1)))", "index (0, Fraction(1, 1)) is not 2 integers"),
+        ("apply", "(poly 2 (term 1 (65536 0)) (term 1 (-1 0)))", "exponent index must be nonnegative, got (-1, 0)"),
+        ("apply", "(poly 2 (term 1 (65536 0)) (term 1 (0 0 0)))", "index (0, 0, 0) is not 2 integers"),
+        ("apply", "(poly 2 (term 1 (65536 0)) (term 1 (70000 0)))", "exponent 65536 exceeds the exponent budget of 65535"),
     ],
 )
 def test_cli_term_fault_is_reported_on_one_line(tmp_path, capsys, command, text, message):

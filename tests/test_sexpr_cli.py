@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -144,10 +145,11 @@ def _record(coeff: tuple, indices) -> str:
 
 
 @st.composite
-def term_records(draw, arities):
+def term_records(draw, arities, dimension=None):
     """A dimension, and ``(coefficient, indices)`` records drawn from a small pool
     of keys, so keys repeat; some records are followed by their negation."""
-    dimension = draw(st.integers(1, 3))
+    if dimension is None:
+        dimension = draw(st.integers(1, 3))
     entry = st.integers(0, 3)
     index = st.tuples(*[entry] * dimension)
     keys = draw(st.lists(st.integers(*arities).flatmap(lambda p: st.tuples(*[index] * (p + 1))),
@@ -187,6 +189,75 @@ def test_parsed_polynomial_equals_the_constructed_one(drawn):
     assert parsed == expected
     printed = print_document(parsed)
     assert print_document(parse_document(printed)) == printed
+
+
+def _largest_exponent(value) -> int:
+    """The largest exponent in the terms of a cochain or polynomial; 0 for none."""
+    if isinstance(value, Polynomial):
+        return max((max(e) for e, _ in value.items()), default=0)
+    return max((max(chain(t.x_part, *t.slots)) for t, _ in value.items()), default=0)
+
+
+@st.composite
+def documents(draw):
+    """A cochain, polynomial or deformation built by the public constructors
+    from records with repeated and cancelling terms, and the text of those
+    records as a document."""
+    kind = draw(st.sampled_from(("cochain", "poly", "deformation")))
+    if kind == "poly":
+        dimension, records = draw(term_records((0, 0)))
+        value = Polynomial(dimension, [(key[0], Fraction(*c)) for c, key in records])
+        return value, f"(poly {dimension} " + " ".join(_record(c, key) for c, key in records) + ")"
+    if kind == "cochain":
+        dimension, records = draw(term_records((0, 3)))
+        orders = [records]
+    else:
+        dimension = draw(st.integers(1, 3))
+        orders = [draw(term_records((2, 2), dimension))[1] for _ in range(draw(st.integers(1, 3)))]
+    cochains = tuple(
+        Cochain(dimension, [(BasisTerm(dimension, key[0], key[1:]), Fraction(*c)) for c, key in records])
+        for records in orders
+    )
+    bodies = [" ".join(_record(c, key) for c, key in records) for records in orders]
+    if kind == "cochain":
+        return cochains[0], f"(cochain {dimension} {bodies[0]})"
+    pks = " ".join(f"(pk {k} {body})" for k, body in enumerate(bodies, 1))
+    return Deformation(dimension=dimension, cochains=cochains), f"(deformation {dimension} (order {len(orders)}) {pks})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents())
+def test_print_then_parse_is_the_identity(drawn):
+    """``parse_document(print_document(x)) == x`` for values built from records
+    with repeated terms.  The reader gives the records' text the exponent
+    bound the constructor gives the records, and the printed value the
+    largest exponent of its terms."""
+    value, records_text = drawn
+    text = print_document(value)
+    reread = parse_document(text)
+    assert reread == value
+    assert print_document(reread) == text
+    read = parse_document(records_text)
+    assert read == value
+    if isinstance(value, Deformation):
+        pairs = list(zip(value.cochains, read.cochains, reread.cochains))
+    else:
+        pairs = [(value, read, reread)]
+    for built, from_records, from_print in pairs:
+        assert from_records._bound == built._bound
+        assert from_print._bound == _largest_exponent(built) <= built._bound
+
+
+@pytest.mark.parametrize(
+    "index",
+    ["(1 0)", "(+1 0)", "(01 00)", "(00001 0)", "( 1 0)", "(1 0 )", "(1  0)", "(1\t0)", "(1\r0)", "(1\r\n0)",
+     "(1 ; a comment (\n 0)", "(1\n0)"],
+)
+def test_an_index_reads_alike_however_it_is_spelled(index):
+    """Signs, leading zeros, blanks, CR and comments inside an index list read
+    as in the printer's spelling ``(1 0)``."""
+    assert parse_sexpr(f"(term 1 {index})") == ("term", 1, (1, 0))
+    assert parse_document(f"(cochain 2 (term 1 (0 0) {index}))") == Cochain(2, {term((0, 0), (1, 0)): 1})
 
 
 def test_print_refuses_a_value_that_is_not_a_document():
