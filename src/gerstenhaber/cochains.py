@@ -220,9 +220,10 @@ def _integer_form(pairs) -> tuple[dict, int, int]:
 
 def _over_lcm(acc: dict) -> tuple[dict, int]:
     """Integer numerators of ``key -> int or Fraction`` over the lcm of the
-    reduced denominators, zeros dropped; the numerators share no factor with it."""
-    d = lcm(*[c.denominator for c in acc.values() if c])
-    return {k: c.numerator * (d // c.denominator) for k, c in acc.items() if c}, d
+    reduced denominators, zeros dropped; the numerators share no factor with it.
+    A zero's denominator is 1, so it leaves the lcm alone."""
+    d = lcm(*{c.denominator for c in acc.values()})
+    return {k: m for k, c in acc.items() if (m := c.numerator * (d // c.denominator))}, d
 
 
 class _TermStore:

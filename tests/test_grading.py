@@ -91,6 +91,37 @@ def test_decompositions_partition():
         assert total == c
 
 
+ENTRY = st.one_of(st.integers(0, 3), st.sampled_from((65534, 65535)), st.integers(0, 65535))
+
+
+@st.composite
+def spread_cochains(draw):
+    """A cochain of dimension 1 to 3 whose exponents reach the budget and whose
+    slot sums reach several times it, so weights go far below zero."""
+    n = draw(st.integers(1, 3))
+    index = st.tuples(*[ENTRY] * n)
+    terms = draw(st.lists(st.tuples(index, st.lists(index, max_size=5)), min_size=1, max_size=8))
+    return Cochain(n, {BasisTerm(n, x, slots): 1 for x, slots in terms})
+
+
+@settings(max_examples=150, deadline=None)
+@given(spread_cochains())
+def test_grade_groups_list_each_term_under_its_grade(c):
+    """The report groups list every term once, under ``weight_of`` or
+    ``bigrade_of`` of its basis term, grades increasing and terms in
+    canonical order; ``theta_apply`` signs each term by its weight."""
+    n = c.dimension
+    for groups, grade_of in ((grading.weight_groups(c), weight_of), (grading.bigrade_groups(c), bigrade_of)):
+        assert [grade for grade, _ in groups] == sorted({grade_of(t) for t, _ in c.items()})
+        assert sorted(key for _, keys in groups for key in keys) == sorted(c._num)
+        for grade, keys in groups:
+            assert keys == sorted(keys)
+            assert {grade_of(Cochain._key(n, key)) for key in keys} == {grade}
+    assert list(decompose_by_weight(c)) == [w for w, _ in grading.weight_groups(c)]
+    signs = {t: -1 if weight_of(t)[0] % 2 else 1 for t, _ in c.items()}
+    assert theta_apply(c, (1,)) == Cochain(n, {t: signs[t] * coeff for t, coeff in c.items()})
+
+
 # -- semigroup membership ----------------------------------------------------
 
 
