@@ -20,21 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cochains import (
-    _WIDTH,
-    EXPONENT_BUDGET,
-    BasisTerm,
-    Cochain,
-    DimensionMismatchError,
-    Index,
-    _Memo,
-    index_add,
-    zero_index,
-)
+from .cochains import BasisTerm, Cochain, DimensionMismatchError, Index, _fields, index_add, zero_index
 from .linsolve import solve_unique
 
 YES = "yes"
@@ -46,98 +36,34 @@ class InconclusiveMembershipError(Exception):
     """A definite semigroup decision was required but the search cap bound."""
 
 
-# A grade in spread form is one int with a _SPREAD-bit field per coordinate,
-# high to low, so that a term's slot sum is a sum of ints.  A weight's fields
-# are offset by _HALF, so that a negative coordinate stays in its field, and
-# integer order is then the order of the grade tuples.
-_SPREAD = 64
-_HALF = 1 << _SPREAD - 1
-# Entries a grade memo keeps before it starts over, so a long-lived process
-# holds a bounded number.
-_MEMO_LIMIT = 1 << 16
-
-
-class _BoundedMemo(_Memo):
-    __slots__ = ()
-
-    def __missing__(self, key):
-        if len(self) >= _MEMO_LIMIT:
-            self.clear()
-        return super().__missing__(key)
-
-
-def _spread(n: int, group: int) -> int:
-    """The ``n`` coordinates of a packed field group, spread."""
-    code = 0
-    for i in range(n):
-        code |= (group >> _WIDTH * i & EXPONENT_BUDGET) << _SPREAD * i
-    return code
-
-
-def _unspread(n: int, code: int, offset: int) -> Index:
-    """The coordinates of a spread int whose fields hold them plus ``offset``."""
-    mask = (1 << _SPREAD) - 1
-    return tuple((code >> _SPREAD * i & mask) - offset for i in range(n - 1, -1, -1))
-
-
-class _Grades:
-    """Weights and bigrades of the packed term keys of dimension ``n``, in
-    spread form and as tuples; each distinct field group is spread, and
-    each distinct grade turned into its tuple, once per memo."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.spread = _BoundedMemo(lambda group: _spread(n, group))
-        self.weights = _BoundedMemo(lambda code: _unspread(n, code, _HALF))
-        self.ups = _BoundedMemo(lambda code: _unspread(n, code, 0))
-
-    @cached_property
-    def layout(self) -> tuple[int, int, int]:
-        """Bits per field group, their mask and ``_HALF`` in every spread
-        field; computed at the first key, as a zero cochain may have any dimension."""
-        width = _WIDTH * self.n
-        return width, (1 << width) - 1, sum(_HALF << _SPREAD * i for i in range(self.n))
-
-    def codes(self, key: int) -> tuple[int, int]:
-        """The weight and the second bigrade component of ``key``, spread."""
-        width, mask, offsets = self.layout
-        spread = self.spread
-        arity = (key.bit_length() - 1) // width - 1
-        s = 0
-        for shift in range(0, arity * width, width):
-            s += spread[key >> shift & mask]
-        x = spread[key >> arity * width & mask]
-        return x + offsets - s, x + s
-
-    def bigrade_of_codes(self, codes: tuple[int, int]) -> tuple[Index, Index]:
-        return self.weights[codes[0]], self.ups[codes[1]]
-
-
-@lru_cache(maxsize=8)
-def _grades(n: int) -> _Grades:
-    """The ``_Grades`` of dimension ``n``, kept across calls."""
-    return _Grades(n)
+def _grade_fields(n: int, fields: Sequence[int], sign: int) -> Index:
+    """x-part plus ``sign`` times the slot sum, from a term's packed-key fields
+    (the sentinel, then the x-part, then the slots, each of ``n`` entries)."""
+    return tuple(fields[1 + i] + sign * sum(fields[1 + n + i :: n]) for i in range(n))
 
 
 def _weight(n: int, key: int) -> Index:
-    grades = _grades(n)
-    return grades.weights[grades.codes(key)[0]]
+    return _grade_fields(n, _fields(key), -1)
 
 
 def _bigrade(n: int, key: int) -> tuple[Index, Index]:
-    grades = _grades(n)
-    return grades.bigrade_of_codes(grades.codes(key))
+    fields = _fields(key)
+    return _grade_fields(n, fields, -1), _grade_fields(n, fields, 1)
+
+
+def _term_fields(term: BasisTerm) -> tuple[int, ...]:
+    return (1, *term.x_part, *chain.from_iterable(term.slots))
 
 
 def weight_of(term: BasisTerm) -> Index:
     """x-exponent minus the sum of slot orders, an integer vector."""
-    return tuple(x - sum(orders) for x, *orders in zip(term.x_part, *term.slots))
+    return _grade_fields(term.dimension, _term_fields(term), -1)
 
 
 def bigrade_of(term: BasisTerm) -> tuple[Index, Index]:
     """The pair (x_part - sum(slots), x_part + sum(slots))."""
-    sums = [(x, sum(orders)) for x, *orders in zip(term.x_part, *term.slots)]
-    return tuple(x - s for x, s in sums), tuple(x + s for x, s in sums)
+    fields = _term_fields(term)
+    return _grade_fields(term.dimension, fields, -1), _grade_fields(term.dimension, fields, 1)
 
 
 def weights_of(c: Cochain) -> set[Index]:
@@ -146,39 +72,37 @@ def weights_of(c: Cochain) -> set[Index]:
     return {_weight(n, key) for key in c._num}
 
 
-def _grouped(c: Cochain, bigrade: bool) -> list[tuple]:
-    """Each weight, or bigrade, of the terms of ``c``, increasing, with the
-    packed keys of its terms in canonical order."""
-    grades = _grades(c.dimension)
+def _grouped(c: Cochain, grade) -> list[tuple]:
+    """Each grade of the terms of ``c``, increasing, with the packed keys of
+    its terms in canonical order."""
+    n = c.dimension
     buckets: dict = {}
     for key in sorted(c._num):
-        codes = grades.codes(key)
-        buckets.setdefault(codes if bigrade else codes[0], []).append(key)
-    grade = grades.bigrade_of_codes if bigrade else grades.weights.__getitem__
-    return [(grade(codes), keys) for codes, keys in sorted(buckets.items())]
+        buckets.setdefault(grade(n, key), []).append(key)
+    return sorted(buckets.items())
 
 
 def weight_groups(c: Cochain) -> list[tuple[Index, list[int]]]:
     """``decompose_by_weight`` as each weight's packed term keys in ``c``, for printing."""
-    return _grouped(c, False)
+    return _grouped(c, _weight)
 
 
 def bigrade_groups(c: Cochain) -> list[tuple[tuple[Index, Index], list[int]]]:
     """``decompose_by_bigrade`` as each bigrade's packed term keys in ``c``, for printing."""
-    return _grouped(c, True)
+    return _grouped(c, _bigrade)
 
 
-def _decompose(c: Cochain, bigrade: bool) -> dict:
+def _decompose(c: Cochain, grade) -> dict:
     n, num, d, bound = c.dimension, c._num, c._den, c._bound
-    return {g: Cochain._reduced(n, {k: num[k] for k in keys}, d, bound) for g, keys in _grouped(c, bigrade)}
+    return {g: Cochain._reduced(n, {k: num[k] for k in keys}, d, bound) for g, keys in _grouped(c, grade)}
 
 
 def decompose_by_weight(c: Cochain) -> dict[Index, Cochain]:
-    return _decompose(c, False)
+    return _decompose(c, _weight)
 
 
 def decompose_by_bigrade(c: Cochain) -> dict[tuple[Index, Index], Cochain]:
-    return _decompose(c, True)
+    return _decompose(c, _bigrade)
 
 
 def scaling_field(dimension: int, i: int) -> Cochain:
@@ -419,9 +343,10 @@ def theta_apply(c: Cochain, indices: Sequence[int]) -> Cochain:
     """Sign each term by the parity of its weight summed over ``indices`` (1-based)."""
     n = c.dimension
     idx = _check_indices(indices, n)
-    grades = _grades(n)
-    odd = _Memo(lambda code: sum(grades.weights[code][i - 1] for i in idx) % 2)  # per weight
-    out = {key: -num if odd[grades.codes(key)[0]] else num for key, num in c._num.items()}
+    out = {}
+    for key, num in c._num.items():
+        w = _weight(n, key)
+        out[key] = -num if sum(w[i - 1] for i in idx) % 2 else num
     return Cochain._raw(n, out, c._den, c._bound)
 
 

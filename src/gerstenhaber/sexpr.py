@@ -185,7 +185,8 @@ class Terms:
     ``keys`` are packed keys of ``num``, in canonical (sorted) order; all of
     the store's keys when not given.  A record prints straight from its key
     and numerator: the coefficient is ``num[key] / den`` and the indices are
-    the key's field groups.  Only the printers read a ``Terms``.
+    the key's field groups.  Only the printers read a ``Terms``; two are
+    equal when they hold the same records, and ``repr`` shows the records.
     """
 
     __slots__ = ("dimension", "num", "den", "keys")
@@ -193,6 +194,20 @@ class Terms:
     def __init__(self, store, keys=None):
         self.dimension, self.num, self.den = store.dimension, store._num, store._den
         self.keys = sorted(store._num) if keys is None else keys
+
+    def _pairs(self) -> tuple:
+        num, d = self.num, self.den
+        return self.dimension, tuple((k, Fraction(num[k], d)) for k in self.keys)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Terms) and self._pairs() == other._pairs()
+
+    def __hash__(self) -> int:
+        return hash(self._pairs())
+
+    def __repr__(self) -> str:
+        records = _Records(_index_text)(self)
+        return "Terms(" + " ".join("(term " + c + " " + " ".join(i) + ")" for c, i in records) + ")"
 
 
 class _Records:

@@ -95,7 +95,7 @@ ENTRY = st.one_of(st.integers(0, 3), st.sampled_from((65534, 65535)), st.integer
 
 
 @st.composite
-def spread_cochains(draw):
+def wide_cochains(draw):
     """A cochain of dimension 1 to 3 whose exponents reach the budget and whose
     slot sums reach several times it, so weights go far below zero."""
     n = draw(st.integers(1, 3))
@@ -105,7 +105,7 @@ def spread_cochains(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(spread_cochains())
+@given(wide_cochains())
 def test_grade_groups_list_each_term_under_its_grade(c):
     """The report groups list every term once, under ``weight_of`` or
     ``bigrade_of`` of its basis term, grades increasing and terms in

@@ -17,7 +17,7 @@ from gerstenhaber import (
     hochschild_delta,
     solve_maurer_cartan,
 )
-from gerstenhaber.axioms import random_cochain, random_polynomial
+from gerstenhaber.axioms import _fail, random_cochain, random_polynomial
 from gerstenhaber.cli import main
 from gerstenhaber.sexpr import SexprError, parse_document, parse_sexpr, print_document
 
@@ -64,19 +64,30 @@ def test_syntax_error_carries_position():
 
 # Token separators: blanks, a lone CR (one column, not a line end), CRLF and
 # comments, which run to the next LF.
-SEPARATORS = (" ", "\t", "  \t ", "\r", "\r\n", "\n\t", " ; note (\r\n", ";;)\n")
+SEPARATORS = (" ", "  ", "\t", "  \t ", "\r", "\r\n", "\n", "\n\t", " ; note (\r\n", ";;)\n")
+# Other spellings of a nonnegative integer: a sign, leading zeros.
+PREFIXES = ("", "", "+", "0", "0000")
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_error_position_is_the_offending_token(seed, data):
-    printed = print_document(random_cochain(random.Random(seed)))
+    """The printed cochain, respaced and its integers respelled, reads as
+    printed (inside an index list too), and an atom inserted anywhere is
+    reported at its own line and column."""
+    c = random_cochain(random.Random(seed))
+    printed = print_document(c)
     tokens = printed.replace("(", " ( ").replace(")", " ) ").split()
+    prefixes = data.draw(st.lists(st.sampled_from(PREFIXES), min_size=len(tokens), max_size=len(tokens)))
+    tokens = [prefix + t if t.isdecimal() else t for prefix, t in zip(prefixes, tokens)]
     seps = data.draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens) + 1,
                               max_size=len(tokens) + 1))
     pieces = [seps[0]]  # pieces[2k + 1] is tokens[k]; separators around them
     for token, sep in zip(tokens, seps[1:]):
         pieces += [token, sep]
+    respelled = "".join(pieces)
+    assert parse_sexpr(respelled) == parse_sexpr(printed)
+    assert parse_document(respelled) == c
     # Insert after the separator that follows `where` tokens; after the last
     # one the atom trails the document.
     where = data.draw(st.integers(0, len(tokens)))
@@ -248,16 +259,16 @@ def test_print_then_parse_is_the_identity(drawn):
         assert from_print._bound == _largest_exponent(built) <= built._bound
 
 
-@pytest.mark.parametrize(
-    "index",
-    ["(1 0)", "(+1 0)", "(01 00)", "(00001 0)", "( 1 0)", "(1 0 )", "(1  0)", "(1\t0)", "(1\r0)", "(1\r\n0)",
-     "(1 ; a comment (\n 0)", "(1\n0)"],
-)
-def test_an_index_reads_alike_however_it_is_spelled(index):
-    """Signs, leading zeros, blanks, CR and comments inside an index list read
-    as in the printer's spelling ``(1 0)``."""
-    assert parse_sexpr(f"(term 1 {index})") == ("term", 1, (1, 0))
-    assert parse_document(f"(cochain 2 (term 1 (0 0) {index}))") == Cochain(2, {term((0, 0), (1, 0)): 1})
+def test_a_cochain_node_shows_and_compares_its_terms():
+    """A law's failure message shows the witness cochain's term records, and
+    nodes of equal cochains are equal."""
+    c = Cochain(2, {term((0, 1), (1, 0)): Fraction(1, 2), term((2, 0), (0, 0), (1, 1)): 3})
+    witness = _fail("law", 1, c).witness
+    assert repr(witness) == (
+        "('counterexample', ('cochain', 2, Terms((term 1/2 (0 1) (1 0)) (term 3 (2 0) (0 0) (1 1)))))"
+    )
+    assert witness == _fail("law", 1, parse_document(print_document(c))).witness
+    assert witness != _fail("law", 1, 2 * c).witness
 
 
 def test_print_refuses_a_value_that_is_not_a_document():
