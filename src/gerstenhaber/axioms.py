@@ -11,7 +11,6 @@ a reported counterexample can always be replayed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -19,6 +18,7 @@ from .cochains import (
     BasisTerm,
     Cochain,
     Polynomial,
+    _Record,
     _int_compositions,
     index_add,
     leibniz_split,
@@ -132,12 +132,17 @@ def random_weight_homogeneous(rng: random.Random, dim: int, weight: Sequence[int
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LawResult:
-    name: str
-    ok: bool
-    checks: int
-    witness: Optional[tuple] = None  # s-expression node attached to the report
+class LawResult(_Record):
+    """One law's outcome and the s-expression node of its witness, if any;
+    unlike the other records, its fields may be reassigned."""
+
+    _names = ("name", "ok", "checks", "witness")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, ok: bool, checks: int, witness: Optional[tuple] = None):
+        self._set(name, ok, checks, witness)
 
 
 Law = Callable[[random.Random, int], LawResult]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import gc
 import io
-import json
 import sys
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -371,6 +370,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         document, code = args.handler(args)
         if document is not None:
             if args.json:
+                import json  # only --json needs it; loading it costs every other run
+
                 text = json.dumps(sexpr.document_to_json(document), indent=2)
             else:
                 text = sexpr.print_document(document)

@@ -109,6 +109,37 @@ class _Memo(dict):
         return value
 
 
+class _Record:
+    """A value record: the constructor stores the fields named in ``_names``,
+    in order, with ``_set``; ``==``, ``hash`` and ``repr`` read them, and
+    assigning or deleting an attribute is refused.  Other attributes
+    (``cached_property``) may live in ``__dict__`` too."""
+
+    _names: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self._names, values))
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._names)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = (f"{name}={value!r}" for name, value in zip(self._names, self._values()))
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _pack(fields: Iterable[int], key: int = 0) -> int:
     """``key`` followed by ``fields`` as ``_WIDTH``-bit fields, high to low; each within the budget."""
     for field in fields:

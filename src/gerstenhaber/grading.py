@@ -18,13 +18,25 @@ has a certified length bound).  Otherwise a search that hits the cap reports
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
+from struct import Struct
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cochains import BasisTerm, Cochain, DimensionMismatchError, Index, _fields, index_add, zero_index
+from .cochains import (
+    _WIDTH,
+    BasisTerm,
+    Cochain,
+    DimensionMismatchError,
+    Index,
+    _fields,
+    _Memo,
+    _Record,
+    _unpack_index,
+    index_add,
+    zero_index,
+)
 from .linsolve import solve_unique
 
 YES = "yes"
@@ -72,37 +84,57 @@ def weights_of(c: Cochain) -> set[Index]:
     return {_weight(n, key) for key in c._num}
 
 
-def _grouped(c: Cochain, grade) -> list[tuple]:
-    """Each grade of the terms of ``c``, increasing, with the packed keys of
-    its terms in canonical order."""
+def _grouped(c: Cochain, bigrade: bool) -> list[tuple]:
+    """Each weight, or bigrade, of the terms of ``c``, increasing, with the
+    packed keys of its terms in canonical order.
+
+    Terms are bucketed by grades in spread form: one int with a signed
+    64-bit field per coordinate, high to low, so a slot sum is a sum of ints
+    and integer order is the order of the grade tuples.  Each distinct field
+    group (an x-part or a slot) is spread, and each distinct grade read back
+    as a tuple, once per call.
+    """
+    if c.is_zero:  # its dimension may be too large to lay out
+        return []
     n = c.dimension
+    width = _WIDTH * n
+    mask, wide = (1 << width) - 1, Struct(f">{n}Q")
+    spread = _Memo(lambda group: int.from_bytes(wide.pack(*_unpack_index(n, group)), "big"))
+    half = int.from_bytes(wide.pack(*[1 << 63] * n), "big")
     buckets: dict = {}
     for key in sorted(c._num):
-        buckets.setdefault(grade(n, key), []).append(key)
-    return sorted(buckets.items())
+        arity = (key.bit_length() - 1) // width - 1
+        s = sum(spread[key >> shift & mask] for shift in range(0, arity * width, width))
+        x = spread[key >> arity * width & mask]
+        buckets.setdefault((x - s, x + s) if bigrade else x - s, []).append(key)
+    # Plus 2^63 in every field, each signed field reads as a nonnegative one.
+    grade = _Memo(lambda code: tuple(v - (1 << 63) for v in wide.unpack((code + half).to_bytes(8 * n, "big"))))
+    if bigrade:
+        return [((grade[down], grade[up]), keys) for (down, up), keys in sorted(buckets.items())]
+    return [(grade[down], keys) for down, keys in sorted(buckets.items())]
 
 
 def weight_groups(c: Cochain) -> list[tuple[Index, list[int]]]:
     """``decompose_by_weight`` as each weight's packed term keys in ``c``, for printing."""
-    return _grouped(c, _weight)
+    return _grouped(c, False)
 
 
 def bigrade_groups(c: Cochain) -> list[tuple[tuple[Index, Index], list[int]]]:
     """``decompose_by_bigrade`` as each bigrade's packed term keys in ``c``, for printing."""
-    return _grouped(c, _bigrade)
+    return _grouped(c, True)
 
 
-def _decompose(c: Cochain, grade) -> dict:
+def _decompose(c: Cochain, bigrade: bool) -> dict:
     n, num, d, bound = c.dimension, c._num, c._den, c._bound
-    return {g: Cochain._reduced(n, {k: num[k] for k in keys}, d, bound) for g, keys in _grouped(c, grade)}
+    return {g: Cochain._reduced(n, {k: num[k] for k in keys}, d, bound) for g, keys in _grouped(c, bigrade)}
 
 
 def decompose_by_weight(c: Cochain) -> dict[Index, Cochain]:
-    return _decompose(c, _weight)
+    return _decompose(c, False)
 
 
 def decompose_by_bigrade(c: Cochain) -> dict[tuple[Index, Index], Cochain]:
-    return _decompose(c, _bigrade)
+    return _decompose(c, True)
 
 
 def scaling_field(dimension: int, i: int) -> Cochain:
@@ -118,36 +150,31 @@ def scaling_field(dimension: int, i: int) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemigroupSpec:
+class SemigroupSpec(_Record):
     """Additive subsemigroup of Z^n given by generators.
 
     Membership means a nonempty nonnegative integer combination of the
     generators; the zero vector belongs only if the generators can cancel.
     ``search_cap`` bounds the total number of generator uses the membership
-    search will try.  The lattice basis and the convex hull's minimum-norm
-    point depend only on the generators; each is computed on first use and
-    kept on the spec.
+    search will try.  The generators are kept sorted and without repeats.
+    The lattice basis and the convex hull's minimum-norm point depend only
+    on the generators; each is computed on first use and kept on the spec.
     """
 
-    dimension: int
-    generators: tuple[Index, ...]
-    search_cap: int = 32
+    _names = ("dimension", "generators", "search_cap")
 
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __init__(self, dimension: int, generators: Iterable[Sequence[int]], search_cap: int = 32):
+        if dimension < 1:
             raise DimensionMismatchError("dimension must be positive")
         gens = []
-        for g in self.generators:
+        for g in generators:
             g = tuple(g)
-            if len(g) != self.dimension:
-                raise DimensionMismatchError(
-                    f"generator {g} has length {len(g)}, expected {self.dimension}"
-                )
+            if len(g) != dimension:
+                raise DimensionMismatchError(f"generator {g} has length {len(g)}, expected {dimension}")
             gens.append(g)
-        object.__setattr__(self, "generators", tuple(sorted(set(gens))))
-        if self.search_cap < 1:
+        if search_cap < 1:
             raise ValueError("search_cap must be positive")
+        self._set(dimension, tuple(sorted(set(gens))), search_cap)
 
     @cached_property
     def _basis(self) -> list[list[int]]:
@@ -160,16 +187,17 @@ class SemigroupSpec:
         return _min_norm_hull_point(self.generators)
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(_Record):
     """Three-valued decision with an optional certificate.
 
     A ``yes`` carries generator multiplicities (aligned with the spec's
     sorted generators) witnessing the membership.
     """
 
-    status: str
-    certificate: Optional[tuple[int, ...]] = None
+    _names = ("status", "certificate")
+
+    def __init__(self, status: str, certificate: Optional[tuple[int, ...]] = None):
+        self._set(status, certificate)
 
     @property
     def is_yes(self) -> bool:
@@ -371,8 +399,7 @@ def even_weight_sum(indices: Sequence[int], weight: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubgroupReport:
+class SubgroupReport(_Record):
     """Outcome of checking a candidate weight subgroup against its complement.
 
     The candidate set is the monoid generated by ``generators`` (it always
@@ -384,12 +411,18 @@ class SubgroupReport:
     ``sample_failures`` lists sampled cochain-level closure violations.
     """
 
-    dimension: int
-    generators: tuple[Index, ...]
-    is_subgroup: str  # yes / no / inconclusive
-    samples_run: int
-    sample_failures: tuple[tuple[Index, Index], ...]
-    counterexample: Optional[tuple[Index, Index]]
+    _names = ("dimension", "generators", "is_subgroup", "samples_run", "sample_failures", "counterexample")
+
+    def __init__(
+        self,
+        dimension: int,
+        generators: tuple[Index, ...],
+        is_subgroup: str,  # yes / no / inconclusive
+        samples_run: int,
+        sample_failures: tuple[tuple[Index, Index], ...],
+        counterexample: Optional[tuple[Index, Index]],
+    ):
+        self._set(dimension, generators, is_subgroup, samples_run, sample_failures, counterexample)
 
     @property
     def consistent(self) -> bool:

@@ -22,7 +22,6 @@ coefficient is ``p_1 = pi1 / 2``; all reported cochains are the ``p_k``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -35,6 +34,7 @@ from .cochains import (
     DimensionMismatchError,
     Index,
     Polynomial,
+    _Record,
     _fields,
     _pack,
     _packed_splits,
@@ -63,19 +63,18 @@ class SelfCheckError(AssertionError):
     """One of the solver's own checks failed at some order: an engine bug."""
 
 
-@dataclass(frozen=True)
-class Deformation:
+class Deformation(_Record):
     """Truncated deformation: ``cochains[k-1]`` is the coefficient of t^k."""
 
-    dimension: int
-    cochains: tuple[Cochain, ...]
+    _names = ("dimension", "cochains")
 
-    def __post_init__(self):
-        for c in self.cochains:
-            if c.dimension != self.dimension:
+    def __init__(self, dimension: int, cochains: tuple[Cochain, ...]):
+        for c in cochains:
+            if c.dimension != dimension:
                 raise DimensionMismatchError("deformation cochain dimension mismatch")
             if not c.is_zero and c.arities() != (2,):
                 raise ArityError("deformation cochains must have arity 2")
+        self._set(dimension, cochains)
 
     @property
     def order(self) -> int:
@@ -110,8 +109,7 @@ def obstruction(deformation: Deformation, k: int) -> Cochain:
     return total
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(_Record):
     """The coboundary from arity-2 to arity-3 slot lists of one slot total.
 
     The coboundary keeps a term's x-part, so every bigrade block with this
@@ -122,9 +120,10 @@ class BlockSystem:
     ``pivots`` are its ``pivot_columns``, each with its row.
     """
 
-    slots2: tuple[int, ...]
-    columns: tuple[dict[int, int], ...]
-    pivots: tuple[tuple[int, int], ...]
+    _names = ("slots2", "columns", "pivots")
+
+    def __init__(self, slots2: tuple[int, ...], columns: tuple[dict[int, int], ...], pivots: tuple[tuple[int, int], ...]):
+        self._set(slots2, columns, pivots)
 
 
 @lru_cache(maxsize=None)

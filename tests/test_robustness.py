@@ -6,15 +6,21 @@ from fractions import Fraction
 import pytest
 
 from gerstenhaber import (
+    ArityError,
     BasisTerm,
+    BlockSystem,
     Cochain,
+    Deformation,
+    DimensionMismatchError,
     Membership,
     Polynomial,
     SemigroupSpec,
+    SubgroupReport,
     delta_via_bracket,
     hochschild_delta,
     solve_delta,
 )
+from gerstenhaber.axioms import LawResult
 from gerstenhaber.sexpr import SexprError, parse_sexpr
 from gerstenhaber.starproduct import obstruction
 from gerstenhaber.cli import main
@@ -36,13 +42,116 @@ def test_basis_term_immutable():
         c.dimension = 3
 
 
-def test_semigroup_spec_validation():
-    with pytest.raises(Exception):
-        SemigroupSpec(dimension=2, generators=((1, 0, 0),))
-    with pytest.raises(ValueError):
-        SemigroupSpec(dimension=2, generators=((1, 0),), search_cap=0)
-    spec = SemigroupSpec(dimension=2, generators=((1, 0), (1, 0), (0, 1)))
-    assert spec.generators == ((0, 1), (1, 0))  # deduplicated, sorted
+HALF_PI = Cochain(2, {BasisTerm(2, (0, 0), ((1, 0), (0, 1))): Fraction(1, 2)})
+VECTOR_FIELD = Cochain(2, {BasisTerm(2, (1, 0), ((0, 1),)): 1})
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: SemigroupSpec(dimension=0, generators=()), DimensionMismatchError, "dimension must be positive"),
+        (
+            lambda: SemigroupSpec(dimension=2, generators=((1, 0, 0),)),
+            DimensionMismatchError,
+            r"generator \(1, 0, 0\) has length 3, expected 2",
+        ),
+        (lambda: SemigroupSpec(2, [[1, 0]], 0), ValueError, "search_cap must be positive"),
+        (lambda: Deformation(3, (HALF_PI,)), DimensionMismatchError, "deformation cochain dimension mismatch"),
+        (
+            lambda: Deformation(dimension=2, cochains=(HALF_PI, VECTOR_FIELD)),
+            ArityError,
+            "deformation cochains must have arity 2",
+        ),
+    ],
+    ids=["spec-dimension", "spec-generator-length", "spec-search-cap", "deformation-dimension", "deformation-arity"],
+)
+def test_record_validation(make, error, message):
+    with pytest.raises(error, match=f"^{message}$") as raised:
+        make()
+    assert type(raised.value) is error
+
+
+# Each record: its class, positional arguments (defaults left out), every
+# field as constructed, one field changed, and whether it is hashable and
+# refuses assignment.
+RECORDS = [
+    (
+        SemigroupSpec,
+        (2, [[1, 0], (1, 0), (0, 1)]),
+        {"dimension": 2, "generators": ((0, 1), (1, 0)), "search_cap": 32},  # sorted, without repeats
+        {"search_cap": 5},
+        True,
+    ),
+    (Membership, ("yes", (2, 1)), {"status": "yes", "certificate": (2, 1)}, {"status": "no"}, True),
+    (Membership, ("no",), {"status": "no", "certificate": None}, {"certificate": ()}, True),
+    (
+        SubgroupReport,
+        (2, ((0, -1),), "no", 3, (((0, -1), (0, 1)),), ((0, -1), (0, 1))),
+        {
+            "dimension": 2,
+            "generators": ((0, -1),),
+            "is_subgroup": "no",
+            "samples_run": 3,
+            "sample_failures": (((0, -1), (0, 1)),),
+            "counterexample": ((0, -1), (0, 1)),
+        },
+        {"counterexample": None},
+        True,
+    ),
+    (Deformation, (2, (HALF_PI,)), {"dimension": 2, "cochains": (HALF_PI,)}, {"cochains": (HALF_PI, HALF_PI)}, True),
+    (
+        BlockSystem,
+        ((5, 9), ({7: 1}, {7: -1}), ((0, 7),)),
+        {"slots2": (5, 9), "columns": ({7: 1}, {7: -1}), "pivots": ((0, 7),)},
+        {"pivots": ()},
+        True,
+    ),
+    (LawResult, ("law", True, 4), {"name": "law", "ok": True, "checks": 4, "witness": None}, {"ok": False}, False),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, fields, changed, frozen",
+    RECORDS,
+    ids=[f"{r[0].__name__}-{len(r[1])}" for r in RECORDS],
+)
+def test_record_construction_equality_hash_and_assignment(cls, args, fields, changed, frozen):
+    by_position = cls(*args)
+    by_keyword = cls(**dict(zip(fields, args)))
+    for record in (by_position, by_keyword):
+        assert {name: getattr(record, name) for name in fields} == fields
+    assert by_position == by_keyword and not by_position != by_keyword
+    assert by_position != cls(**{**fields, **changed})
+    assert by_position != tuple(fields.values())
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(by_position) == f"{cls.__name__}({shown})"
+    name, value = next(iter(changed.items()))
+    if not frozen:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(by_position)
+        setattr(by_position, name, value)
+        assert getattr(by_position, name) == value and by_position != by_keyword
+        return
+    if cls is BlockSystem:  # its columns are dicts
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(by_position)
+    else:
+        assert hash(by_position) == hash(by_keyword)
+        assert len({by_position, by_keyword}) == 1
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(by_position, name, value)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(by_position, name)
+    with pytest.raises(AttributeError):
+        by_position.extra = 1
+    assert by_position == by_keyword
+
+
+def test_semigroup_spec_keeps_its_lattice_basis_and_hull_out_of_equality():
+    spec = SemigroupSpec(2, ((1, 0), (0, -1)))
+    fresh = SemigroupSpec(2, ((0, -1), (1, 0), (1, 0)))
+    assert spec._basis is spec._basis and spec._hull is spec._hull
+    assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
 
 
 def test_dimension_three_coboundary_routes_agree():

@@ -5,7 +5,9 @@ methods in ``METHODS`` with timing wrappers and reads ``cache_info()`` of the
 functions in ``CACHES``.  A refactor that renames one of them, or drops its
 ``lru_cache``, would otherwise show up only as a failed traced benchmark run.
 The tracer is loaded from its file and only read, never installed, except in
-the last test, which runs it as a script on one job.
+the test that runs it as a script on one job.  After ``import gerstenhaber.cli``
+it reads the package's modules as attributes, so the import must bind them,
+and a fresh ``gerst`` process should load nothing its run does not use.
 """
 
 import importlib
@@ -19,6 +21,14 @@ from pathlib import Path
 import pytest
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _bench_env():
+    """The benchmark's job environment: the checkout's ``src`` and no other ``PYTHON*`` variable."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    return env
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +71,7 @@ def test_tracer_runs_a_cli_job(tmp_path):
     """The tracer installs its wrappers and runs one ``delta`` job end to end:
     same stdout and exit code as the untraced CLI, and the s-expression spans
     see the bytes read and written."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(src)
+    env = _bench_env()
     cochain = tmp_path / "c.sexp"
     cochain.write_text("(cochain 2 (term 1 (0 0) (2 0)) (term 1/2 (1 0) (1 1)))", encoding="utf-8")
     out = tmp_path / "trace.json"
@@ -81,3 +89,24 @@ def test_tracer_runs_a_cli_job(tmp_path):
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
     assert stats["sexpr.parse"]["bytes"] > 0
     assert stats["sexpr.print"]["bytes"] > 0
+
+
+def test_cli_import_binds_the_traced_modules_and_loads_nothing_unused():
+    """In a fresh interpreter, ``import gerstenhaber.cli`` binds every module
+    the tracer reads and adds none of ``dataclasses``, ``inspect``, ``ast``,
+    ``dis`` or ``json`` to what the bare interpreter holds (site hooks may
+    preload modules, so only the modules the import adds are compared)."""
+    probe = (
+        "import sys; bare = set(sys.modules); import gerstenhaber, gerstenhaber.cli; "
+        "print(*sorted(set(sys.modules) - bare)); "
+        "print(*sorted(k for k, v in vars(gerstenhaber).items() if type(v) is type(sys)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_bench_env(), timeout=60
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    added, bound = (set(line.split()) for line in run.stdout.splitlines())
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "json"}
+    traced = {"axioms", "cli", "cochains", "grading", "linsolve", "operations", "sexpr", "starproduct"}
+    assert traced <= bound
+    assert {f"gerstenhaber.{name}" for name in traced} <= added
