@@ -14,15 +14,25 @@ the search space is provably exhausted, which happens exactly when the
 origin is outside the convex hull of the generators (then any representation
 has a certified length bound).  Otherwise a search that hits the cap reports
 ``inconclusive`` rather than guessing.
+
+The grading works once per distinct value, not once per term.  ``_buckets``
+groups the terms of a cochain by weight or bigrade, spreading each distinct
+field group and reading back each distinct grade once per call; the report
+groups, the filtration, the subalgebra tests and the star-product solver's
+block split all read it.  The distinct weights of a cochain share one
+breadth-first membership search.  The parity involution signs a term by the
+low bits of its selected fields, with no grade built at all.  Only
+``weights_of``, which the law suites call on many small cochains, still
+reads its terms one by one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from struct import Struct
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cochains import (
     _WIDTH,
@@ -33,6 +43,7 @@ from .cochains import (
     _fields,
     _Memo,
     _Record,
+    _pack,
     _unpack_index,
     index_add,
     zero_index,
@@ -48,23 +59,14 @@ class InconclusiveMembershipError(Exception):
     """A definite semigroup decision was required but the search cap bound."""
 
 
+def _term_fields(term: BasisTerm) -> tuple[int, ...]:
+    return (1, *term.x_part, *chain.from_iterable(term.slots))
+
+
 def _grade_fields(n: int, fields: Sequence[int], sign: int) -> Index:
     """x-part plus ``sign`` times the slot sum, from a term's packed-key fields
     (the sentinel, then the x-part, then the slots, each of ``n`` entries)."""
     return tuple(fields[1 + i] + sign * sum(fields[1 + n + i :: n]) for i in range(n))
-
-
-def _weight(n: int, key: int) -> Index:
-    return _grade_fields(n, _fields(key), -1)
-
-
-def _bigrade(n: int, key: int) -> tuple[Index, Index]:
-    fields = _fields(key)
-    return _grade_fields(n, fields, -1), _grade_fields(n, fields, 1)
-
-
-def _term_fields(term: BasisTerm) -> tuple[int, ...]:
-    return (1, *term.x_part, *chain.from_iterable(term.slots))
 
 
 def weight_of(term: BasisTerm) -> Index:
@@ -78,15 +80,17 @@ def bigrade_of(term: BasisTerm) -> tuple[Index, Index]:
     return _grade_fields(term.dimension, fields, -1), _grade_fields(term.dimension, fields, 1)
 
 
-def weights_of(c: Cochain) -> set[Index]:
-    """The set of weights of the terms of ``c``."""
-    n = c.dimension
-    return {_weight(n, key) for key in c._num}
+@lru_cache(maxsize=None)
+def _spread_layout(n: int) -> tuple[Struct, int]:
+    """The 64-bit fields of a spread grade in dimension ``n``, and 2^63 in each."""
+    wide = Struct(f">{n}Q")
+    return wide, int.from_bytes(wide.pack(*[1 << 63] * n), "big")
 
 
-def _grouped(c: Cochain, bigrade: bool) -> list[tuple]:
-    """Each weight, or bigrade, of the terms of ``c``, increasing, with the
-    packed keys of its terms in canonical order.
+def _buckets(c: Cochain, bigrade: bool, keys: bool) -> dict:
+    """Each weight, or bigrade, of the terms of ``c``, increasing: a dict from
+    the grade to the packed keys of its terms in canonical order when
+    ``keys``, else to None.
 
     Terms are bucketed by grades in spread form: one int with a signed
     64-bit field per coordinate, high to low, so a slot sum is a sum of ints
@@ -95,38 +99,52 @@ def _grouped(c: Cochain, bigrade: bool) -> list[tuple]:
     as a tuple, once per call.
     """
     if c.is_zero:  # its dimension may be too large to lay out
-        return []
+        return {}
     n = c.dimension
     width = _WIDTH * n
-    mask, wide = (1 << width) - 1, Struct(f">{n}Q")
+    mask, wide, half = (1 << width) - 1, *_spread_layout(n)
     spread = _Memo(lambda group: int.from_bytes(wide.pack(*_unpack_index(n, group)), "big"))
-    half = int.from_bytes(wide.pack(*[1 << 63] * n), "big")
     buckets: dict = {}
-    for key in sorted(c._num):
+    for key in sorted(c._num) if keys else c._num:
         arity = (key.bit_length() - 1) // width - 1
         s = sum(spread[key >> shift & mask] for shift in range(0, arity * width, width))
         x = spread[key >> arity * width & mask]
-        buckets.setdefault((x - s, x + s) if bigrade else x - s, []).append(key)
+        code = (x - s, x + s) if bigrade else x - s
+        if keys:
+            buckets.setdefault(code, []).append(key)
+        else:
+            buckets[code] = None
     # Plus 2^63 in every field, each signed field reads as a nonnegative one.
     grade = _Memo(lambda code: tuple(v - (1 << 63) for v in wide.unpack((code + half).to_bytes(8 * n, "big"))))
     if bigrade:
-        return [((grade[down], grade[up]), keys) for (down, up), keys in sorted(buckets.items())]
-    return [(grade[down], keys) for down, keys in sorted(buckets.items())]
+        return {(grade[down], grade[up]): found for (down, up), found in sorted(buckets.items())}
+    return {grade[down]: found for down, found in sorted(buckets.items())}
+
+
+def weights_of(c: Cochain) -> set[Index]:
+    """The set of weights of the terms of ``c``.
+
+    Term by term: the law suites call this on many small cochains, for
+    which laying out ``_buckets`` costs more than it saves.
+    """
+    n = c.dimension
+    return {_grade_fields(n, _fields(key), -1) for key in c._num}
 
 
 def weight_groups(c: Cochain) -> list[tuple[Index, list[int]]]:
     """``decompose_by_weight`` as each weight's packed term keys in ``c``, for printing."""
-    return _grouped(c, False)
+    return list(_buckets(c, False, True).items())
 
 
 def bigrade_groups(c: Cochain) -> list[tuple[tuple[Index, Index], list[int]]]:
     """``decompose_by_bigrade`` as each bigrade's packed term keys in ``c``, for printing."""
-    return _grouped(c, True)
+    return list(_buckets(c, True, True).items())
 
 
 def _decompose(c: Cochain, bigrade: bool) -> dict:
     n, num, d, bound = c.dimension, c._num, c._den, c._bound
-    return {g: Cochain._reduced(n, {k: num[k] for k in keys}, d, bound) for g, keys in _grouped(c, bigrade)}
+    buckets = _buckets(c, bigrade, True)
+    return {g: Cochain._reduced(n, {k: num[k] for k in keys}, d, bound) for g, keys in buckets.items()}
 
 
 def decompose_by_weight(c: Cochain) -> dict[Index, Cochain]:
@@ -262,27 +280,43 @@ def semigroup_member(spec: SemigroupSpec, a: Sequence[int], min_count: int = 1) 
         )
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
+    return _memberships(spec, (a,), min_count)[a]
+
+
+def _memberships(spec: SemigroupSpec, targets: Iterable[Index], min_count: int) -> dict[Index, Membership]:
+    """``semigroup_member`` of each of the distinct ``targets``, from one search.
+
+    The span and hull refusals are made per target; the others share one
+    breadth-first search over representation length, which holds one level
+    at a time and stops once every target is decided: at the first level of
+    at least ``min_count`` generators that holds it, or at its own length
+    limit.
+    """
+    decided: dict[Index, Membership] = {}
+    pending: dict[Index, tuple[int, bool]] = {}  # target -> its length limit, and whether a miss proves NO
     gens = spec.generators
-    if not gens:
-        return Membership(NO)
-    if not _in_lattice(a, spec._basis):
-        return Membership(NO)
-    w, wsq = spec._hull
-    if wsq:
-        dot = sum(Fraction(x) * y for x, y in zip(a, w))
-        bound = dot / wsq
-        limit = int(bound) if bound >= 0 else -1
-        if limit < min_count:
-            return Membership(NO)
-        provable = limit <= spec.search_cap
-        limit = min(limit, spec.search_cap)
-    else:
-        provable = False
-        limit = spec.search_cap
+    for a in targets:
+        if not gens or not _in_lattice(a, spec._basis):
+            decided[a] = Membership(NO)
+            continue
+        w, wsq = spec._hull
+        if wsq:
+            bound = sum(Fraction(x) * y for x, y in zip(a, w)) / wsq
+            limit = int(bound) if bound >= 0 else -1
+            if limit < min_count:
+                decided[a] = Membership(NO)
+                continue
+            pending[a] = min(limit, spec.search_cap), limit <= spec.search_cap
+        else:
+            pending[a] = spec.search_cap, False
+    if not pending:
+        return decided
 
     m = len(gens)
     level: dict[Index, tuple[int, ...]] = {zero_index(spec.dimension): (0,) * m}
-    for steps in range(1, limit + 1):
+    steps = 0
+    while pending:
+        steps += 1
         nxt: dict[Index, tuple[int, ...]] = {}
         for vec, counts in level.items():
             for gi, g in enumerate(gens):
@@ -290,9 +324,15 @@ def semigroup_member(spec: SemigroupSpec, a: Sequence[int], min_count: int = 1) 
                 if nv not in nxt:
                     nxt[nv] = counts[:gi] + (counts[gi] + 1,) + counts[gi + 1:]
         level = nxt
-        if steps >= min_count and a in level:
-            return Membership(YES, level[a])
-    return Membership(NO) if provable else Membership(INCONCLUSIVE)
+        for a, (limit, provable) in list(pending.items()):
+            if steps >= min_count and a in level:
+                decided[a] = Membership(YES, level[a])
+            elif steps == limit:
+                decided[a] = Membership(NO if provable else INCONCLUSIVE)
+            else:
+                continue
+            del pending[a]
+    return decided
 
 
 def _combine_statuses(statuses: Iterable[str]) -> str:
@@ -305,12 +345,17 @@ def _combine_statuses(statuses: Iterable[str]) -> str:
     return worst
 
 
-def _weight_statuses(c: Cochain, spec: SemigroupSpec, min_count: int) -> Iterator[tuple[Index, str]]:
-    """Each distinct weight of ``c`` in sorted order, with its membership status."""
+def _weight_statuses(
+    c: Cochain, spec: SemigroupSpec, min_count: int, weights: Optional[dict] = None
+) -> list[tuple[Index, str]]:
+    """Each distinct weight of ``c`` in sorted order, with its membership
+    status; ``weights`` are the weight buckets of ``c`` when already made."""
     if c.dimension != spec.dimension:
         raise DimensionMismatchError("cochain and semigroup dimensions differ")
-    for w in sorted(weights_of(c)):
-        yield w, semigroup_member(spec, w, min_count).status
+    if weights is None:
+        weights = _buckets(c, False, False)
+    decided = _memberships(spec, weights, min_count)
+    return [(w, decided[w].status) for w in weights]
 
 
 def in_subalgebra(c: Cochain, spec: SemigroupSpec) -> Membership:
@@ -325,17 +370,17 @@ def project_subalgebra(c: Cochain, spec: SemigroupSpec) -> Cochain:
     decided within the search cap; an undecided component is never silently
     kept or dropped.
     """
-    kept = set()
-    for w, status in _weight_statuses(c, spec, 1):
+    buckets = _buckets(c, False, True)
+    kept = []
+    for w, status in _weight_statuses(c, spec, 1, buckets):
         if status == INCONCLUSIVE:
             raise InconclusiveMembershipError(
                 f"membership of weight {w} undecided within search cap {spec.search_cap}"
             )
         if status == YES:
-            kept.add(w)
-    n = c.dimension
-    kept_num = {key: num for key, num in c._num.items() if _weight(n, key) in kept}
-    return Cochain._reduced(n, kept_num, c._den, c._bound)
+            kept.extend(buckets[w])
+    num = c._num
+    return Cochain._reduced(c.dimension, {key: num[key] for key in kept}, c._den, c._bound)
 
 
 def in_ideal(c: Cochain, spec: SemigroupSpec, fold: int = 2) -> Membership:
@@ -368,13 +413,21 @@ def _check_indices(indices: Sequence[int], dimension: int) -> tuple[int, ...]:
 
 
 def theta_apply(c: Cochain, indices: Sequence[int]) -> Cochain:
-    """Sign each term by the parity of its weight summed over ``indices`` (1-based)."""
+    """Sign each term by the parity of its weight summed over ``indices`` (1-based).
+
+    A slot's orders enter the weight negated, which keeps their parity, so
+    the sign is the parity of the selected coordinates over all of a term's
+    field groups: of the low bits of those fields in its packed key.
+    """
     n = c.dimension
     idx = _check_indices(indices, n)
-    out = {}
-    for key, num in c._num.items():
-        w = _weight(n, key)
-        out[key] = -num if sum(w[i - 1] for i in idx) % 2 else num
+    if c.is_zero:  # its dimension may be too large to lay out
+        return c
+    width = _WIDTH * n
+    selected = _pack(int(i in idx) for i in range(1, n + 1))
+    # Per key length, the low bits of the selected fields in every group below the sentinel.
+    masks = _Memo(lambda length: sum(selected << shift for shift in range(0, length - 1, width)))
+    out = {key: -num if (key & masks[key.bit_length()]).bit_count() & 1 else num for key, num in c._num.items()}
     return Cochain._raw(n, out, c._den, c._bound)
 
 
@@ -594,15 +647,10 @@ def filtration_contains(c: Cochain, alpha, mode: str = CUMULATIVE) -> bool:
     """
     mode = _check_mode(mode)
     a, b = validate_filtration_index(alpha, c.dimension)
-    for key in c._num:
-        down, up = _bigrade(c.dimension, key)
-        if mode == LITERAL:
-            if down != a or not a <= up <= b:
-                return False
-        else:
-            if (down, up) > (a, b):
-                return False
-    return True
+    bigrades = _buckets(c, True, False)
+    if mode == LITERAL:
+        return all(down == a and a <= up <= b for down, up in bigrades)
+    return all(bigrade <= (a, b) for bigrade in bigrades)
 
 
 def filtration_index(c: Cochain, mode: str = CUMULATIVE) -> tuple[Index, Index]:
@@ -610,12 +658,10 @@ def filtration_index(c: Cochain, mode: str = CUMULATIVE) -> tuple[Index, Index]:
     mode = _check_mode(mode)
     if c.is_zero:
         raise ValueError("the zero cochain has no filtration index")
-    bigrades = [_bigrade(c.dimension, key) for key in c._num]
-    if mode == CUMULATIVE:
-        return max(bigrades)
-    weights = {bg[0] for bg in bigrades}
-    if len(weights) != 1:
+    bigrades = _buckets(c, True, False)  # increasing
+    top = next(reversed(bigrades))
+    if mode == LITERAL and next(iter(bigrades))[0] != top[0]:
         raise ValueError(
             "cochain mixes weights and is contained in no literal filtration stage"
         )
-    return (next(iter(weights)), max(bg[1] for bg in bigrades))
+    return top

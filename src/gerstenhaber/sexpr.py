@@ -23,7 +23,8 @@ an index list of short numerals, such as ``(6 3)``, as one token, which the
 atom cache converts once; the reader checks each distinct index once and
 packs it into its field group, and a term's key is its groups after the
 sentinel.  The printer renders each distinct field group and each distinct
-numerator once per document, in s-expression and JSON output alike.
+numerator once per document, in s-expression and JSON output alike, and
+each distinct list of plain ints, such as a grade, once per s-expression.
 """
 
 from __future__ import annotations
@@ -236,13 +237,19 @@ def _index_text(index: tuple) -> str:
     return "(" + " ".join(map(str, index)) + ")"
 
 
+_only_int = {int}.issuperset  # whether an iterable of types holds no type but int
+
+
 def format_sexpr(node: Node) -> str:
     """Deterministic text for a node, one line per nested top-level item.
 
     A ``Terms`` item gives one item per term record.  Equal atoms print
-    alike: an int and an equal ``Fraction`` print the same digits.
+    alike: an int and an equal ``Fraction`` print the same digits.  Each
+    distinct list of plain ints (no ``bool``), such as a grade in a report
+    head, is rendered once.
     """
     records = _Records(_index_text)
+    int_lists: dict[tuple, str] = {}  # only lists of plain ints: (True,) == (1,) prints otherwise
 
     def items(n) -> list[str]:
         out = []
@@ -250,7 +257,13 @@ def format_sexpr(node: Node) -> str:
             if isinstance(x, Terms):
                 out.extend("(term " + c + " " + " ".join(indices) + ")" for c, indices in records(x))
             elif isinstance(x, tuple):
-                out.append("(" + " ".join(items(x)) + ")")
+                if _only_int(map(type, x)):
+                    text = int_lists.get(x)
+                    if text is None:
+                        text = int_lists[x] = "(" + " ".join(map(_decimal, x)) + ")"
+                else:
+                    text = "(" + " ".join(items(x)) + ")"
+                out.append(text)
             else:
                 out.append(_decimal(x))
         return out

@@ -40,7 +40,7 @@ from .cochains import (
     _packed_splits,
     _within_budget,
 )
-from .grading import SemigroupSpec, _bigrade, in_ideal, in_subalgebra
+from .grading import SemigroupSpec, _buckets, in_ideal, in_subalgebra
 from .linsolve import pivot_columns, solve_particular
 from .operations import _delta_term, bracket, hochschild_delta
 
@@ -151,14 +151,13 @@ def solve_delta(target: Cochain) -> Cochain:
         raise ArityError("solve_delta expects an arity-3 cochain")
     n = target.dimension
     width = _WIDTH * n
-    components: dict[tuple[Index, Index], dict] = {}
-    for key, num in target._num.items():
-        components.setdefault(_bigrade(n, key), {})[key & ((1 << 3 * width) - 1)] = num
+    slots3, num = (1 << 3 * width) - 1, target._num
     # Each block is solved on the integer numerators; the solution is over
     # the target's denominator times the lcm of the blocks' denominators.
     solution: dict[int, Fraction] = {}
     bound = 0
-    for (down, up), component in components.items():
+    for (down, up), keys in _buckets(target, True, True).items():
+        component = {key & slots3: num[key] for key in keys}
         x_part = tuple((d + u) // 2 for d, u in zip(down, up))
         slot_total = tuple((u - d) // 2 for d, u in zip(down, up))
         # A preimage's slots split the slot total, so its exponents are at most these.
@@ -175,8 +174,13 @@ def solve_delta(target: Cochain) -> Cochain:
     # The coboundary keeps bigrades, so only a block with no preimage differs.
     wrong = hochschild_delta(preimage) - target
     if not wrong.is_zero:
-        raise CoboundaryError(min(_bigrade(n, key) for key in wrong._num))
+        raise CoboundaryError(_first_bigrade(wrong))
     return preimage
+
+
+def _first_bigrade(c: Cochain) -> tuple[Index, Index]:
+    """The smallest bigrade of the terms of a nonzero cochain."""
+    return next(iter(_buckets(c, True, False)))
 
 
 def _max_slot_order(c: Cochain) -> int:
@@ -236,7 +240,7 @@ def solve_maurer_cartan(
             closure = hochschild_delta(b_k)
             if closure.is_zero:
                 raise SelfCheckError(f"order-{k} block solve failed verification in bigrade block {err.bigrade}") from err
-            block = min(_bigrade(2, key) for key in closure._num)
+            block = _first_bigrade(closure)
             raise SelfCheckError(f"order-{k} obstruction is not closed in bigrade block {block}; bracket engine bug") from err
         if delta_spec is not None and not b_k.is_zero:
             decision = in_ideal(p_k, delta_spec, fold=2)

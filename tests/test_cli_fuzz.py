@@ -184,3 +184,18 @@ def test_deformation_order_past_the_limit_is_refused_before_any_work(fuzz_dir, o
     else:
         assert (code, out) == (1, "")
         assert err == f"error: deformation order {order} exceeds the limit of {ORDER_LIMIT}\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["theta", "--indices=1"], 0, "(cochain 18446744073709551616)\n", ""),
+    (["project", "--gen=1,0"], 1, "", "error: generator (1, 0) has length 2, expected 18446744073709551616\n"),
+    (["filtration"], 1, "", "error: the zero cochain has no filtration index\n"),
+    (["filtration", "--alpha=0,0:0,0", "--mode=literal"], 1, "",
+     "error: filtration index ((0, 0), (0, 0)) does not match dimension 18446744073709551616\n"),
+], ids=["theta", "project", "filtration", "filtration-alpha"])
+def test_zero_cochain_of_huge_dimension_through_the_grading_commands(fuzz_dir, argv, code, out, err):
+    """A zero cochain may declare a dimension too large to lay out a mask or a
+    grade for; each grading command answers it at once."""
+    with open(fuzz_dir["doc"], "w", encoding="utf-8") as handle:
+        handle.write("(cochain 18446744073709551616)")
+    assert run_bounded([argv[0], fuzz_dir["doc"], *argv[1:]]) == (code, out, err)

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from gerstenhaber import (
     BasisTerm,
     Cochain,
     InconclusiveMembershipError,
+    Membership,
     SemigroupSpec,
     bigrade_of,
     bracket,
@@ -245,6 +248,64 @@ def test_generator_invariants_computed_once_per_spec(monkeypatch):
     assert sorted(calls) == ["_lattice_basis", "_min_norm_hull_point"]
 
 
+def search_per_target(spec, a, min_count):
+    """``semigroup_member`` as one breadth-first search for ``a`` alone, to its own limit."""
+    gens = spec.generators
+    if not gens or not grading._in_lattice(a, spec._basis):
+        return Membership("no")
+    w, wsq = spec._hull
+    if wsq:
+        bound = sum(Fraction(x) * y for x, y in zip(a, w)) / wsq
+        limit = int(bound) if bound >= 0 else -1
+        if limit < min_count:
+            return Membership("no")
+        provable, limit = limit <= spec.search_cap, min(limit, spec.search_cap)
+    else:
+        provable, limit = False, spec.search_cap
+    level = {(0,) * spec.dimension: (0,) * len(gens)}
+    for steps in range(1, limit + 1):
+        nxt = {}
+        for vec, counts in level.items():
+            for gi, g in enumerate(gens):
+                nv = tuple(v + x for v, x in zip(vec, g))
+                if nv not in nxt:
+                    nxt[nv] = counts[:gi] + (counts[gi] + 1,) + counts[gi + 1:]
+        level = nxt
+        if steps >= min_count and a in level:
+            return Membership("yes", level[a])
+    return Membership("no" if provable else "inconclusive")
+
+
+def test_shared_membership_search_matches_a_search_per_target():
+    """One search for many targets gives each target's own status and certificate,
+    in dimensions 1-3, for ``min_count`` 1-3, with and without cancelling generators."""
+    rng = random.Random(89)
+    seen = set()
+    for trial in range(270):
+        n, min_count, cancelling = 1 + trial % 3, 1 + trial // 3 % 3, trial // 9 % 3 == 0
+        gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        if cancelling:  # the origin lies in the hull: no length bound, a capped miss is undecided
+            gens.append(tuple(-x for x in gens[0]))
+        spec = SemigroupSpec(n, gens, search_cap=rng.randint(1, 6))
+        targets = {tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(12)}
+        shared = grading._memberships(spec, targets, min_count)
+        assert set(shared) == targets
+        for a in targets:
+            expected = search_per_target(spec, a, min_count)
+            assert shared[a] == expected
+            assert semigroup_member(spec, a, min_count) == expected
+            seen.add((n, min_count, cancelling, expected.status))
+    assert {(n, k) for n, k, _, _ in seen} == {(n, k) for n in (1, 2, 3) for k in (1, 2, 3)}
+    assert {status for *_, status in seen} == {"yes", "no", "inconclusive"}
+    assert {status for _, _, cancelling, status in seen if cancelling} == {"yes", "no", "inconclusive"}
+
+
+def test_shared_membership_search_decides_no_targets_without_work():
+    spec = SemigroupSpec(2, ((1, 0), (-1, 0)), search_cap=3)
+    assert grading._memberships(spec, (), 1) == {}
+    assert "_basis" not in vars(spec) and "_hull" not in vars(spec)
+
+
 def test_ideal_membership_examples():
     spec = SemigroupSpec(dimension=2, generators=((-1, -1),))
     w2 = random_weight_homogeneous(random.Random(1), 2, (-2, -2))
@@ -337,6 +398,25 @@ def test_theta_plus_part_is_delta_closed():
         plus, _ = theta_split(random_cochain(rng), (1, 2))
         image = hochschild_delta(plus)
         assert theta_apply(image, (1, 2)) == image
+
+
+def test_theta_signs_each_term_by_its_weight_parity():
+    """Terms built from a few field groups, so that groups repeat within and
+    across terms, of arity 0-3 in dimension 3, with exponents up to the budget."""
+    rng = random.Random(97)
+    entries = (0, 1, 2, 3, 65534, 65535)
+    subsets = [idx for k in (1, 2, 3) for idx in combinations((1, 2, 3), k)]
+    for _ in range(40):
+        groups = [tuple(rng.choice(entries) for _ in range(3)) for _ in range(3)]
+        terms = {
+            BasisTerm(3, rng.choice(groups), tuple(rng.choice(groups) for _ in range(rng.randint(0, 3)))):
+                rng.choice((-2, -1, 1, Fraction(1, 3)))
+            for _ in range(10)
+        }
+        c = Cochain(3, terms)
+        for idx in subsets + list(permutations((1, 2, 3))):
+            odd = {t for t in terms if sum(weight_of(t)[i - 1] for i in idx) % 2}
+            assert theta_apply(c, idx) == Cochain(3, {t: -v if t in odd else v for t, v in terms.items()})
 
 
 def test_theta_invalid_indices():
@@ -452,3 +532,44 @@ def test_delta_preserves_bigrade():
             bg = bigrade_of(t)
             for s, _ in hochschild_delta(Cochain.single(t)).items():
                 assert bigrade_of(s) == bg
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_cochains())
+def test_filtration_reads_the_bigrades_of_the_terms(c):
+    """``filtration_index`` and ``filtration_contains`` agree with ``bigrade_of``
+    read term by term, in both modes."""
+    bigrades = {bigrade_of(t) for t, _ in c.items()}
+    top = max(bigrades)
+    assert filtration_index(c) == top
+    if len({down for down, _ in bigrades}) == 1:
+        assert filtration_index(c, mode="literal") == top
+    else:
+        with pytest.raises(ValueError, match="mixes weights"):
+            filtration_index(c, mode="literal")
+    for alpha in (*bigrades, (top[0], top[0]), (min(bigrades)[0], top[1])):
+        if not alpha[0] <= alpha[1]:
+            continue
+        a, b = alpha
+        assert filtration_contains(c, alpha) == all(bg <= alpha for bg in bigrades)
+        assert filtration_contains(c, alpha, mode="literal") == all(
+            down == a and a <= up <= b for down, up in bigrades
+        )
+
+
+def test_zero_cochain_of_huge_dimension_is_graded_without_laying_it_out():
+    """A zero cochain may declare a dimension no mask or tuple could hold;
+    every grading operation answers it without one."""
+    n = 2**64
+    zero = Cochain.zero(n)
+    spec = SemigroupSpec(n, ())
+    assert theta_apply(zero, (1, n)) == zero
+    assert theta_split(zero, (2,)) == (zero, zero)
+    assert project_subalgebra(zero, spec) == zero
+    assert in_subalgebra(zero, spec).is_yes and in_ideal(zero, spec, fold=3).is_yes
+    assert grading.weight_groups(zero) == grading.bigrade_groups(zero) == []
+    assert grading.weights_of(zero) == set()
+    assert decompose_by_weight(zero) == decompose_by_bigrade(zero) == {}
+    with pytest.raises(ValueError, match="the zero cochain has no filtration index"):
+        filtration_index(zero)

@@ -19,7 +19,8 @@ from gerstenhaber import (
 )
 from gerstenhaber.axioms import _fail, random_cochain, random_polynomial
 from gerstenhaber.cli import main
-from gerstenhaber.sexpr import SexprError, parse_document, parse_sexpr, print_document
+from gerstenhaber.cochains import _indices
+from gerstenhaber.sexpr import SexprError, Terms, format_sexpr, parse_document, parse_sexpr, print_document
 
 
 def term(x_part, *slots):
@@ -271,6 +272,58 @@ def test_a_cochain_node_shows_and_compares_its_terms():
     assert witness != _fail("law", 1, 2 * c).witness
 
 
+def render_unmemoised(node) -> str:
+    """``format_sexpr`` with no memo: every atom, list and term record rendered where it stands."""
+
+    def records(terms):
+        for key in terms.keys:
+            indices = ("(" + " ".join(map(str, index)) + ")" for index in _indices(terms.dimension, key))
+            yield f"(term {Fraction(terms.num[key], terms.den)} " + " ".join(indices) + ")"
+
+    def items(n):
+        out = []
+        for x in n:
+            if isinstance(x, Terms):
+                out.extend(records(x))
+            elif isinstance(x, tuple):
+                out.append("(" + " ".join(items(x)) + ")")
+            else:
+                out.append(str(x))
+        return out
+
+    if not isinstance(node, tuple):
+        return str(node)
+    head = [str(x) for x in node if not isinstance(x, (tuple, Terms))]
+    return "\n  ".join(["(" + " ".join(head), *items([x for x in node if isinstance(x, (tuple, Terms))])]) + ")"
+
+
+MEMO_TERMS = Terms(Cochain(2, {term((0, 1), (1, 0)): Fraction(1, 2), term((2, 0), (0, 0), (1, 1)): 3}))
+# Small ranges, so equal lists recur; bools, Fractions and ints compare equal to each other.
+NODE_ATOMS = st.one_of(
+    st.integers(-2, 2), st.booleans(), st.fractions(-2, 2, max_denominator=3),
+    st.sampled_from(("bigrade", "x", "-")), st.just(MEMO_TERMS),
+)
+NODES = st.recursive(
+    NODE_ATOMS | st.lists(st.integers(-2, 2) | st.booleans(), max_size=3).map(tuple),
+    lambda children: st.lists(children, max_size=4).map(tuple),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NODES)
+def test_int_list_memo_prints_what_an_unmemoised_renderer_prints(node):
+    assert format_sexpr(node) == render_unmemoised(node)
+
+
+def test_int_list_memo_never_shares_text_between_equal_lists_of_other_types():
+    """``(1,) == (True,)`` as dict keys, and so is ``(1, 2) == (Fraction(1), 2)``."""
+    node = ("report", 2, (1,), (True,), (1, True), ((True,), (1,)), (1, 2), (Fraction(1), 2), (True, 1), (1,))
+    assert format_sexpr(node) == render_unmemoised(node) == (
+        "(report 2\n  (1)\n  (True)\n  (1 True)\n  ((True) (1))\n  (1 2)\n  (1 2)\n  (True 1)\n  (1))"
+    )
+
+
 def test_print_refuses_a_value_that_is_not_a_document():
     with pytest.raises(TypeError, match="not a document: BasisTerm"):
         print_document(term((0, 0), (1, 0)))
@@ -383,6 +436,15 @@ def test_cli_project_names_the_undecided_weight(files, capsys):
     assert code == 3
     assert out == ""
     assert err == "inconclusive: membership of weight (40, 0) undecided within search cap 3\n"
+
+
+def test_cli_project_names_the_smallest_undecided_weight(files, capsys):
+    # Over (1, 0) and (-1, 0), capped at 3: (1, 0) is a member, (0, 5) is outside
+    # the span, and (30, 0) and (40, 0) are undecided; the message names (30, 0).
+    c = files("c.sexp", "(cochain 2 (term 1 (40 0)) (term 1 (0 5)) (term 1 (30 0)) (term 1 (1 0)))")
+    code, out, err = run_cli(capsys, "project", c, "--gen=1,0", "--gen=-1,0", "--cap=3")
+    assert (code, out) == (3, "")
+    assert err == "inconclusive: membership of weight (30, 0) undecided within search cap 3\n"
 
 
 def test_cli_ideal_member(files, capsys):
