@@ -291,15 +291,17 @@ class _TermStore:
         object.__setattr__(self, "_bound", bound)
 
     @classmethod
-    def _raw(cls, dimension: int, num: dict, d: int, bound: int = 0):
-        """The value ``num[k] / d`` of a reduced form with no zero numerator; nothing is checked."""
+    def _raw(cls, dimension: int, num: dict, d: int, bound: int):
+        """The value ``num[k] / d`` of a reduced form with no zero numerator and
+        no exponent above ``bound``; nothing is checked."""
         self = object.__new__(cls)
         self._set(dimension, num, d, bound)
         return self
 
     @classmethod
-    def _reduced(cls, dimension: int, num: dict, d: int, bound: int = 0):
-        """The value ``num[k] / d`` for raw keys built from valid keys and ``d >= 1``.
+    def _reduced(cls, dimension: int, num: dict, d: int, bound: int):
+        """The value ``num[k] / d`` for raw keys built from valid keys, with no
+        exponent above ``bound``, and ``d >= 1``.
 
         Zero numerators are dropped and the common factor of ``d`` and the
         numerators is divided out.

@@ -16,14 +16,16 @@ has a certified length bound).  Otherwise a search that hits the cap reports
 ``inconclusive`` rather than guessing.
 
 The grading works once per distinct value, not once per term.  ``_buckets``
-groups the terms of a cochain by weight or bigrade, spreading each distinct
-field group and reading back each distinct grade once per call; the report
-groups, the filtration, the subalgebra tests and the star-product solver's
-block split all read it.  The distinct weights of a cochain share one
-breadth-first membership search.  The parity involution signs a term by the
-low bits of its selected fields, with no grade built at all.  Only
-``weights_of``, which the law suites call on many small cochains, still
-reads its terms one by one.
+groups the terms of a cochain by weight or bigrade; a term's slot sum is one
+remainder of its packed key, while the exponent bound rules out a carry, and
+each distinct field group is spread and each distinct grade read back once
+per call.  The report groups, the filtration, the subalgebra tests and the
+star-product solver's block split all read it.  The distinct weights of a
+cochain share one breadth-first membership search, whose length limits are
+integer dot products.  The parity involution signs a term by the low bits of
+its selected fields, with no grade built at all.  Only ``weights_of``, which
+the law suites call on many small cochains, still reads its terms one by
+one.
 """
 
 from __future__ import annotations
@@ -31,20 +33,23 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
+from math import lcm
+from operator import mul
 from struct import Struct
 from typing import Iterable, Optional, Sequence
 
 from .cochains import (
     _WIDTH,
+    EXPONENT_BUDGET,
     BasisTerm,
     Cochain,
     DimensionMismatchError,
     Index,
     _fields,
+    _fields_struct,
     _Memo,
     _Record,
     _pack,
-    _unpack_index,
     index_add,
     zero_index,
 )
@@ -81,10 +86,11 @@ def bigrade_of(term: BasisTerm) -> tuple[Index, Index]:
 
 
 @lru_cache(maxsize=None)
-def _spread_layout(n: int) -> tuple[Struct, int]:
-    """The 64-bit fields of a spread grade in dimension ``n``, and 2^63 in each."""
+def _spread_layout(n: int) -> tuple[Struct, Struct, int]:
+    """The unsigned and the signed 64-bit fields of a spread grade in
+    dimension ``n``, and 2^63 in each field."""
     wide = Struct(f">{n}Q")
-    return wide, int.from_bytes(wide.pack(*[1 << 63] * n), "big")
+    return wide, Struct(f">{n}q"), int.from_bytes(wide.pack(*[1 << 63] * n), "big")
 
 
 def _buckets(c: Cochain, bigrade: bool, keys: bool) -> dict:
@@ -93,32 +99,50 @@ def _buckets(c: Cochain, bigrade: bool, keys: bool) -> dict:
     ``keys``, else to None.
 
     Terms are bucketed by grades in spread form: one int with a signed
-    64-bit field per coordinate, high to low, so a slot sum is a sum of ints
-    and integer order is the order of the grade tuples.  Each distinct field
-    group (an x-part or a slot) is spread, and each distinct grade read back
-    as a tuple, once per call.
+    64-bit field per coordinate, high to low, so a sum of field groups is a
+    sum of ints and integer order is the order of the grade tuples.  A term
+    reads two spread ints, its x-part ``x`` and ``up``, the x-part plus the
+    slot sum; its weight is ``x + x - up``, and its bigrade is coded as the
+    weight shifted above ``up``, which is nonnegative.
+
+    As ``2**width`` is 1 modulo ``mask = 2**width - 1``, a packed key modulo
+    ``mask`` is the sum of its field groups: ``1 + up`` for the sentinel 1,
+    added field by field.  That is exact when every field sum stays below
+    ``EXPONENT_BUDGET``, which ``(arity + 1) * _bound + 1`` below it
+    guarantees for every term, so ``up`` then takes one big-int remainder.
+    Otherwise each slot is spread and summed.  Each distinct x-part and
+    ``up`` (or slot) is spread, and each distinct grade read back as a
+    tuple, once per call.
     """
     if c.is_zero:  # its dimension may be too large to lay out
         return {}
     n = c.dimension
     width = _WIDTH * n
-    mask, wide, half = (1 << width) - 1, *_spread_layout(n)
-    spread = _Memo(lambda group: int.from_bytes(wide.pack(*_unpack_index(n, group)), "big"))
+    mask, narrow, (wide, signed, half) = (1 << width) - 1, _fields_struct(n), _spread_layout(n)
+    spread = _Memo(lambda group: int.from_bytes(wide.pack(*narrow.unpack(group.to_bytes(width // 8, "big"))), "big"))
+    arity = (max(c._num).bit_length() - 1) // width - 1  # the largest
+    cast_out = (arity + 1) * c._bound + 1 < EXPONENT_BUDGET
+    high = 64 * n  # a bigrade's code: its weight above its up, which is nonnegative
     buckets: dict = {}
     for key in sorted(c._num) if keys else c._num:
-        arity = (key.bit_length() - 1) // width - 1
-        s = sum(spread[key >> shift & mask] for shift in range(0, arity * width, width))
-        x = spread[key >> arity * width & mask]
-        code = (x - s, x + s) if bigrade else x - s
+        shift = key.bit_length() - 1 - width
+        x = spread[key >> shift & mask]
+        if cast_out:
+            up = spread[key % mask - 1]
+        else:
+            up = x + sum(spread[key >> at & mask] for at in range(0, shift, width))
+        code = (x + x - up) << high | up if bigrade else x + x - up
         if keys:
             buckets.setdefault(code, []).append(key)
         else:
             buckets[code] = None
-    # Plus 2^63 in every field, each signed field reads as a nonnegative one.
-    grade = _Memo(lambda code: tuple(v - (1 << 63) for v in wide.unpack((code + half).to_bytes(8 * n, "big"))))
+    # Plus 2^63 in every field, each signed field reads as a nonnegative one;
+    # flipping each field's top bit then leaves its 64-bit two's complement.
+    grade = _Memo(lambda code: signed.unpack(((code + half) ^ half).to_bytes(8 * n, "big")))
     if bigrade:
-        return {(grade[down], grade[up]): found for (down, up), found in sorted(buckets.items())}
-    return {grade[down]: found for down, found in sorted(buckets.items())}
+        below = (1 << high) - 1
+        return {(grade[code >> high], grade[code & below]): found for code, found in sorted(buckets.items())}
+    return {grade[code]: found for code, found in sorted(buckets.items())}
 
 
 def weights_of(c: Cochain) -> set[Index]:
@@ -203,6 +227,17 @@ class SemigroupSpec(_Record):
     def _hull(self) -> tuple[tuple[Fraction, ...], Fraction]:
         """Minimum-norm point of the generators' convex hull and its squared norm."""
         return _min_norm_hull_point(self.generators)
+
+    @cached_property
+    def _hull_limit(self) -> Optional[tuple[tuple[int, ...], int]]:
+        """The length bound ``<a, w> / |w|^2`` as an integer vector ``v`` and a
+        positive integer ``d`` with ``<a, w> / |w|^2 == <a, v> / d``; None
+        when the origin is in the hull, which bounds no length."""
+        w, wsq = self._hull
+        if not wsq:
+            return None
+        scale = lcm(*(x.denominator for x in w))
+        return tuple(int(x * scale) * wsq.denominator for x in w), scale * wsq.numerator
 
 
 class Membership(_Record):
@@ -299,10 +334,11 @@ def _memberships(spec: SemigroupSpec, targets: Iterable[Index], min_count: int) 
         if not gens or not _in_lattice(a, spec._basis):
             decided[a] = Membership(NO)
             continue
-        w, wsq = spec._hull
-        if wsq:
-            bound = sum(Fraction(x) * y for x, y in zip(a, w)) / wsq
-            limit = int(bound) if bound >= 0 else -1
+        hull = spec._hull_limit
+        if hull:
+            vector, den = hull
+            dot = sum(map(mul, a, vector))
+            limit = dot // den if dot >= 0 else -1
             if limit < min_count:
                 decided[a] = Membership(NO)
                 continue

@@ -29,6 +29,7 @@ from gerstenhaber import (
     weight_of,
 )
 from gerstenhaber import grading
+from gerstenhaber.cochains import EXPONENT_BUDGET
 from gerstenhaber.grading import (
     filtration_contains,
     filtration_index,
@@ -125,6 +126,85 @@ def test_grade_groups_list_each_term_under_its_grade(c):
     assert list(decompose_by_weight(c)) == [w for w, _ in grading.weight_groups(c)]
     signs = {t: -1 if weight_of(t)[0] % 2 else 1 for t, _ in c.items()}
     assert theta_apply(c, (1,)) == Cochain(n, {t: signs[t] * coeff for t, coeff in c.items()})
+
+
+def buckets_term_by_term(c, bigrade, keys):
+    """``grading._buckets`` built from ``weight_of`` or ``bigrade_of`` of each term."""
+    grade_of = bigrade_of if bigrade else weight_of
+    found = {}
+    for key in sorted(c._num):
+        found.setdefault(grade_of(Cochain._key(c.dimension, key)), []).append(key)
+    return [(grade, found[grade] if keys else None) for grade in sorted(found)]
+
+
+def casts_out(c):
+    """Whether ``_buckets`` reads each term's slot sum off its key modulo ``2**width - 1``."""
+    arity = max(len(t.slots) for t, _ in c.items())
+    return (arity + 1) * c._bound + 1 < EXPONENT_BUDGET
+
+
+def assert_buckets_match_term_by_term(c):
+    loose = Cochain._raw(c.dimension, c._num, c._den, EXPONENT_BUDGET)  # never cast out
+    for bigrade in (False, True):
+        for keys in (False, True):
+            expected = buckets_term_by_term(c, bigrade, keys)
+            assert list(grading._buckets(c, bigrade, keys).items()) == expected
+            assert list(grading._buckets(loose, bigrade, keys).items()) == expected
+
+
+@st.composite
+def cochains_near_the_guard(draw):
+    """A cochain of dimension 1 to 3 and arity 0 to 4 whose ``_bound`` is the
+    largest at which ``_buckets`` casts out, or one more; each field is small,
+    anything up to the bound, or the bound itself, so field sums reach the
+    largest the guard allows."""
+    n, arity = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    bound = (EXPONENT_BUDGET - 2) // (arity + 1) + draw(st.integers(0, 1))
+    entry = st.one_of(st.integers(0, 3), st.integers(0, bound), st.just(bound))
+    index = st.tuples(*[entry] * n)
+    top = ((bound,) * n, ((bound,) * n,) * arity)  # pins the bound and the arity
+    terms = draw(st.lists(st.tuples(index, st.lists(index, max_size=arity)), max_size=6))
+    return Cochain(n, {BasisTerm(n, x, slots): 1 for x, slots in [top, *terms]})
+
+
+@settings(max_examples=150, deadline=None)
+@given(cochains_near_the_guard())
+def test_buckets_match_term_by_term_on_both_sides_of_the_guard(c):
+    """Both ways of summing slots give each term's own weight and bigrade, in
+    all four ``(bigrade, keys)`` modes, on either side of the guard and under
+    a bound too loose to cast out."""
+    assert_buckets_match_term_by_term(c)
+
+
+def guard_cochain(n, x, *slots):
+    return Cochain(n, {BasisTerm(n, x, slots): 1, BasisTerm(n, (0,) * n, ((1,) * n,) * len(slots)): 1})
+
+
+@pytest.mark.parametrize(
+    "c, cast_out",
+    [
+        # (arity + 1) * bound + 1 == 65534: cast out, each field sum at most 65534.
+        (guard_cochain(1, (65533,)), True),
+        (guard_cochain(2, (65533, 65533)), True),
+        (guard_cochain(3, (0, 5041, 5041), *[(5041, 5041, 5041)] * 12), True),
+        # == 65535: summed slot by slot.  In dimension 1 the sum 1 + x + slots
+        # would be 2**16 - 1 itself, which reads back as 0 under the modulus.
+        (guard_cochain(1, (65534,)), False),
+        (guard_cochain(1, (32767,), (32767,)), False),
+        (guard_cochain(2, (32767, 32767), (32767, 32767)), False),
+        (guard_cochain(1, (9362,), *[(9362,)] * 6), False),
+        # Smaller bounds, inside the guard.
+        (guard_cochain(1, (32766,), (32766,)), True),
+        (guard_cochain(3, (21844, 0, 21844), (21844, 21844, 0), (0, 1, 21844)), True),
+        # Far past the guard: field sums carry into the neighbouring field.
+        (guard_cochain(2, (40000, 40000), (40000, 40000), (65535, 65535)), False),
+        # Arity 0 only.
+        (Cochain(2, {BasisTerm(2, (i, j), ()): 1 for i in (0, 7, 65533) for j in (0, 65533)}), True),
+    ],
+)
+def test_buckets_at_the_guard(c, cast_out):
+    assert casts_out(c) == cast_out
+    assert_buckets_match_term_by_term(c)
 
 
 # -- semigroup membership ----------------------------------------------------
@@ -304,6 +384,34 @@ def test_shared_membership_search_decides_no_targets_without_work():
     spec = SemigroupSpec(2, ((1, 0), (-1, 0)), search_cap=3)
     assert grading._memberships(spec, (), 1) == {}
     assert "_basis" not in vars(spec) and "_hull" not in vars(spec)
+
+
+def test_integer_hull_limit_is_the_fraction_length_bound():
+    """``_hull_limit`` gives each target the length limit of the ``Fraction``
+    bound ``<a, w> / |w|^2``, in dimensions 1-3, negative bounds included;
+    generators that cancel have none."""
+    rng = random.Random(97)
+    seen = set()
+    for trial in range(300):
+        n = 1 + trial % 3
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        if trial % 5 == 0:  # the origin lies in the hull
+            gens.append(tuple(-x for x in gens[0]))
+        spec = SemigroupSpec(n, gens)
+        w, wsq = spec._hull
+        if not wsq:
+            assert spec._hull_limit is None
+            seen.add("cancelling")
+            continue
+        vector, den = spec._hull_limit
+        assert den > 0 and all(type(v) is int for v in vector)
+        for _ in range(30):
+            a = tuple(rng.randint(-9, 9) for _ in range(n))
+            bound = sum(Fraction(x) * y for x, y in zip(a, w)) / wsq
+            dot = sum(x * y for x, y in zip(a, vector))
+            assert (dot // den if dot >= 0 else -1) == (int(bound) if bound >= 0 else -1)
+            seen.add("negative" if bound < 0 else "whole" if bound.denominator == 1 else "fractional")
+    assert seen == {"cancelling", "negative", "whole", "fractional"}
 
 
 def test_ideal_membership_examples():

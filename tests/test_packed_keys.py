@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerstenhaber import BasisTerm, Cochain, Polynomial
-from gerstenhaber.cochains import EXPONENT_BUDGET, ExponentBudgetError, _indices, _pack_term
-from gerstenhaber.grading import decompose_by_bigrade, theta_apply
+from gerstenhaber import BasisTerm, Cochain, InconclusiveMembershipError, Polynomial, SemigroupSpec
+from gerstenhaber.cochains import EXPONENT_BUDGET, ExponentBudgetError, _fields, _indices, _pack_term
+from gerstenhaber.grading import decompose_by_bigrade, decompose_by_weight, project_subalgebra, theta_apply
 from gerstenhaber.operations import bracket, cup, hochschild_delta, insert
+from gerstenhaber.sexpr import parse_document, print_document
 from gerstenhaber.starproduct import solve_delta
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -104,17 +105,31 @@ def small_cochains(arity):
     return st.lists(st.tuples(term, st.integers(-3, 3)), max_size=3).map(lambda p: Cochain(2, p))
 
 
-def max_exponent(c):
-    return max((max(map(max, (t.x_part, *t.slots))) for t, _ in c.items()), default=0)
+CAPPED_FIELD = st.one_of(st.integers(0, 3), st.integers(0, 16000))
+WIDE_INDICES = st.integers(1, 3).flatmap(lambda n: st.lists(st.tuples(*[CAPPED_FIELD] * n), min_size=1, max_size=4))
+GENERATORS = st.sampled_from((((0, -1), (-1, 0)), ((1, 0),), ((1, -1), (-1, 1))))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2).flatmap(small_cochains), st.integers(1, 2).flatmap(small_cochains), small_cochains(2))
-def test_carried_bound_covers_every_result_exponent(f, g, y):
-    results = [cup(f, g), bracket(f, g), insert(g, 1, f), hochschild_delta(f), f + g, f * Fraction(1, 3), -g,
-               theta_apply(f, (1,)), solve_delta(hochschild_delta(y)), *decompose_by_bigrade(f).values()]
+@given(st.integers(0, 2).flatmap(small_cochains), st.integers(1, 2).flatmap(small_cochains), small_cochains(2),
+       WIDE_INDICES, GENERATORS)
+def test_carried_bound_covers_every_result_exponent(f, g, y, indices, generators):
+    """``_bound`` is at least every field of every key, within the budget, for
+    what the reader and each operation return: the grading trusts it to sum
+    slots without a carry."""
+    n = len(indices[0])
+    wide = Cochain(n, {BasisTerm(n, indices[0], indices[1:]): 3})
+    results = [parse_document(print_document(f)), parse_document(print_document(wide)), cup(f, g), bracket(f, g),
+               insert(g, 1, f), hochschild_delta(f), f + g, f * Fraction(1, 3), -g, wide + wide, -wide, wide * 5,
+               cup(wide, wide), theta_apply(wide, (1,)), solve_delta(hochschild_delta(y)),
+               *decompose_by_bigrade(f).values(), *decompose_by_weight(wide).values()]
+    try:
+        results.append(project_subalgebra(f, SemigroupSpec(2, generators, search_cap=4)))
+    except InconclusiveMembershipError:
+        pass
     for result in results:
-        assert max_exponent(result) <= result._bound <= EXPONENT_BUDGET
+        assert result._bound <= EXPONENT_BUDGET
+        assert all(max(_fields(key)[1:]) <= result._bound for key in result._num)
 
 
 SMALL_POLYNOMIAL = st.lists(st.tuples(st.tuples(SMALL, SMALL), st.integers(-3, 3)), max_size=3).map(
