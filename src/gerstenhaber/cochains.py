@@ -195,10 +195,9 @@ def _check_index(a: Sequence[int], dimension: int) -> Index:
     return a
 
 
-def _product(f, g) -> dict[int, int]:
-    """The product of two ``(polynomial key, int)`` term lists, summed per key;
-    ``g``'s keys come without their sentinel, so adding keys adds exponents."""
-    acc: dict[int, int] = {}
+def _product(f, g, acc: dict[int, int]) -> dict[int, int]:
+    """``acc`` plus the product of two ``(polynomial key, int)`` term lists; ``g``'s
+    keys come without their sentinel, so adding keys adds exponents."""
     for k1, c1 in f:
         for k2, c2 in g:
             k = k1 + k2
@@ -206,20 +205,27 @@ def _product(f, g) -> dict[int, int]:
     return acc
 
 
-def _derive_terms(terms, a: int, n: int) -> list:
-    """``d^a`` of ``(polynomial key, integer numerator)`` pairs in dimension ``n``,
-    for the packed index ``a``; a key may come with or without its sentinel."""
-    orders = _unpack_index(n, a)
+def _derivatives(u: Polynomial) -> _Memo:
+    """The derivative table of ``u``: packed order ``a`` -> ``d^a u`` as ``(key
+    without sentinel, integer numerator)`` pairs over ``u``'s denominator, made
+    at the order's first lookup; ``u``'s keys are unpacked once, here."""
+    n = u.dimension
     mask = (1 << _WIDTH * n) - 1
-    out = []
-    for key, c in terms:
-        for e, order in zip(_unpack_index(n, key & mask), orders):
-            if e < order:
-                break
-            c *= perm(e, order)
-        else:
-            out.append((key - a, c))
-    return out
+    terms = [(k & mask, _unpack_index(n, k & mask), c) for k, c in u._num.items()]
+
+    def derive(a: int) -> list:
+        orders = _unpack_index(n, a)
+        out = []
+        for key, expo, c in terms:
+            for e, order in zip(expo, orders):
+                if e < order:
+                    break
+                c *= perm(e, order)
+            else:
+                out.append((key - a, c))
+        return out
+
+    return _Memo(derive)
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -423,7 +429,7 @@ class Polynomial(_TermStore):
         self._check_same_dimension(other)
         bound = _within_budget(self._bound + other._bound, "product result exponent bound")
         sentinel = 1 << _WIDTH * self.dimension
-        product = _product(self._num.items(), [(k ^ sentinel, c) for k, c in other._num.items()])
+        product = _product(self._num.items(), [(k ^ sentinel, c) for k, c in other._num.items()], {})
         return Polynomial._reduced(self.dimension, product, self._den * other._den, bound)
 
     def derive(self, a: Sequence[int]) -> Polynomial:
@@ -432,7 +438,8 @@ class Polynomial(_TermStore):
         a = _check_index(a, n)
         if max(a) > EXPONENT_BUDGET:  # past every exponent
             return Polynomial.zero(n)
-        return Polynomial._reduced(n, dict(_derive_terms(self._num.items(), _pack(a), n)), self._den, self._bound)
+        sentinel = 1 << _WIDTH * n
+        return Polynomial._reduced(n, {k | sentinel: c for k, c in _derivatives(self)[_pack(a)]}, self._den, self._bound)
 
     def __repr__(self):
         if not self._num:
@@ -566,6 +573,7 @@ class Cochain(_TermStore):
         Every term must have arity ``len(args)``; the zero cochain accepts
         any argument count.  This cochain's exponent bound plus the arguments'
         must be within the budget, a conservative check: derivatives lower exponents.
+        Each argument gets a fresh ``_derivatives`` table, and ``_apply`` evaluates.
         """
         for u in args:
             if not isinstance(u, Polynomial):
@@ -575,32 +583,39 @@ class Cochain(_TermStore):
                     f"argument dimension {u.dimension} does not match cochain dimension {self.dimension}"
                 )
         p = len(args)
-        n = self.dimension
-        width = _WIDTH * n
         for arity in self.arities():
             if arity != p:
                 raise ArityError(f"term of arity {arity} applied to {p} arguments")
+        return self._apply(args, [_derivatives(u) for u in args])
+
+    def _apply(self, args: Sequence[Polynomial], tables: Sequence[_Memo]) -> Polynomial:
+        """``apply`` given each argument's ``_derivatives`` table; only the bound is checked.
+        Over the product of the denominators, each group of terms with equal slots
+        1..p-1 sums ``c x^a d^(s_p) u_p`` (the x-part shifts keys), then multiplies
+        that sum by ``d^(s_1) u_1 ... d^(s_(p-1)) u_(p-1)`` once."""
         bound = _within_budget(self._bound + sum(u._bound for u in args), "apply result exponent bound")
-        # Integer numerators throughout, over the product of the denominators;
-        # the arguments' keys lose their sentinel, as _product takes them.
-        sentinel = 1 << width
-        numerators = [[(k ^ sentinel, c) for k, c in u._num.items()] for u in args]
         d = prod((u._den for u in args), start=self._den)
-        derived: list[dict] = [{} for _ in args]  # per argument: slot -> its derivative
-        shifts = [width * i for i in range(p - 1, -1, -1)]  # of slots 1..p
-        mask = sentinel - 1
-        acc: dict[int, int] = {}
+        p = len(args)
+        if not p:
+            return Polynomial._reduced(self.dimension, self._num, d, bound)
+        width = _WIDTH * self.dimension
+        mask, lead_mask = (1 << width) - 1, (1 << width * (p - 1)) - 1  # one slot, slots 1..p-1
+        groups: dict[int, dict[int, int]] = {}
         for key, coeff in self._num.items():
-            value = {key >> width * p: coeff}  # the x-part, as a polynomial key
-            for shift, num, cache in zip(shifts, numerators, derived):
-                slot = key >> shift & mask
-                du = cache.get(slot)
-                if du is None:
-                    du = cache[slot] = _derive_terms(num, slot, n)
-                value = _product(value.items(), du)
-            for k, c in value.items():
-                acc[k] = acc.get(k, 0) + c
-        return Polynomial._reduced(n, acc, d, bound)
+            acc = groups.setdefault(key >> width & lead_mask, {})
+            x = key >> width * p  # the sentinel and the x-part: a polynomial key
+            for k, c in tables[-1][key & mask]:
+                acc[k + x] = acc.get(k + x, 0) + coeff * c
+        if p == 1:  # one group, no product
+            return Polynomial._reduced(self.dimension, groups.get(0, {}), d, bound)
+        total: dict[int, int] = {}
+        shifts = range(width * (p - 2), 0, -width)  # of slots 1..p-2 in a group key
+        for lead, acc in groups.items():
+            value = [(k, c) for k, c in acc.items() if c]
+            for shift, table in zip(shifts, tables):
+                value = _product(value, table[lead >> shift & mask], {}).items()
+            _product(value, tables[p - 2][lead & mask], total)
+        return Polynomial._reduced(self.dimension, total, d, bound)
 
     def __repr__(self):
         if not self._num:

@@ -34,7 +34,9 @@ from .cochains import (
     DimensionMismatchError,
     Index,
     Polynomial,
+    _Memo,
     _Record,
+    _derivatives,
     _fields,
     _pack,
     _packed_splits,
@@ -265,25 +267,36 @@ def star_apply(deformation: Deformation, f: Polynomial, g: Polynomial) -> TSerie
     return star_series(deformation, {0: f}, {0: g})
 
 
+def _check_operands(n: int, **series: Mapping[int, Polynomial]) -> None:
+    """Refuse a series coefficient whose dimension is not ``n``, naming its operand."""
+    for name, coefficients in series.items():
+        for u in coefficients.values():
+            if u.dimension != n:
+                raise DimensionMismatchError(f"operand {name} dimension {u.dimension} does not match deformation dimension {n}")
+
+
 def star_series(deformation: Deformation, fs: Mapping[int, Polynomial], gs: Mapping[int, Polynomial]) -> TSeries:
-    """Star product of two truncated series, truncated at the deformation order."""
+    """Star product of two truncated series, truncated at the deformation order.
+
+    Both series must have the deformation's dimension.  Each distinct coefficient
+    gets one derivative table per call, keyed by value and shared by every ``k``
+    and pair: ``Cochain._apply`` evaluates each ``p_k(f_i, g_j)`` with them.
+    """
     n = deformation.dimension
+    _check_operands(n, f=fs, g=gs)
     order = deformation.order
+    tables = _Memo(_derivatives)
+    zero = Polynomial.zero(n)
     out: dict[int, Polynomial] = {}
     for i, fi in fs.items():
-        if fi.dimension != n:
-            raise DimensionMismatchError("series coefficient dimension mismatch")
         for j, gj in gs.items():
             base = i + j
             if base > order:
                 continue
-            plain = fi * gj
-            if not plain.is_zero:
-                out[base] = out.get(base, Polynomial.zero(n)) + plain
+            out[base] = out.get(base, zero) + fi * gj
+            pair, pair_tables = [fi, gj], [tables[fi], tables[gj]]
             for k in range(1, order - base + 1):
-                value = deformation.coefficient(k).apply([fi, gj])
-                if not value.is_zero:
-                    out[base + k] = out.get(base + k, Polynomial.zero(n)) + value
+                out[base + k] = out.get(base + k, zero) + deformation.coefficient(k)._apply(pair, pair_tables)
     return {k: v for k, v in sorted(out.items()) if not v.is_zero}
 
 
@@ -295,12 +308,9 @@ def associativity_defect(
     Identically empty exactly when the deformation is associative to that
     order.
     """
+    _check_operands(deformation.dimension, f={0: f}, g={0: g}, h={0: h})
     left = star_series(deformation, star_apply(deformation, f, g), {0: h})
     right = star_series(deformation, {0: f}, star_apply(deformation, g, h))
-    n = deformation.dimension
-    out: dict[int, Polynomial] = {}
-    for k in set(left) | set(right):
-        value = left.get(k, Polynomial.zero(n)) - right.get(k, Polynomial.zero(n))
-        if not value.is_zero:
-            out[k] = value
-    return dict(sorted(out.items()))
+    zero = Polynomial.zero(deformation.dimension)
+    defect = {k: left.get(k, zero) - right.get(k, zero) for k in sorted(set(left) | set(right))}
+    return {k: v for k, v in defect.items() if not v.is_zero}

@@ -21,7 +21,7 @@ from gerstenhaber import (
     solve_delta,
 )
 from gerstenhaber.axioms import LawResult
-from gerstenhaber.sexpr import SexprError, parse_sexpr
+from gerstenhaber.sexpr import SexprError, parse_sexpr, print_document
 from gerstenhaber.starproduct import obstruction
 from gerstenhaber.cli import main
 
@@ -452,6 +452,26 @@ P1 = Cochain(2, {BasisTerm(2, (0, 0), ((1, 0), (0, 1))): Fraction(1, 2),
 STRAY = Cochain(2, {BasisTerm(2, (0, 0), ((1, 0), (1, 0), (1, 0))): 1})
 # A 3-cochain with a nonzero coboundary: what a bracket bug would add to an obstruction.
 NOT_CLOSED = Cochain(2, {BasisTerm(2, (0, 0), ((2, 0), (1, 1), (1, 0))): 1})
+
+
+@pytest.mark.parametrize(
+    "command, operand",
+    [("star-apply", "f"), ("star-apply", "g"), ("assoc-defect", "h")],
+)
+def test_cli_star_operand_of_another_dimension_exits_one(tmp_path, command, operand):
+    """Every operand of a star product is checked against the deformation's
+    dimension before any product, and the one-line message names it."""
+    deformation = tmp_path / "def.sexp"
+    deformation.write_text(print_document(Deformation(2, (P1,))), encoding="utf-8")
+    paths = []
+    for name in ("f", "g", "h") if command == "assoc-defect" else ("f", "g"):
+        path = tmp_path / f"{name}.sexp"
+        path.write_text("(poly 1 (term 1 (2)))" if name == operand else "(poly 2 (term 1 (2 1)))", encoding="utf-8")
+        paths.append(str(path))
+    result = _run_cli(command, "--deformation", str(deformation), *paths)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: operand {operand} dimension 1 does not match deformation dimension 2"]
 
 
 def _delta_adding(extra_for):
