@@ -4,11 +4,13 @@ Each case runs ``cli.main`` on small fixed inputs, once printing the
 s-expression and once with ``--json``, and pins the sha256 of stdout and the
 exit code.  The cases with a nonzero exit code print a document too: a
 membership left inconclusive (3) and a defect that was expected to be zero
-(2).
+(2).  The ``--help`` text of the program and of each subcommand is pinned
+the same way, at 80 columns.
 """
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -183,6 +185,47 @@ def test_cli_kind_mismatch_message(paths, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {paths['f']}: expected a cochain document, got poly\n"
+
+
+# -- help text ---------------------------------------------------------------------
+
+# invocation (the subcommand, or "gerst" for the top level) -> sha256 of its
+# ``--help`` stdout at 80 columns
+HELP_EXPECTED = {
+    "gerst": "c2e78cde6577a314d635fb10266b284f79937347899c0082f8df9ff4d4ec6955",
+    "cup": "8f12fb6bf551d405a58b88eb015c8204885b54ebe3e4ebf9eeac5f0b7f126478",
+    "bracket": "c09f4ccd0b25739b6f1bfc8a02686c8c22284c6654ee68e891430a9857a38245",
+    "delta": "16e7650867f7d613611ee6a379f25835a8c5053c2687df39a569bb4f08c26f62",
+    "apply": "48422fa3b24ceb498ca0d9603c6185b41951c84ad3f4eb61c57014337bd631cb",
+    "weight": "bf727c0a192a0596eb449034b9c13aa3400cc32d9dfbf845b744022468813ca3",
+    "bigrade": "3a5704fd5e740a61a89f02a55c0b070118587eeb2b5b8b77de9bbfcc9218498d",
+    "member": "3a5a6054464db5c7fdef52906ef9dfd8f5908ba4c6abab59b9a5108d939d847f",
+    "ideal-member": "99f81d500ad4420d6f5013ac4c0e0810dd9100359add935ac7bf8718ea11d864",
+    "project": "d739960bf197157faa73c7e0a9f106abbcaea0f97916fd930ab3c29de0f0abb9",
+    "theta": "d54957514570d9a60cc3fe4593f728189ebf645a6cc579b8280231b833d88274",
+    "theta-split": "4521e363d430c175f6087a9fda5e6b785765df659e66a94b794dae52ceec2d48",
+    "filtration": "438e570778534fac62d6590652e7c8d2af23a864975e42b46384393f1b6e5a3c",
+    "mc-solve": "24003afd3d24cd323f386bfec0287069bbbe46076b7de7aecbb96d7c1e733506",
+    "star-apply": "37a3f511d276ab00de4c66cc323188bc8ec72f6870c2eaa35ac89e635abb825a",
+    "assoc-defect": "c0f76ae8bdc63a783774567a212922fea297cea212cd42516bbc51ba072a965e",
+    "verify-axioms": "b409f7e14d1338e45bf9cb37c462393214a3e9dbbfb9fc8ada4d9c2cdbab4562",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse help wording and layout vary by Python version")
+def test_cli_help_digest(capsys, monkeypatch):
+    """``gerst --help`` and every ``gerst <command> --help`` print what they
+    printed before, byte for byte: the subcommands, their order, help and flags."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = {}
+    for name in HELP_EXPECTED:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"] if name == "gerst" else [name, "--help"])
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        got[name] = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert got == HELP_EXPECTED
 
 
 # -- large documents ------------------------------------------------------------
