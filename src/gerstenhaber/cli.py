@@ -3,11 +3,13 @@
 Reads s-expression documents from files (or standard input for ``-``),
 dispatches to the library, and writes one document to standard output; the
 global ``--json`` flag switches to the JSON mirror of the same structure.
+Each subcommand is registered with its name, help and arguments where its
+handler is defined, and the parser adds them in that order.
 
-Exit codes: 0 success, 1 parse or precondition failure (running out of
-memory or stack included), 2 verification failure (a law or a requested
-check is violated), 3 a semigroup membership decision was required but came
-back inconclusive.
+Exit codes: 0 success, 1 parse or precondition failure (a malformed command
+line, running out of memory or stack included), 2 verification failure (a
+law or a requested check is violated), 3 a semigroup membership decision was
+required but came back inconclusive.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .cochains import ArityError, DimensionMismatchError, Polynomial
+from .cochains import Polynomial
 from .grading import (
     InconclusiveMembershipError,
     SemigroupSpec,
@@ -82,13 +84,6 @@ def _parse_vector(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
-def _parse_alpha(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    low, sep, high = text.partition(":")
-    if not sep:
-        raise ValueError("filtration index must look like 'a1,a2:b1,b2'")
-    return _parse_vector(low, "filtration index"), _parse_vector(high, "filtration index")
-
-
 def _semigroup_from_args(args, dimension: int) -> SemigroupSpec:
     if not args.gen:
         raise ValueError("at least one --gen generator is required")
@@ -105,65 +100,108 @@ def _require_at_least(count: int, flag: str, minimum: int = 1) -> None:
         raise ValueError(f"{flag} must be at least {minimum}")
 
 
-def _report(dimension: int, *body) -> tuple:
-    return ("report", dimension) + body
-
-
 def _series_body(series: dict[int, Polynomial]) -> tuple:
     return tuple(("tpow", k, Terms(p)) for k, p in sorted(series.items()))
 
 
-def _membership_body(decision) -> tuple:
-    body = [("member", decision.status)]
-    if decision.certificate is not None:
-        body.append(("certificate",) + decision.certificate)
-    return tuple(body)
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a ``ValueError``: exit 1, one line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers; each returns the document to print (None: print
-# nothing) and the exit code.
+# Subcommand handlers, in ``--help`` order; each returns the document to
+# print (None: print nothing) and the exit code.
 # ---------------------------------------------------------------------------
 
-
-def _cmd_binary(args, operation) -> tuple:
-    left = _load(args.left, "cochain")
-    right = _load(args.right, "cochain")
-    return operation(left, right), EXIT_OK
+_COMMANDS: list[tuple[str, str, str, list]] = []  # name, help, handler name, add_argument calls
 
 
+def _command(name: str, help_text: str, *positionals: str):
+    """Register the decorated handler as subcommand ``name`` with ``positionals``
+    and then its ``_arg`` lines.  It is kept by name, so the parser runs what
+    the module attribute holds when the parser is built."""
+
+    def register(handler):
+        arguments = [((p,), {}) for p in positionals] + getattr(handler, "arguments", [])
+        _COMMANDS.append((name, help_text, handler.__name__, arguments))
+        return handler
+
+    return register
+
+
+def _arg(*flags: str, **options):
+    """One ``add_argument`` call for the handler below, added in reading order."""
+
+    def declare(handler):
+        handler.arguments = [(flags, options), *getattr(handler, "arguments", [])]
+        return handler
+
+    return declare
+
+
+def _semigroup(handler):
+    """The ``--gen`` and ``--cap`` options that give a semigroup."""
+    handler = _arg("--cap", type=int, default=32, help="search cap on representation length")(handler)
+    return _arg("--gen", action="append", default=[], help="semigroup generator; use --gen=-1,-1")(handler)
+
+
+@_command("cup", "cup product of two cochains", "left", "right")
+def _cmd_cup(args) -> tuple:
+    return cup(_load(args.left, "cochain"), _load(args.right, "cochain")), EXIT_OK
+
+
+@_command("bracket", "Gerstenhaber bracket of two cochains", "left", "right")
+def _cmd_bracket(args) -> tuple:
+    return bracket(_load(args.left, "cochain"), _load(args.right, "cochain")), EXIT_OK
+
+
+@_command("delta", "Hochschild coboundary of a cochain", "cochain")
 def _cmd_delta(args) -> tuple:
     c = _load(args.cochain, "cochain")
     return hochschild_delta(c), EXIT_OK
 
 
+@_command("apply", "evaluate a cochain on polynomial arguments", "cochain")
+@_arg("args", nargs="*", metavar="poly")
 def _cmd_apply(args) -> tuple:
     c = _load(args.cochain, "cochain")
     polys = [_load(path, "poly") for path in args.args]
     return c.apply(polys), EXIT_OK
 
 
+@_command("weight", "weight decomposition of a cochain", "cochain")
 def _cmd_weight(args) -> tuple:
     c = _load(args.cochain, "cochain")
     body = tuple(("weight", w, Terms(c, keys)) for w, keys in weight_groups(c))
-    return _report(c.dimension, *body), EXIT_OK
+    return ("report", c.dimension, *body), EXIT_OK
 
 
+@_command("bigrade", "bigrade decomposition of a cochain", "cochain")
 def _cmd_bigrade(args) -> tuple:
     c = _load(args.cochain, "cochain")
     body = tuple(("bigrade", down, up, Terms(c, keys)) for (down, up), keys in bigrade_groups(c))
-    return _report(c.dimension, *body), EXIT_OK
+    return ("report", c.dimension, *body), EXIT_OK
 
 
+@_command("member", "semigroup membership of a weight vector")
+@_arg("--weight", required=True, help="comma-separated integers; use --weight=-3,-3")
+@_semigroup
 def _cmd_member(args) -> tuple:
     _require_at_least(args.cap, "--cap")
     target = _parse_vector(args.weight, "weight")
     spec = _semigroup_from_args(args, len(target))
     decision = semigroup_member(spec, target, min_count=1)
+    certificate = () if decision.certificate is None else (("certificate", *decision.certificate),)
     code = EXIT_INCONCLUSIVE if decision.status == "inconclusive" else EXIT_OK
-    return _report(spec.dimension, *_membership_body(decision)), code
+    return ("report", spec.dimension, ("member", decision.status), *certificate), code
 
 
+@_command("ideal-member", "membership of a cochain in the r-fold ideal", "cochain")
+@_semigroup
+@_arg("--fold", "-r", type=int, default=2, help="how many semigroup summands")
 def _cmd_ideal_member(args) -> tuple:
     _require_at_least(args.cap, "--cap")
     _require_at_least(args.fold, "--fold")
@@ -171,42 +209,62 @@ def _cmd_ideal_member(args) -> tuple:
     spec = _semigroup_from_args(args, c.dimension)
     decision = in_ideal(c, spec, fold=args.fold)
     code = EXIT_INCONCLUSIVE if decision.status == "inconclusive" else EXIT_OK
-    return _report(c.dimension, ("ideal-member", decision.status), ("fold", args.fold)), code
+    return ("report", c.dimension, ("ideal-member", decision.status), ("fold", args.fold)), code
 
 
+@_command("project", "membership in and projection onto a weight subalgebra", "cochain")
+@_semigroup
 def _cmd_project(args) -> tuple:
     _require_at_least(args.cap, "--cap")
     c = _load(args.cochain, "cochain")
     projected = project_subalgebra(c, _semigroup_from_args(args, c.dimension))
     member = "yes" if projected == c else "no"
     body = (("member", member), ("projection", Terms(projected)))
-    return _report(c.dimension, *body), EXIT_OK
+    return ("report", c.dimension, *body), EXIT_OK
 
 
+@_command("theta", "parity involution for a coordinate index set", "cochain")
+@_arg("--indices", required=True, help="1-based coordinates, e.g. 1,2")
 def _cmd_theta(args) -> tuple:
     c = _load(args.cochain, "cochain")
     indices = _parse_vector(args.indices, "--indices")
     return theta_apply(c, indices), EXIT_OK
 
 
+@_command("theta-split", "split into involution-even and -odd parts", "cochain")
+@_arg("--indices", required=True)
 def _cmd_theta_split(args) -> tuple:
     c = _load(args.cochain, "cochain")
     indices = _parse_vector(args.indices, "--indices")
     plus, minus = theta_split(c, indices)
     body = (("plus", Terms(plus)), ("minus", Terms(minus)))
-    return _report(c.dimension, *body), EXIT_OK
+    return ("report", c.dimension, *body), EXIT_OK
 
 
+@_command("filtration", "filtration index of, or stage membership for, a cochain", "cochain")
+@_arg("--mode", choices=("literal", "cumulative"), default="cumulative")
+@_arg("--alpha", help="stage index 'a1,a2:b1,b2'; omitted: least stage")
 def _cmd_filtration(args) -> tuple:
     c = _load(args.cochain, "cochain")
     if args.alpha is not None:
-        alpha = _parse_alpha(args.alpha)
+        low, sep, high = args.alpha.partition(":")
+        if not sep:
+            raise ValueError("filtration index must look like 'a1,a2:b1,b2'")
+        alpha = _parse_vector(low, "filtration index"), _parse_vector(high, "filtration index")
         verdict = "yes" if filtration_contains(c, alpha, mode=args.mode) else "no"
-        return _report(c.dimension, ("mode", args.mode), ("contains", verdict)), EXIT_OK
+        return ("report", c.dimension, ("mode", args.mode), ("contains", verdict)), EXIT_OK
     index = filtration_index(c, mode=args.mode)
-    return _report(c.dimension, ("mode", args.mode), ("index", index[0], index[1])), EXIT_OK
+    return ("report", c.dimension, ("mode", args.mode), ("index", index[0], index[1])), EXIT_OK
 
 
+@_command("mc-solve", "solve the star-product recursion from a Poisson bivector")
+@_arg("--pi1", required=True, help="cochain document for the bivector")
+@_arg("--order", type=int, required=True)
+@_semigroup
+@_arg("--slot-cap", type=int, default=64, help="hard cap on slot-order growth")
+@_arg("--check-assoc", action="store_true", help="verify associativity of the output")
+@_arg("--assoc-trials", type=int, default=10)
+@_arg("--seed", type=int, default=0)
 def _cmd_mc_solve(args) -> tuple:
     _require_at_least(args.order, "--order")
     _require_at_least(args.slot_cap, "--slot-cap", 0)
@@ -228,23 +286,31 @@ def _cmd_mc_solve(args) -> tuple:
     return deformation, EXIT_OK
 
 
+@_command("star-apply", "deformed product of two polynomials", "left", "right")
+@_arg("--deformation", required=True)
 def _cmd_star_apply(args) -> tuple:
     deformation = _load(args.deformation, "deformation")
-    f = _load(args.left, "poly")
-    g = _load(args.right, "poly")
+    f, g = (_load(path, "poly") for path in (args.left, args.right))
     series = star_apply(deformation, f, g)
-    return _report(deformation.dimension, ("order", deformation.order), *_series_body(series)), EXIT_OK
+    return ("report", deformation.dimension, ("order", deformation.order), *_series_body(series)), EXIT_OK
 
 
+@_command("assoc-defect", "associativity defect of a deformation on a triple", "f", "g", "h")
+@_arg("--deformation", required=True)
+@_arg("--expect-zero", action="store_true", help="exit 2 when the defect is nonzero")
 def _cmd_assoc_defect(args) -> tuple:
     deformation = _load(args.deformation, "deformation")
     f, g, h = (_load(path, "poly") for path in (args.f, args.g, args.h))
     defect = associativity_defect(deformation, f, g, h)
     body = (("order", deformation.order), ("zero", "yes" if not defect else "no"))
     code = EXIT_VERIFY if args.expect_zero and defect else EXIT_OK
-    return _report(deformation.dimension, *body, *_series_body(defect)), code
+    return ("report", deformation.dimension, *body, *_series_body(defect)), code
 
 
+@_command("verify-axioms", "run the seeded law-verification suites")
+@_arg("--seed", type=int, default=0)
+@_arg("--trials", type=int, default=25)
+@_arg("--law", action="append", help="restrict to named laws (repeatable)")
 def _cmd_verify(args) -> tuple:
     _require_at_least(args.trials, "--trials")
     if args.law:
@@ -254,18 +320,14 @@ def _cmd_verify(args) -> tuple:
             raise ValueError(f"unknown law(s): {', '.join(unknown)}")
     results = axioms.run_laws(args.seed, args.trials, names=args.law or None)
     body = [("seed", args.seed), ("trials", args.trials)]
-    failed = False
     for r in results:
-        entry = ("law", r.name, "pass" if r.ok else "fail", r.checks)
-        if r.witness is not None:
-            entry = entry + (r.witness,)
-        body.append(entry)
-        failed = failed or not r.ok
-    return _report(2, *body), EXIT_VERIFY if failed else EXIT_OK
+        witness = () if r.witness is None else (r.witness,)
+        body.append(("law", r.name, "pass" if r.ok else "fail", r.checks, *witness))
+    return ("report", 2, *body), EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gerst",
         description=(
             "Exact Gerstenhaber algebra of polydifferential operators: cup product, "
@@ -276,97 +338,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit the JSON mirror of the document")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    for name, help_text, handler, arguments in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("cup", lambda a: _cmd_binary(a, cup), "cup product of two cochains")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("bracket", lambda a: _cmd_binary(a, bracket), "Gerstenhaber bracket of two cochains")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("delta", _cmd_delta, "Hochschild coboundary of a cochain")
-    p.add_argument("cochain")
-
-    p = add("apply", _cmd_apply, "evaluate a cochain on polynomial arguments")
-    p.add_argument("cochain")
-    p.add_argument("args", nargs="*", metavar="poly")
-
-    p = add("weight", _cmd_weight, "weight decomposition of a cochain")
-    p.add_argument("cochain")
-
-    p = add("bigrade", _cmd_bigrade, "bigrade decomposition of a cochain")
-    p.add_argument("cochain")
-
-    def add_semigroup(p):
-        p.add_argument("--gen", action="append", default=[], help="semigroup generator; use --gen=-1,-1")
-        p.add_argument("--cap", type=int, default=32, help="search cap on representation length")
-
-    p = add("member", _cmd_member, "semigroup membership of a weight vector")
-    p.add_argument("--weight", required=True, help="comma-separated integers; use --weight=-3,-3")
-    add_semigroup(p)
-
-    p = add("ideal-member", _cmd_ideal_member, "membership of a cochain in the r-fold ideal")
-    p.add_argument("cochain")
-    add_semigroup(p)
-    p.add_argument("--fold", "-r", type=int, default=2, help="how many semigroup summands")
-
-    p = add("project", _cmd_project, "membership in and projection onto a weight subalgebra")
-    p.add_argument("cochain")
-    add_semigroup(p)
-
-    p = add("theta", _cmd_theta, "parity involution for a coordinate index set")
-    p.add_argument("cochain")
-    p.add_argument("--indices", required=True, help="1-based coordinates, e.g. 1,2")
-
-    p = add("theta-split", _cmd_theta_split, "split into involution-even and -odd parts")
-    p.add_argument("cochain")
-    p.add_argument("--indices", required=True)
-
-    p = add("filtration", _cmd_filtration, "filtration index of, or stage membership for, a cochain")
-    p.add_argument("cochain")
-    p.add_argument("--mode", choices=("literal", "cumulative"), default="cumulative")
-    p.add_argument("--alpha", help="stage index 'a1,a2:b1,b2'; omitted: least stage")
-
-    p = add("mc-solve", _cmd_mc_solve, "solve the star-product recursion from a Poisson bivector")
-    p.add_argument("--pi1", required=True, help="cochain document for the bivector")
-    p.add_argument("--order", type=int, required=True)
-    add_semigroup(p)
-    p.add_argument("--slot-cap", type=int, default=64, help="hard cap on slot-order growth")
-    p.add_argument("--check-assoc", action="store_true", help="verify associativity of the output")
-    p.add_argument("--assoc-trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("star-apply", _cmd_star_apply, "deformed product of two polynomials")
-    p.add_argument("--deformation", required=True)
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("assoc-defect", _cmd_assoc_defect, "associativity defect of a deformation on a triple")
-    p.add_argument("--deformation", required=True)
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("h")
-    p.add_argument("--expect-zero", action="store_true", help="exit 2 when the defect is nonzero")
-
-    p = add("verify-axioms", _cmd_verify, "run the seeded law-verification suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--law", action="append", help="restrict to named laws (repeatable)")
-
+        p.set_defaults(handler=globals()[handler])
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _stdin_text.cache_clear()
     try:
+        args = build_parser().parse_args(argv)
+        _stdin_text.cache_clear()
         document, code = args.handler(args)
         if document is not None:
             if args.json:
@@ -386,15 +369,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         sys.stderr.write("error: out of memory\n")
         return EXIT_USAGE
-    except (
-        sexpr.SexprError,
-        DimensionMismatchError,
-        ArityError,
-        SlotOrderCapError,
-        ValueError,
-        OSError,
-        RecursionError,
-    ) as err:
+    except (ValueError, OSError, SlotOrderCapError, RecursionError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
 

@@ -19,20 +19,18 @@ The grading works once per distinct value, not once per term.  ``_buckets``
 groups the terms of a cochain by weight or bigrade; a term's slot sum is one
 remainder of its packed key, while the exponent bound rules out a carry, and
 each distinct field group is spread and each distinct grade read back once
-per call.  The report groups, the filtration, the subalgebra tests and the
-star-product solver's block split all read it.  The distinct weights of a
-cochain share one breadth-first membership search, whose length limits are
-integer dot products.  The parity involution signs a term by the low bits of
-its selected fields, with no grade built at all.  Only ``weights_of``, which
-the law suites call on many small cochains, still reads its terms one by
-one.
+per call.  The report groups, ``weights_of``, the filtration, the subalgebra
+tests and the star-product solver's block split all read it.  The distinct
+weights of a cochain share one breadth-first membership search, whose length
+limits are integer dot products.  The parity involution signs a term by the
+low bits of its selected fields, with no grade built at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from operator import mul
 from struct import Struct
@@ -45,7 +43,6 @@ from .cochains import (
     Cochain,
     DimensionMismatchError,
     Index,
-    _fields,
     _fields_struct,
     _Memo,
     _Record,
@@ -64,25 +61,14 @@ class InconclusiveMembershipError(Exception):
     """A definite semigroup decision was required but the search cap bound."""
 
 
-def _term_fields(term: BasisTerm) -> tuple[int, ...]:
-    return (1, *term.x_part, *chain.from_iterable(term.slots))
-
-
-def _grade_fields(n: int, fields: Sequence[int], sign: int) -> Index:
-    """x-part plus ``sign`` times the slot sum, from a term's packed-key fields
-    (the sentinel, then the x-part, then the slots, each of ``n`` entries)."""
-    return tuple(fields[1 + i] + sign * sum(fields[1 + n + i :: n]) for i in range(n))
-
-
 def weight_of(term: BasisTerm) -> Index:
     """x-exponent minus the sum of slot orders, an integer vector."""
-    return _grade_fields(term.dimension, _term_fields(term), -1)
+    return tuple(x - sum(s) for x, *s in zip(term.x_part, *term.slots))
 
 
 def bigrade_of(term: BasisTerm) -> tuple[Index, Index]:
     """The pair (x_part - sum(slots), x_part + sum(slots))."""
-    fields = _term_fields(term)
-    return _grade_fields(term.dimension, fields, -1), _grade_fields(term.dimension, fields, 1)
+    return weight_of(term), tuple(x + sum(s) for x, *s in zip(term.x_part, *term.slots))
 
 
 @lru_cache(maxsize=None)
@@ -146,13 +132,8 @@ def _buckets(c: Cochain, bigrade: bool, keys: bool) -> dict:
 
 
 def weights_of(c: Cochain) -> set[Index]:
-    """The set of weights of the terms of ``c``.
-
-    Term by term: the law suites call this on many small cochains, for
-    which laying out ``_buckets`` costs more than it saves.
-    """
-    n = c.dimension
-    return {_grade_fields(n, _fields(key), -1) for key in c._num}
+    """The set of weights of the terms of ``c``."""
+    return set(_buckets(c, False, False))
 
 
 def weight_groups(c: Cochain) -> list[tuple[Index, list[int]]]:
@@ -181,8 +162,7 @@ def decompose_by_bigrade(c: Cochain) -> dict[tuple[Index, Index], Cochain]:
 
 def scaling_field(dimension: int, i: int) -> Cochain:
     """The vector field ``x_i d_i`` whose brackets read off weights (1-based i)."""
-    if not 1 <= i <= dimension:
-        raise ValueError(f"coordinate index {i} out of range 1..{dimension}")
+    _check_indices((i,), dimension)
     e = tuple(1 if j == i - 1 else 0 for j in range(dimension))
     return Cochain.single(BasisTerm(dimension, e, (e,)))
 

@@ -112,11 +112,14 @@ def wide_cochains(draw):
 @given(wide_cochains())
 # Two terms of one weight, stored out of canonical order.
 @example(Cochain(1, {BasisTerm(1, (2,), ((1,),)): 1, BasisTerm(1, (1,), ()): 1}))
+@example(Cochain.zero(2))
 def test_grade_groups_list_each_term_under_its_grade(c):
     """The report groups list every term once, under ``weight_of`` or
     ``bigrade_of`` of its basis term, grades increasing and terms in
-    canonical order; ``theta_apply`` signs each term by its weight."""
+    canonical order; ``weights_of`` is the set of the terms' weights, and
+    ``theta_apply`` signs each term by its weight."""
     n = c.dimension
+    assert grading.weights_of(c) == {weight_of(t) for t, _ in c.items()}
     for groups, grade_of in ((grading.weight_groups(c), weight_of), (grading.bigrade_groups(c), bigrade_of)):
         assert [grade for grade, _ in groups] == sorted({grade_of(t) for t, _ in c.items()})
         assert sorted(key for _, keys in groups for key in keys) == sorted(c._num)

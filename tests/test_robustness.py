@@ -446,7 +446,30 @@ def test_cli_refuses_counts_below_one(tmp_path, args, message):
     assert result.stderr.splitlines() == [f"error: {message}"]
 
 
-CONSTANT_BIVECTOR = "(cochain 2 (term 1 (0 0) (1 0) (0 1)) (term -1 (0 0) (0 1) (1 0)))"
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([], "gerst: the following arguments are required: command"),
+        (["nosuch"], "gerst: argument command: invalid choice: 'nosuch' (choose from "),
+        (["delta"], "gerst delta: the following arguments are required: cochain"),
+        (["mc-solve", "--order", "abc", "--pi1", "x"], "gerst mc-solve: argument --order: invalid int value: 'abc'"),
+        (["filtration", "x", "--mode", "bad"], "gerst filtration: argument --mode: invalid choice: 'bad' (choose from "),
+        (["delta", "x", "--bogus"], "gerst: unrecognized arguments: --bogus"),
+    ],
+    ids=["no-command", "unknown-command", "missing-positional", "non-int", "bad-choice", "unknown-flag"],
+)
+def test_cli_malformed_command_line_exits_one_on_one_line(args, message):
+    """A command line argparse cannot parse is a parse failure like any other:
+    exit code 1 and one ``error:`` line naming the program and subcommand,
+    not a usage block and exit code 2."""
+    result = _run_cli(*args)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"error: {message}")
+
+
+CONSTANT_BIVECTOR = "(cochain 2(term 1 (0 0) (1 0) (0 1)) (term -1 (0 0) (0 1) (1 0)))"
 P1 = Cochain(2, {BasisTerm(2, (0, 0), ((1, 0), (0, 1))): Fraction(1, 2),
                  BasisTerm(2, (0, 0), ((0, 1), (1, 0))): Fraction(-1, 2)})
 STRAY = Cochain(2, {BasisTerm(2, (0, 0), ((1, 0), (1, 0), (1, 0))): 1})
