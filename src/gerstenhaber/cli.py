@@ -165,7 +165,7 @@ def _cmd_delta(args) -> tuple:
 
 
 @_command("apply", "evaluate a cochain on polynomial arguments", "cochain")
-@_arg("args", nargs="*", metavar="poly")
+@_arg("args", nargs="*", metavar="poly", help="polynomial document, one per slot")
 def _cmd_apply(args) -> tuple:
     c = _load(args.cochain, "cochain")
     polys = [_load(path, "poly") for path in args.args]
@@ -232,7 +232,7 @@ def _cmd_theta(args) -> tuple:
 
 
 @_command("theta-split", "split into involution-even and -odd parts", "cochain")
-@_arg("--indices", required=True)
+@_arg("--indices", required=True, help="1-based coordinates, e.g. 1,2")
 def _cmd_theta_split(args) -> tuple:
     c = _load(args.cochain, "cochain")
     indices = _parse_vector(args.indices, "--indices")
@@ -242,7 +242,7 @@ def _cmd_theta_split(args) -> tuple:
 
 
 @_command("filtration", "filtration index of, or stage membership for, a cochain", "cochain")
-@_arg("--mode", choices=("literal", "cumulative"), default="cumulative")
+@_arg("--mode", choices=("literal", "cumulative"), default="cumulative", help="how a stage index is read; default cumulative")
 @_arg("--alpha", help="stage index 'a1,a2:b1,b2'; omitted: least stage")
 def _cmd_filtration(args) -> tuple:
     c = _load(args.cochain, "cochain")
@@ -259,14 +259,16 @@ def _cmd_filtration(args) -> tuple:
 
 @_command("mc-solve", "solve the star-product recursion from a Poisson bivector")
 @_arg("--pi1", required=True, help="cochain document for the bivector")
-@_arg("--order", type=int, required=True)
+@_arg("--order", type=int, required=True, help=f"highest order of the series, at most {sexpr.ORDER_LIMIT}")
 @_semigroup
 @_arg("--slot-cap", type=int, default=64, help="hard cap on slot-order growth")
 @_arg("--check-assoc", action="store_true", help="verify associativity of the output")
-@_arg("--assoc-trials", type=int, default=10)
-@_arg("--seed", type=int, default=0)
+@_arg("--assoc-trials", type=int, default=10, help="random polynomial triples --check-assoc tries")
+@_arg("--seed", type=int, default=0, help="seed of the --check-assoc triples")
 def _cmd_mc_solve(args) -> tuple:
     _require_at_least(args.order, "--order")
+    if args.order > sexpr.ORDER_LIMIT:  # no reader would accept the deformation
+        raise ValueError(f"--order must be at most {sexpr.ORDER_LIMIT}")
     _require_at_least(args.slot_cap, "--slot-cap", 0)
     _require_at_least(args.assoc_trials, "--assoc-trials")
     if args.gen:
@@ -287,7 +289,7 @@ def _cmd_mc_solve(args) -> tuple:
 
 
 @_command("star-apply", "deformed product of two polynomials", "left", "right")
-@_arg("--deformation", required=True)
+@_arg("--deformation", required=True, help="deformation document, as mc-solve writes")
 def _cmd_star_apply(args) -> tuple:
     deformation = _load(args.deformation, "deformation")
     f, g = (_load(path, "poly") for path in (args.left, args.right))
@@ -296,7 +298,7 @@ def _cmd_star_apply(args) -> tuple:
 
 
 @_command("assoc-defect", "associativity defect of a deformation on a triple", "f", "g", "h")
-@_arg("--deformation", required=True)
+@_arg("--deformation", required=True, help="deformation document, as mc-solve writes")
 @_arg("--expect-zero", action="store_true", help="exit 2 when the defect is nonzero")
 def _cmd_assoc_defect(args) -> tuple:
     deformation = _load(args.deformation, "deformation")
@@ -308,8 +310,8 @@ def _cmd_assoc_defect(args) -> tuple:
 
 
 @_command("verify-axioms", "run the seeded law-verification suites")
-@_arg("--seed", type=int, default=0)
-@_arg("--trials", type=int, default=25)
+@_arg("--seed", type=int, default=0, help="seed of the random trials")
+@_arg("--trials", type=int, default=25, help="random trials per law")
 @_arg("--law", action="append", help="restrict to named laws (repeatable)")
 def _cmd_verify(args) -> tuple:
     _require_at_least(args.trials, "--trials")

@@ -638,42 +638,23 @@ def _int_compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def index_splits(a: Index, parts: int) -> tuple[tuple[tuple[Index, ...], int], ...]:
-    """Ordered splits of a multi-index into ``parts`` pieces, with coefficients.
+def index_splits(n: int, a: int, parts: int) -> tuple[tuple[int, int], ...]:
+    """Ordered splits of the packed index ``a`` of dimension ``n`` into
+    ``parts`` pieces, each split packed into one slot block, with coefficients.
 
-    Yields every tuple ``(b_1, ..., b_parts)`` of multi-indices summing to
-    ``a`` componentwise, paired with the product over coordinates of the
-    multinomial coefficient ``a_i! / (b_1_i! ... b_parts_i!)``.  This is the
-    expansion rule for a mixed partial of a ``parts``-fold product.
+    Each pair is ``(block, coeff)``: the pieces ``b_1, ..., b_parts`` sum to
+    ``a`` componentwise and fill ``parts`` consecutive slot fields, ``b_1``
+    highest, so adding the block to a block of ``parts`` slots shifts each
+    slot by its piece.  ``coeff`` is the product over coordinates of the
+    multinomial ``a_i! / (b_1_i! ... b_parts_i!)``: this is the expansion rule
+    for a mixed partial of a ``parts``-fold product.  Splits come in the order
+    of the coordinates' compositions, the first coordinate outermost.
     """
-    n = len(a)
-    if parts == 0:
-        return (((), 1),) if not any(a) else ()
-    per_dim = [_int_compositions(a[i], parts) for i in range(n)]
-    out = []
-    for combo in _cartesian(*per_dim):
-        pieces = tuple(tuple(combo[i][j] for i in range(n)) for j in range(parts))
-        coeff = 1
-        for i in range(n):
-            c = factorial(a[i])
-            for v in combo[i]:
-                c //= factorial(v)
-            coeff *= c
-        out.append((pieces, coeff))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _packed_splits(n: int, a: int, parts: int) -> tuple[tuple[int, int], ...]:
-    """``index_splits`` of the packed index ``a``, each split packed into one slot block.
-
-    A split's pieces fill ``parts`` consecutive slot fields, piece 1 highest,
-    so adding the block to a block of ``parts`` slots shifts each slot by its
-    piece.
-    """
+    totals = _unpack_index(n, a)
+    top = prod(map(factorial, totals))  # divided by a split's entry factorials: the multinomials' product
     return tuple(
-        (_pack(chain.from_iterable(pieces)), coeff)
-        for pieces, coeff in index_splits(_unpack_index(n, a), parts)
+        (_pack(chain.from_iterable(zip(*combo))), top // prod(map(factorial, chain.from_iterable(combo))))
+        for combo in _cartesian(*[_int_compositions(total, parts) for total in totals])
     )
 
 
@@ -681,7 +662,14 @@ def leibniz_split(a: Sequence[int]) -> tuple[tuple[Index, Index, int], ...]:
     """All two-piece splits of ``a`` with binomial coefficients.
 
     ``d^a(u v) = sum coeff * (d^b u)(d^(a-b) v)`` over the returned triples
-    ``(b, a - b, coeff)``.
+    ``(b, a - b, coeff)``.  ``a`` must have nonnegative integer entries within
+    the exponent budget.
     """
-    a = tuple(a)
-    return tuple((pieces[0], pieces[1], coeff) for pieces, coeff in index_splits(a, 2))
+    n = len(a)
+    a = _check_index(a, n)
+    _within_budget(max(a, default=0), "exponent")
+    width = _WIDTH * n
+    return tuple(
+        (_unpack_index(n, block >> width), _unpack_index(n, block & (1 << width) - 1), coeff)
+        for block, coeff in index_splits(n, _pack(a), 2)
+    )

@@ -79,10 +79,9 @@ def _spread_layout(n: int) -> tuple[Struct, Struct, int]:
     return wide, Struct(f">{n}q"), int.from_bytes(wide.pack(*[1 << 63] * n), "big")
 
 
-def _buckets(c: Cochain, bigrade: bool, keys: bool) -> dict:
+def _buckets(c: Cochain, bigrade: bool) -> dict[tuple, list[int]]:
     """Each weight, or bigrade, of the terms of ``c``, increasing: a dict from
-    the grade to the packed keys of its terms in canonical order when
-    ``keys``, else to None.
+    the grade to the packed keys of its terms in canonical order.
 
     Terms are bucketed by grades in spread form: one int with a signed
     64-bit field per coordinate, high to low, so a sum of field groups is a
@@ -110,7 +109,7 @@ def _buckets(c: Cochain, bigrade: bool, keys: bool) -> dict:
     cast_out = (arity + 1) * c._bound + 1 < EXPONENT_BUDGET
     high = 64 * n  # a bigrade's code: its weight above its up, which is nonnegative
     buckets: dict = {}
-    for key in sorted(c._num) if keys else c._num:
+    for key in sorted(c._num):
         shift = key.bit_length() - 1 - width
         x = spread[key >> shift & mask]
         if cast_out:
@@ -118,10 +117,7 @@ def _buckets(c: Cochain, bigrade: bool, keys: bool) -> dict:
         else:
             up = x + sum(spread[key >> at & mask] for at in range(0, shift, width))
         code = (x + x - up) << high | up if bigrade else x + x - up
-        if keys:
-            buckets.setdefault(code, []).append(key)
-        else:
-            buckets[code] = None
+        buckets.setdefault(code, []).append(key)
     # Plus 2^63 in every field, each signed field reads as a nonnegative one;
     # flipping each field's top bit then leaves its 64-bit two's complement.
     grade = _Memo(lambda code: signed.unpack(((code + half) ^ half).to_bytes(8 * n, "big")))
@@ -133,22 +129,22 @@ def _buckets(c: Cochain, bigrade: bool, keys: bool) -> dict:
 
 def weights_of(c: Cochain) -> set[Index]:
     """The set of weights of the terms of ``c``."""
-    return set(_buckets(c, False, False))
+    return set(_buckets(c, False))
 
 
 def weight_groups(c: Cochain) -> list[tuple[Index, list[int]]]:
     """``decompose_by_weight`` as each weight's packed term keys in ``c``, for printing."""
-    return list(_buckets(c, False, True).items())
+    return list(_buckets(c, False).items())
 
 
 def bigrade_groups(c: Cochain) -> list[tuple[tuple[Index, Index], list[int]]]:
     """``decompose_by_bigrade`` as each bigrade's packed term keys in ``c``, for printing."""
-    return list(_buckets(c, True, True).items())
+    return list(_buckets(c, True).items())
 
 
 def _decompose(c: Cochain, bigrade: bool) -> dict:
     n, num, d, bound = c.dimension, c._num, c._den, c._bound
-    buckets = _buckets(c, bigrade, True)
+    buckets = _buckets(c, bigrade)
     return {g: Cochain._reduced(n, {k: num[k] for k in keys}, d, bound) for g, keys in buckets.items()}
 
 
@@ -369,7 +365,7 @@ def _weight_statuses(
     if c.dimension != spec.dimension:
         raise DimensionMismatchError("cochain and semigroup dimensions differ")
     if weights is None:
-        weights = _buckets(c, False, False)
+        weights = _buckets(c, False)
     decided = _memberships(spec, weights, min_count)
     return [(w, decided[w].status) for w in weights]
 
@@ -386,7 +382,7 @@ def project_subalgebra(c: Cochain, spec: SemigroupSpec) -> Cochain:
     decided within the search cap; an undecided component is never silently
     kept or dropped.
     """
-    buckets = _buckets(c, False, True)
+    buckets = _buckets(c, False)
     kept = []
     for w, status in _weight_statuses(c, spec, 1, buckets):
         if status == INCONCLUSIVE:
@@ -663,7 +659,7 @@ def filtration_contains(c: Cochain, alpha, mode: str = CUMULATIVE) -> bool:
     """
     mode = _check_mode(mode)
     a, b = validate_filtration_index(alpha, c.dimension)
-    bigrades = _buckets(c, True, False)
+    bigrades = _buckets(c, True)
     if mode == LITERAL:
         return all(down == a and a <= up <= b for down, up in bigrades)
     return all(bigrade <= (a, b) for bigrade in bigrades)
@@ -674,7 +670,7 @@ def filtration_index(c: Cochain, mode: str = CUMULATIVE) -> tuple[Index, Index]:
     mode = _check_mode(mode)
     if c.is_zero:
         raise ValueError("the zero cochain has no filtration index")
-    bigrades = _buckets(c, True, False)  # increasing
+    bigrades = _buckets(c, True)  # increasing
     top = next(reversed(bigrades))
     if mode == LITERAL and next(iter(bigrades))[0] != top[0]:
         raise ValueError(

@@ -42,9 +42,9 @@ from .cochains import (
     Cochain,
     ArityError,
     _pack,
-    _packed_splits,
     _unpack_index,
     _within_budget,
+    index_splits,
     zero_index,
 )
 
@@ -107,7 +107,7 @@ def _insert_term(n: int, a: int, b0: int, slots: int, q: int) -> tuple[tuple[int
     out = []
     for c0 in _cartesian(*[range(min(ai, bi) + 1) for ai, bi in zip(a_index, b_index)]):
         packed_c0 = _pack(c0)
-        splits = _packed_splits(n, a - packed_c0, q)
+        splits = index_splits(n, a - packed_c0, q)
         if not splits:
             continue  # an arity-0 term takes no derivative beyond its x-part
         scale = 1
@@ -211,7 +211,7 @@ def _delta_term(n: int, slots: int, p: int) -> tuple[tuple[int, int], ...]:
         low = width * (p - k)
         head = (slots >> (low + width)) << (low + 2 * width)
         tail = slots & ((1 << low) - 1)
-        for pieces, coeff in _packed_splits(n, (slots >> low) & ((1 << width) - 1), 2):
+        for pieces, coeff in index_splits(n, (slots >> low) & ((1 << width) - 1), 2):
             add(head | pieces << low | tail, sk * coeff)
     return tuple(item for item in acc.items() if item[1])
 

@@ -39,8 +39,8 @@ from .cochains import (
     _derivatives,
     _fields,
     _pack,
-    _packed_splits,
     _within_budget,
+    index_splits,
 )
 from .grading import SemigroupSpec, _buckets, in_ideal, in_subalgebra
 from .linsolve import pivot_columns, solve_particular
@@ -134,7 +134,7 @@ def build_block(slot_total: Index) -> BlockSystem:
     if any(s < 0 for s in slot_total):
         raise ValueError(f"invalid slot total {slot_total}: entries must be nonnegative")
     n = len(slot_total)
-    slots2 = tuple(sorted(pieces for pieces, _ in _packed_splits(n, _pack(slot_total), 2)))
+    slots2 = tuple(sorted(pieces for pieces, _ in index_splits(n, _pack(slot_total), 2)))
     columns = tuple(dict(_delta_term(n, slots, 2)) for slots in slots2)
     return BlockSystem(slots2, columns, pivot_columns(columns))
 
@@ -158,7 +158,7 @@ def solve_delta(target: Cochain) -> Cochain:
     # the target's denominator times the lcm of the blocks' denominators.
     solution: dict[int, Fraction] = {}
     bound = 0
-    for (down, up), keys in _buckets(target, True, True).items():
+    for (down, up), keys in _buckets(target, True).items():
         component = {key & slots3: num[key] for key in keys}
         x_part = tuple((d + u) // 2 for d, u in zip(down, up))
         slot_total = tuple((u - d) // 2 for d, u in zip(down, up))
@@ -182,7 +182,7 @@ def solve_delta(target: Cochain) -> Cochain:
 
 def _first_bigrade(c: Cochain) -> tuple[Index, Index]:
     """The smallest bigrade of the terms of a nonzero cochain."""
-    return next(iter(_buckets(c, True, False)))
+    return next(iter(_buckets(c, True)))
 
 
 def _max_slot_order(c: Cochain) -> int:

@@ -196,19 +196,19 @@ HELP_EXPECTED = {
     "cup": "8f12fb6bf551d405a58b88eb015c8204885b54ebe3e4ebf9eeac5f0b7f126478",
     "bracket": "c09f4ccd0b25739b6f1bfc8a02686c8c22284c6654ee68e891430a9857a38245",
     "delta": "16e7650867f7d613611ee6a379f25835a8c5053c2687df39a569bb4f08c26f62",
-    "apply": "48422fa3b24ceb498ca0d9603c6185b41951c84ad3f4eb61c57014337bd631cb",
+    "apply": "4d49a5026eadd8f1e33356f3b5d81b2c999c21a4c9eef18cb6ef294d69fd5846",
     "weight": "bf727c0a192a0596eb449034b9c13aa3400cc32d9dfbf845b744022468813ca3",
     "bigrade": "3a5704fd5e740a61a89f02a55c0b070118587eeb2b5b8b77de9bbfcc9218498d",
     "member": "3a5a6054464db5c7fdef52906ef9dfd8f5908ba4c6abab59b9a5108d939d847f",
     "ideal-member": "99f81d500ad4420d6f5013ac4c0e0810dd9100359add935ac7bf8718ea11d864",
     "project": "d739960bf197157faa73c7e0a9f106abbcaea0f97916fd930ab3c29de0f0abb9",
     "theta": "d54957514570d9a60cc3fe4593f728189ebf645a6cc579b8280231b833d88274",
-    "theta-split": "4521e363d430c175f6087a9fda5e6b785765df659e66a94b794dae52ceec2d48",
-    "filtration": "438e570778534fac62d6590652e7c8d2af23a864975e42b46384393f1b6e5a3c",
-    "mc-solve": "24003afd3d24cd323f386bfec0287069bbbe46076b7de7aecbb96d7c1e733506",
-    "star-apply": "37a3f511d276ab00de4c66cc323188bc8ec72f6870c2eaa35ac89e635abb825a",
-    "assoc-defect": "c0f76ae8bdc63a783774567a212922fea297cea212cd42516bbc51ba072a965e",
-    "verify-axioms": "b409f7e14d1338e45bf9cb37c462393214a3e9dbbfb9fc8ada4d9c2cdbab4562",
+    "theta-split": "9d0dc0eb7b8b1cd9938a6cfa40621f9da5f026acbb9fcda5e4a4685e28c1c3e3",
+    "filtration": "055c86e128e1515cbf39de3d5bfbaa586c6d6a275a25a88cda76d8385b967ff4",
+    "mc-solve": "7f079d7b4f021afae78393b28c9c6208a66de7f302f6fcb2c925439b4f96d4f8",
+    "star-apply": "ad2a1ac91a9a0e96569230e1e74c646a34d073c67df2f84c1a9be1b435eb5a28",
+    "assoc-defect": "6675b24503ec766ab00609cde0e68f2d99fadbb5dcd1a77024c12da5250c95f9",
+    "verify-axioms": "f0bce7b23485176125fc8ca0f1b3928d601e6dc11804fae5c011a4c4ada908d1",
 }
 
 

@@ -131,13 +131,13 @@ def test_grade_groups_list_each_term_under_its_grade(c):
     assert theta_apply(c, (1,)) == Cochain(n, {t: signs[t] * coeff for t, coeff in c.items()})
 
 
-def buckets_term_by_term(c, bigrade, keys):
+def buckets_term_by_term(c, bigrade):
     """``grading._buckets`` built from ``weight_of`` or ``bigrade_of`` of each term."""
     grade_of = bigrade_of if bigrade else weight_of
     found = {}
     for key in sorted(c._num):
         found.setdefault(grade_of(Cochain._key(c.dimension, key)), []).append(key)
-    return [(grade, found[grade] if keys else None) for grade in sorted(found)]
+    return [(grade, found[grade]) for grade in sorted(found)]
 
 
 def casts_out(c):
@@ -149,10 +149,9 @@ def casts_out(c):
 def assert_buckets_match_term_by_term(c):
     loose = Cochain._raw(c.dimension, c._num, c._den, EXPONENT_BUDGET)  # never cast out
     for bigrade in (False, True):
-        for keys in (False, True):
-            expected = buckets_term_by_term(c, bigrade, keys)
-            assert list(grading._buckets(c, bigrade, keys).items()) == expected
-            assert list(grading._buckets(loose, bigrade, keys).items()) == expected
+        expected = buckets_term_by_term(c, bigrade)
+        assert list(grading._buckets(c, bigrade).items()) == expected
+        assert list(grading._buckets(loose, bigrade).items()) == expected
 
 
 @st.composite
@@ -173,9 +172,9 @@ def cochains_near_the_guard(draw):
 @settings(max_examples=150, deadline=None)
 @given(cochains_near_the_guard())
 def test_buckets_match_term_by_term_on_both_sides_of_the_guard(c):
-    """Both ways of summing slots give each term's own weight and bigrade, in
-    all four ``(bigrade, keys)`` modes, on either side of the guard and under
-    a bound too loose to cast out."""
+    """Both ways of summing slots give each term's own weight and bigrade, with
+    its keys in canonical order, on either side of the guard and under a bound
+    too loose to cast out."""
     assert_buckets_match_term_by_term(c)
 
 

@@ -21,7 +21,7 @@ from gerstenhaber import (
     solve_delta,
 )
 from gerstenhaber.axioms import LawResult
-from gerstenhaber.sexpr import SexprError, parse_sexpr, print_document
+from gerstenhaber.sexpr import ORDER_LIMIT, SexprError, parse_sexpr, print_document
 from gerstenhaber.starproduct import obstruction
 from gerstenhaber.cli import main
 
@@ -542,6 +542,31 @@ def test_cli_solver_self_check_failure_exits_two(tmp_path, capsys, monkeypatch, 
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("order", [ORDER_LIMIT, ORDER_LIMIT + 1])
+def test_cli_refuses_an_order_no_reader_accepts(tmp_path, capsys, monkeypatch, order):
+    """``--order`` past ``ORDER_LIMIT``, above which no reader accepts a
+    deformation document, is refused before the solver runs: exit 1 and one
+    line naming the flag and the limit.  ``ORDER_LIMIT`` itself reaches it."""
+    pi1 = tmp_path / "pi1.sexp"
+    pi1.write_text(CONSTANT_BIVECTOR, encoding="utf-8")
+    orders = []
+
+    def solver(pi1, order, **options):
+        orders.append(order)
+        raise ValueError("solver reached")
+
+    monkeypatch.setattr("gerstenhaber.cli.solve_maurer_cartan", solver)
+    code = main(["mc-solve", "--pi1", str(pi1), "--order", str(order)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    if order > ORDER_LIMIT:
+        assert orders == []
+        assert captured.err == f"error: --order must be at most {ORDER_LIMIT}\n"
+    else:
+        assert orders == [order]
+        assert captured.err == "error: solver reached\n"
 
 
 def test_cli_failed_associativity_check_prints_no_document(tmp_path, capsys, monkeypatch):

@@ -67,6 +67,22 @@ def test_read_caches_have_cache_info(tracer):
         assert info.hits >= 0 and info.misses >= 0 and info.currsize >= 0
 
 
+def test_read_caches_are_the_kernels_tables(tracer):
+    """Every cache the tracer reads is one the kernels look up: after the
+    caches are cleared, an ``x1*x2`` solve to order 4 in this process hits
+    each of them."""
+    from gerstenhaber import BasisTerm, Cochain
+    from gerstenhaber.starproduct import solve_maurer_cartan
+
+    caches = {attr: getattr(_module(module_name), attr) for module_name, attr, _ in tracer.CACHES}
+    for fn in caches.values():
+        fn.cache_clear()
+    x1x2 = Cochain(2, {BasisTerm(2, (1, 1), ((1, 0), (0, 1))): 1, BasisTerm(2, (1, 1), ((0, 1), (1, 0))): -1})
+    solve_maurer_cartan(x1x2, 4)
+    hits = {attr: fn.cache_info().hits for attr, fn in caches.items()}
+    assert all(hits.values()), hits
+
+
 def test_tracer_runs_a_cli_job(tmp_path):
     """The tracer installs its wrappers and runs one ``delta`` job end to end:
     same stdout and exit code as the untraced CLI, and the s-expression spans

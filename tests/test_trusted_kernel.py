@@ -8,7 +8,9 @@ The public constructors must still reject invalid input.
 """
 
 from fractions import Fraction
-from math import gcd, perm
+from itertools import product
+from math import comb, gcd, perm
+from struct import Struct
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,10 @@ from hypothesis import strategies as st
 
 from gerstenhaber import BasisTerm, Cochain, Polynomial
 from gerstenhaber.cochains import (
+    EXPONENT_BUDGET,
     ArityError,
     DimensionMismatchError,
+    ExponentBudgetError,
     index_add,
     index_splits,
     leibniz_split,
@@ -216,6 +220,74 @@ def _sign(exponent):
     return -1 if exponent % 2 else 1
 
 
+def splits_reference(a, parts):
+    """Every tuple of ``parts`` indices summing to ``a`` componentwise, with the
+    product over coordinates of the multinomial ``a_i! / (b_1_i! ... b_parts_i!)``.
+
+    Each piece but the last runs over the box below what the earlier pieces
+    left, and the last piece takes the rest; the multinomial is a product of
+    binomials.  Splits are listed by their entries read coordinate by
+    coordinate, ``(b_1_1, ..., b_parts_1, b_1_2, ...)``.
+    """
+    n = len(a)
+
+    def tuples(rest, count):
+        if count == 0:
+            if not any(rest):
+                yield ()
+            return
+        if count == 1:
+            yield (rest,)
+            return
+        for piece in product(*[range(e + 1) for e in rest]):
+            for tail in tuples(tuple(r - b for r, b in zip(rest, piece)), count - 1):
+                yield (piece,) + tail
+
+    def multinomial(pieces):
+        coeff = 1
+        for i in range(n):
+            left = a[i]
+            for piece in pieces:
+                coeff *= comb(left, piece[i])
+                left -= piece[i]
+        return coeff
+
+    found = [(pieces, multinomial(pieces)) for pieces in tuples(tuple(a), parts)]
+    return sorted(found, key=lambda split: [piece[i] for i in range(n) for piece in split[0]])
+
+
+def _index_splits_as_pieces(a, parts):
+    """``index_splits`` of the index ``a``, each block of 16-bit fields read
+    back as its ``parts`` pieces."""
+    n = len(a)
+    fields = Struct(f">{n * parts}H")
+    packed = int.from_bytes(Struct(f">{n}H").pack(*a), "big")
+    return [
+        (tuple(zip(*[iter(fields.unpack(block.to_bytes(2 * n * parts, "big")))] * n)), coeff)
+        for block, coeff in index_splits(n, packed, parts)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_index_splits_match_the_brute_force_reference(n):
+    """The packed split table lists every split, with its multinomial, in the
+    reference's order, for entries 0 to 4 and 0 to 4 parts; ``leibniz_split``
+    reads its 2-splits back as index pairs."""
+    for a in product(range(5), repeat=n):
+        for parts in range(5):
+            assert _index_splits_as_pieces(a, parts) == splits_reference(a, parts), (a, parts)
+        assert list(leibniz_split(a)) == [(b, rest, coeff) for (b, rest), coeff in splits_reference(a, 2)]
+
+
+@pytest.mark.parametrize(
+    "a, error",
+    [((-1, 0), ValueError), ((0, 1.5), ValueError), ((EXPONENT_BUDGET + 1,), ExponentBudgetError)],
+)
+def test_leibniz_split_refuses_an_invalid_index(a, error):
+    with pytest.raises(error):
+        leibniz_split(a)
+
+
 def _insertions(tf, k, tg, scale):
     """``tg`` substituted into slot ``k`` of ``tf``, by the Leibniz rule written out.
 
@@ -225,7 +297,7 @@ def _insertions(tf, k, tg, scale):
     ``math.perm(b, c)`` is 0 for ``c > b``, which drops the split.
     """
     head, tail = tf.slots[: k - 1], tf.slots[k:]
-    for pieces, multinomial in index_splits(tf.slots[k - 1], tg.arity + 1):
+    for pieces, multinomial in splits_reference(tf.slots[k - 1], tg.arity + 1):
         falling = 1
         for b, c in zip(tg.x_part, pieces[0]):
             falling *= perm(b, c)
@@ -268,7 +340,7 @@ def delta_reference(f):
     ``(delta f)(u0, ..., up) = u0 f(u1, ..., up)
     + sum_k (-1)^k f(u0, ..., u(k-1) uk, ..., up) + (-1)^(p+1) f(u0, ..., u(p-1)) up``;
     on a basis term the outer summands add an identity slot, and ``d^s`` of
-    the product ``u(k-1) uk`` splits slot ``k`` by ``leibniz_split``.
+    the product ``u(k-1) uk`` splits slot ``k`` into two pieces.
     """
     zero = (0,) * DIM
 
@@ -278,7 +350,7 @@ def delta_reference(f):
             yield BasisTerm(DIM, x, (zero,) + slots), c
             yield BasisTerm(DIM, x, slots + (zero,)), _sign(p + 1) * c
             for k in range(1, p + 1):
-                for b, rest, binomial in leibniz_split(slots[k - 1]):
+                for (b, rest), binomial in splits_reference(slots[k - 1], 2):
                     yield BasisTerm(DIM, x, slots[: k - 1] + (b, rest) + slots[k:]), _sign(k) * binomial * c
 
     return _summed(contributions())
