@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Reads s-expression documents from files (or standard input for ``-``),
-dispatches to the library, and writes one document to standard output; the
-global ``--json`` flag switches to the JSON mirror of the same structure.
+dispatches to the library, and writes one document to standard output, as
+an s-expression or, with the global ``--json`` flag, as its JSON mirror: two
+writers in ``sexpr``, neither of which loads the ``json`` module.
 Each subcommand is registered with its name, help and arguments where its
 handler is defined, and the parser adds them in that order.
 
@@ -160,8 +161,7 @@ def _cmd_bracket(args) -> tuple:
 
 @_command("delta", "Hochschild coboundary of a cochain", "cochain")
 def _cmd_delta(args) -> tuple:
-    c = _load(args.cochain, "cochain")
-    return hochschild_delta(c), EXIT_OK
+    return hochschild_delta(_load(args.cochain, "cochain")), EXIT_OK
 
 
 @_command("apply", "evaluate a cochain on polynomial arguments", "cochain")
@@ -226,9 +226,7 @@ def _cmd_project(args) -> tuple:
 @_command("theta", "parity involution for a coordinate index set", "cochain")
 @_arg("--indices", required=True, help="1-based coordinates, e.g. 1,2")
 def _cmd_theta(args) -> tuple:
-    c = _load(args.cochain, "cochain")
-    indices = _parse_vector(args.indices, "--indices")
-    return theta_apply(c, indices), EXIT_OK
+    return theta_apply(_load(args.cochain, "cochain"), _parse_vector(args.indices, "--indices")), EXIT_OK
 
 
 @_command("theta-split", "split into involution-even and -odd parts", "cochain")
@@ -354,12 +352,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _stdin_text.cache_clear()
         document, code = args.handler(args)
         if document is not None:
-            if args.json:
-                import json  # only --json needs it; loading it costs every other run
-
-                text = json.dumps(sexpr.document_to_json(document), indent=2)
-            else:
-                text = sexpr.print_document(document)
+            text = sexpr.format_json(document) if args.json else sexpr.print_document(document)
             sys.stdout.write(text + "\n")
         return code
     except InconclusiveMembershipError as err:

@@ -244,9 +244,9 @@ def _min_norm_hull_point(
 
     Enumerates affinely independent subsets (Caratheodory bound n+1),
     projects the origin onto each affine hull, and keeps the best projection
-    that lands inside its simplex.  Returns the point and its squared norm;
-    a squared norm of zero means the origin lies in the hull, i.e. the
-    generators admit cancellation.
+    that lands inside its simplex; the first at the origin ends the search.
+    Returns the point and its squared norm; a squared norm of zero means the
+    origin lies in the hull, i.e. the generators admit cancellation.
     """
     n = len(generators[0])
     best: Optional[tuple[Fraction, ...]] = None
@@ -269,6 +269,8 @@ def _min_norm_hull_point(
                 sum((w * p[i] for w, p in zip(weights, subset)), Fraction(0)) for i in range(n)
             )
             sq = sum((v * v for v in point), Fraction(0))
+            if not sq:  # the origin, the unique minimum
+                return point, sq
             if best_sq is None or sq < best_sq:
                 best, best_sq = point, sq
     assert best is not None and best_sq is not None

@@ -10,8 +10,8 @@ Grammar (UTF-8):
 In a cochain term the first index is the x-exponent and the remaining
 indices are the slots, in order; a polynomial term carries exactly one
 index.  Printing emits canonical ordering, so parse(print(x)) == x and
-printing is deterministic byte for byte.  The JSON encoding mirrors the
-s-expression structure one-to-one, with rationals as strings.
+printing is deterministic byte for byte.  The JSON form mirrors the
+s-expression one-to-one, rationals as strings, written straight from the node.
 
 A ``Cochain``, ``Polynomial`` or ``Deformation`` is its own document; a
 report is its node ``("report", dimension, *body)``.  In these nodes the
@@ -23,8 +23,8 @@ an index list of short numerals, such as ``(6 3)``, as one token, which the
 atom cache converts once; the reader checks each distinct index once and
 packs it into its field group, and a term's key is its groups after the
 sentinel.  The printer renders each distinct field group and each distinct
-numerator once per document, in s-expression and JSON output alike, and
-each distinct list of plain ints, such as a grade, once per s-expression.
+numerator once per document (in JSON, once per indent depth), and each
+distinct list of plain ints, such as a grade, once per s-expression.
 """
 
 from __future__ import annotations
@@ -452,28 +452,31 @@ def print_document(document) -> str:
     return format_sexpr(to_node(document))
 
 
-def document_to_json(document):
-    """JSON mirror of the s-expression: same nesting, rationals as strings.
+def _array(texts: list, pad: str) -> str:
+    """A JSON array of the item ``texts``, one a line, indented by ``pad``."""
+    return "[\n" + pad + (",\n" + pad).join(texts) + "\n" + pad[2:] + "]" if texts else "[]"
 
-    Term records come from the same renderer as the s-expression's, so an
-    index is one list per distinct field group.
-    """
+
+def format_json(document) -> str:
+    """The JSON mirror of ``document`` as ``json.dumps(mirror, indent=2)``
+    writes it, in one walk: an object of the node's kind, dimension and body,
+    a list an array, a term record ``["term", coefficient, index, ...]`` and a
+    rational a string.  A node's strings are the package's names: no escapes."""
     node = to_node(document)
-    records = _Records(list)
+    # Per indent of a term record's items, its renderer: an index is an array one level deeper.
+    records = _Memo(lambda pad: _Records(lambda index: _array([*map(str, index)], pad + "  ")))
 
-    def items(n) -> list:
-        out = []
+    def items(n, pad: str) -> list[str]:  # ``pad``: the indent of the items of ``n``
+        out, inner = [], pad + "  "
         for x in n:
             if isinstance(x, Terms):
-                out.extend(["term", c, *indices] for c, indices in records(x))
+                head, sep = "[\n" + inner + '"term",\n' + inner + '"', ",\n" + inner
+                out.extend(head + c + '"' + sep + sep.join(i) + "\n" + pad + "]" for c, i in records[inner](x))
             elif isinstance(x, tuple):
-                out.append(items(x))
-            elif isinstance(x, Fraction):
-                out.append(_decimal(x))
+                out.append(_array(items(x, inner), inner))
             else:
-                if isinstance(x, int):
-                    _decimal(x)  # json.dumps converts it the same way; refuse here, naming the limit
-                out.append(x)
+                out.append(_decimal(x) if isinstance(x, int) else '"' + _decimal(x) + '"')
         return out
 
-    return {"kind": node[0], "dimension": node[1], "body": items(node[2:])}
+    body = _array(items(node[2:], "    "), "    ")
+    return '{\n  "kind": "' + node[0] + '",\n  "dimension": ' + _decimal(node[1]) + ',\n  "body": ' + body + "\n}"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 from itertools import combinations, permutations
 
 import pytest
@@ -414,6 +415,66 @@ def test_integer_hull_limit_is_the_fraction_length_bound():
             assert (dot // den if dot >= 0 else -1) == (int(bound) if bound >= 0 else -1)
             seen.add("negative" if bound < 0 else "whole" if bound.denominator == 1 else "fractional")
     assert seen == {"cancelling", "negative", "whole", "fractional"}
+
+
+def full_hull_point(generators):
+    """``_min_norm_hull_point`` without its early exit: every affinely
+    independent subset is tried, the origin's included."""
+    n = len(generators[0])
+    best = best_sq = None
+    for size in range(1, min(len(generators), n + 1) + 1):
+        for subset in combinations(generators, size):
+            rows = [[Fraction(1)] * size]
+            rhs = [Fraction(1)]
+            for j in range(1, size):
+                direction = [subset[j][i] - subset[0][i] for i in range(n)]
+                rows.append([Fraction(sum(p[i] * direction[i] for i in range(n))) for p in subset])
+                rhs.append(Fraction(0))
+            weights = grading.solve_unique(rows, rhs)
+            if weights is None or any(w < 0 for w in weights):
+                continue
+            point = tuple(sum((w * p[i] for w, p in zip(weights, subset)), Fraction(0)) for i in range(n))
+            sq = sum((v * v for v in point), Fraction(0))
+            if best_sq is None or sq < best_sq:
+                best, best_sq = point, sq
+    return best, best_sq
+
+
+def test_hull_point_matches_the_full_enumeration():
+    """The search that stops at the origin finds the point and squared norm
+    of the full enumeration, in dimensions 1-3, with opposite and
+    duplicate-direction generators."""
+    rng = random.Random(113)
+    seen = set()
+    for trial in range(240):
+        n = 1 + trial % 3
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        if trial % 4 == 0:  # an opposite pair: the origin lies in the hull
+            gens.append(tuple(-2 * x for x in gens[0]))
+        if trial % 3 == 0:  # a second generator in the direction of the first
+            gens.append(tuple(3 * x for x in gens[0]))
+        gens = tuple(sorted(set(gens)))
+        got = grading._min_norm_hull_point(gens)
+        assert got == full_hull_point(gens)
+        seen.add("origin" if not got[1] else "away")
+    assert seen == {"origin", "away"}
+
+
+def test_hull_search_stops_at_the_origin(monkeypatch):
+    """On 32 generators in dimension 3 holding an opposite pair, the search
+    ends among the pairs: it solves at most one system per generator and per
+    pair, not one per subset of up to four."""
+    rng = random.Random(127)
+    gens = {(1, 2, -1), (-1, -2, 1)}
+    while len(gens) < 32:
+        gens.add(tuple(rng.randint(-3, 3) for _ in range(3)))
+    gens = tuple(sorted(gens))
+    calls = []
+    solve = grading.solve_unique
+    monkeypatch.setattr(grading, "solve_unique", lambda rows, rhs: calls.append(1) or solve(rows, rhs))
+    assert grading._min_norm_hull_point(gens) == ((0, 0, 0), 0)
+    # The full enumeration solves one system per subset of 1 to 4 generators: 41448.
+    assert len(calls) <= 32 + comb(32, 2) < sum(comb(32, k) for k in range(1, 5)) == 41448
 
 
 def test_ideal_membership_examples():

@@ -126,3 +126,23 @@ def test_cli_import_binds_the_traced_modules_and_loads_nothing_unused():
     traced = {"axioms", "cli", "cochains", "grading", "linsolve", "operations", "sexpr", "starproduct"}
     assert traced <= bound
     assert {f"gerstenhaber.{name}" for name in traced} <= added
+
+
+def test_cli_json_run_loads_no_json_module(tmp_path):
+    """A fresh ``gerst --json delta DOC`` process writes its JSON without
+    adding ``json`` to what the bare interpreter holds."""
+    cochain = tmp_path / "c.sexp"
+    cochain.write_text("(cochain 2 (term 1 (0 0) (2 0)) (term 1/2 (1 0) (1 1)))", encoding="utf-8")
+    probe = (
+        f"import sys; bare = set(sys.modules); sys.argv = ['gerst', '--json', 'delta', {str(cochain)!r}]; "
+        "from gerstenhaber.cli import _run; code = _run(); "
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - bare))); sys.exit(code)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_bench_env(), timeout=60
+    )
+    assert run.returncode == 0
+    assert json.loads(run.stdout)["kind"] == "cochain"
+    added = set(run.stderr.split())
+    assert "gerstenhaber.sexpr" in added
+    assert not {name for name in added if name == "json" or name.startswith("json.")}
