@@ -25,9 +25,10 @@ two field groups adds their indices.  Each operation splits its operands'
 keys once per call.
 
 Both operations carry the outer term's x-part through unchanged, so it stays
-out of the cached kernels: ``_insert_term`` keys on the receiving slot and
-the inserted term's x-part and slot block, ``_delta_term`` on a slot block,
-and callers add the x-part back, once per group of terms that share it.
+out of the cached kernels: ``_insert_term`` keys on the receiving slot's
+field and the inserted term's x-part and arity, ``_delta_term`` on a slot
+block.  Callers add the x-part back, once per group of terms that share it,
+and the inserted slot block once per inserted term.
 """
 
 from __future__ import annotations
@@ -92,16 +93,16 @@ def cup(f: Cochain, g: Cochain) -> Cochain:
 
 
 @lru_cache(maxsize=200_000)
-def _insert_term(n: int, a: int, b0: int, slots: int, q: int) -> tuple[tuple[int, tuple], ...]:
-    """Apply ``d^a`` to the output of the basis term ``x^b0 d^s1 (x) ... (x) d^sq``.
+def _insert_term(n: int, a: int, b0: int, q: int) -> tuple[tuple[int, tuple], ...]:
+    """Apply ``d^a`` to the output of an arity-q basis term with x-part ``b0``.
 
-    Indices are packed in dimension ``n``; ``slots`` is the block of the q
-    slots.  The derivative distributes over the x-part and each slot output.
-    The x-part's share ``c0`` runs over the box ``0 <= c0 <= min(a, b0)``
-    with coefficient ``binom(a, c0) perm(b0, c0)``, and only ``a - c0`` is
-    split among the slots, so every split enumerated contributes.  Returns
-    ``(x_left, ((differentiated slot block, integer multiplicity), ...))``
-    with one group per ``x_left = b0 - c0``.
+    Indices are packed in dimension ``n``.  The derivative distributes over
+    the x-part and each slot output.  The x-part's share ``c0`` runs over the
+    box ``0 <= c0 <= min(a, b0)`` with coefficient ``binom(a, c0) perm(b0, c0)``,
+    and only ``a - c0`` is split among the slots, so every split enumerated
+    contributes.  Returns ``(x_left, ((pieces, integer multiplicity), ...))``
+    with one group per ``x_left = b0 - c0``; ``pieces`` are the packed
+    ``index_splits`` blocks, which the caller adds to the inserted slot block.
     """
     a_index, b_index = _unpack_index(n, a), _unpack_index(n, b0)
     out = []
@@ -113,26 +114,29 @@ def _insert_term(n: int, a: int, b0: int, slots: int, q: int) -> tuple[tuple[int
         scale = 1
         for ai, bi, ci in zip(a_index, b_index, c0):
             scale *= comb(ai, ci) * perm(bi, ci)
-        # Distinct splits give distinct slot blocks, so nothing needs merging.
-        middles = tuple((slots + pieces, scale * mult) for pieces, mult in splits)
-        out.append((b0 - packed_c0, middles))
+        if scale != 1:
+            splits = tuple((pieces, scale * mult) for pieces, mult in splits)
+        out.append((b0 - packed_c0, splits))
     return tuple(out)
 
 
-def _add_inserted(acc: dict, n: int, width: int, kf: int, p: int, k: int, g_term: tuple, scale: int) -> None:
-    """Add ``scale`` times the term ``g_term`` (as ``_split_terms`` gives it)
-    substituted into slot ``k`` (1-based) of the arity-p key ``kf`` into ``acc``."""
-    _, q, xg, sg, _ = g_term
+def _add_inserted(acc: dict, n: int, width: int, kf: int, p: int, k: int, inner: list, signs: tuple) -> None:
+    """Add the terms of ``inner`` (as ``_split_terms`` gives them), each times
+    ``signs[arity % 2]``, put into slot ``k`` (1-based) of the arity-p key
+    ``kf``, into ``acc``; the result bound rules out carries between fields."""
     low = width * (p - k)  # bits of the slots after slot k
+    a = (kf >> low) & ((1 << width) - 1)
     tail = kf & ((1 << low) - 1)
-    # The sentinel, f's x-part and the slots before k, moved up past g's slots.
-    head = (kf >> (low + width)) << (low + width * q)
-    x_shift = width * (p + q - 1)
-    for x_left, middles in _insert_term(n, (kf >> low) & ((1 << width) - 1), xg, sg, q):
-        base = head + (x_left << x_shift) | tail
-        for middle, mult in middles:
-            key = base | middle << low
-            acc[key] = acc.get(key, 0) + scale * mult
+    top = kf >> (low + width)  # the sentinel, f's x-part and the slots before k
+    for _, q, xg, sg, cg in inner:
+        scale = signs[q & 1] * cg
+        head = (top << (low + width * q)) + (sg << low) + tail
+        x_shift = width * (p + q - 1)
+        for x_left, splits in _insert_term(n, a, xg, q):
+            base = head + (x_left << x_shift)
+            for pieces, mult in splits:
+                key = base + (pieces << low)
+                acc[key] = acc.get(key, 0) + scale * mult
 
 
 def insert(f: Cochain, k: int, g: Cochain) -> Cochain:
@@ -157,8 +161,7 @@ def insert(f: Cochain, k: int, g: Cochain) -> Cochain:
     gs = _split_terms(g, width)
     acc: dict[int, int] = {}
     for kf, cf in f._num.items():
-        for tg in gs:
-            _add_inserted(acc, n, width, kf, p, k, tg, cf * tg[4])
+        _add_inserted(acc, n, width, kf, p, k, gs, (cf, cf))
     return Cochain._reduced(n, acc, f._den * g._den, bound)
 
 
@@ -169,23 +172,23 @@ def bracket(f: Cochain, g: Cochain) -> Cochain:
 
         [f, g] = sum_k (-1)^((k-1)(q-1)) f o_k g
                  - (-1)^((p-1)(q-1)) sum_k (-1)^((k-1)(p-1)) g o_k f
+
+    The second sign is ``-(-1)^((p-1)(q+k))``.  Both depend on the inner
+    arity only through its parity, so one ``_add_inserted`` call per outer
+    term and slot takes every inner term.
     """
     f._check_same_dimension(g)
     bound = _result_bound(f, g, "bracket")
     n = f.dimension
     width = _WIDTH * n
-    gs = _split_terms(g, width)
+    fs, gs = _split_terms(f, width), _split_terms(g, width)
     acc: dict[int, int] = {}
-    for tf in _split_terms(f, width):
-        kf, p, _, _, cf = tf
-        for tg in gs:
-            kg, q, _, _, cg = tg
-            scale = cf * cg
-            for k in range(1, p + 1):
-                _add_inserted(acc, n, width, kf, p, k, tg, scale * _sign((k - 1) * (q - 1)))
-            swap = -scale * _sign((p - 1) * (q - 1))
-            for k in range(1, q + 1):
-                _add_inserted(acc, n, width, kg, q, k, tf, swap * _sign((k - 1) * (p - 1)))
+    for kf, p, _, _, cf in fs:
+        for k in range(1, p + 1):
+            _add_inserted(acc, n, width, kf, p, k, gs, (cf * _sign(k - 1), cf))
+    for kg, q, _, _, cg in gs:
+        for k in range(1, q + 1):
+            _add_inserted(acc, n, width, kg, q, k, fs, (-cg * _sign(q + k), -cg))
     return Cochain._reduced(n, acc, f._den * g._den, bound)
 
 

@@ -15,6 +15,8 @@ from gerstenhaber import (
     scaling_field,
 )
 from gerstenhaber.cochains import ArityError
+from gerstenhaber.operations import _insert_term
+from gerstenhaber.starproduct import solve_maurer_cartan
 from gerstenhaber.axioms import (
     random_cochain,
     random_homogeneous_cochain,
@@ -121,6 +123,26 @@ def test_insert_arity_zero_consumes_slot():
     g = single((2, 0))  # x1^2
     result = insert(f, 1, g)
     assert result == Cochain(2, {term((1, 0), (0, 1)): 2})
+
+
+def test_inner_terms_differing_only_in_slots_share_one_insertion_entry():
+    """The insertion table keys on the receiving slot, the inner x-part and
+    the inner arity, not on the inner term's slots."""
+    f = single((1, 0), (2, 1))
+    g = Cochain(2, {term((1, 1), (1, 0), (0, 2)): 1, term((1, 1), (0, 3), (2, 0)): 3})
+    _insert_term.cache_clear()
+    result = insert(f, 1, g)
+    assert _insert_term.cache_info().currsize == 1
+    assert result == insert(f, 1, single((1, 1), (1, 0), (0, 2))) + 3 * insert(f, 1, single((1, 1), (0, 3), (2, 0)))
+
+
+def test_x1x2_solve_keeps_the_insertion_table_small():
+    """One entry per distinct (slot field, x-part, arity): an ``x1*x2`` solve
+    to order 6 adds 160, where one entry per inner slot block added 708."""
+    x1x2 = Cochain(2, {term((1, 1), (1, 0), (0, 1)): 1, term((1, 1), (0, 1), (1, 0)): -1})
+    _insert_term.cache_clear()
+    solve_maurer_cartan(x1x2, 6)
+    assert _insert_term.cache_info().currsize <= 200
 
 
 def test_insert_position_validation():

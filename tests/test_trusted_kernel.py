@@ -389,6 +389,28 @@ def test_operations_cancel_to_zero(x, f):
         assert result.is_zero
 
 
+# One term of each arity 0..3, then up to two more of any arity.
+MIXED_COCHAIN = st.tuples(
+    st.tuples(*[st.tuples(terms_of_arity(q), BIG_COEFF) for q in range(4)]),
+    st.lists(st.tuples(st.integers(0, 3).flatmap(terms_of_arity), BIG_COEFF), max_size=2),
+).map(lambda p: Cochain(DIM, [*p[0], *p[1]]))
+
+
+@KERNEL_SETTINGS
+@given(MIXED_COCHAIN, MIXED_COCHAIN)
+def test_bracket_of_mixed_arity_operands_matches_reference(f, g):
+    """Each operand mixes arities 0 to 3, so one outer slot takes inner terms
+    of both parities.  Odd-arity operands bracket to zero with themselves,
+    and f with f + g adds a self-bracket whose odd-odd parts cancel."""
+    odd = Cochain(DIM, [(t, c) for t, c in f.items() if t.arity % 2])
+    for a, b in ((f, g), (g, f), (f, f), (f, f + g), (odd, odd), (odd, g)):
+        result = bracket(a, b)
+        assert_canonical(result)
+        assert result == bracket_reference(a, b)
+    assert bracket(odd, odd).is_zero
+    assert bracket(f, f + g) - bracket(f, g) == bracket(f, f)
+
+
 def test_apply_and_product_refusals_keep_their_messages():
     c = Cochain.single(BasisTerm(DIM, (0, 0), ((1, 0),)))
     x = Polynomial.variable(DIM, 1)
