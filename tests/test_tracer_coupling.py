@@ -110,8 +110,9 @@ def test_tracer_runs_a_cli_job(tmp_path):
 def test_cli_import_binds_the_traced_modules_and_loads_nothing_unused():
     """In a fresh interpreter, ``import gerstenhaber.cli`` binds every module
     the tracer reads and adds none of ``dataclasses``, ``inspect``, ``ast``,
-    ``dis`` or ``json`` to what the bare interpreter holds (site hooks may
-    preload modules, so only the modules the import adds are compared)."""
+    ``dis``, ``json``, ``pickle``, ``multiprocessing`` or ``concurrent`` to what
+    the bare interpreter holds (site hooks may preload modules, so only the
+    modules the import adds are compared)."""
     probe = (
         "import sys; bare = set(sys.modules); import gerstenhaber, gerstenhaber.cli; "
         "print(*sorted(set(sys.modules) - bare)); "
@@ -122,7 +123,8 @@ def test_cli_import_binds_the_traced_modules_and_loads_nothing_unused():
     )
     assert (run.returncode, run.stderr) == (0, "")
     added, bound = (set(line.split()) for line in run.stdout.splitlines())
-    assert not added & {"dataclasses", "inspect", "ast", "dis", "json"}
+    unused = {"dataclasses", "inspect", "ast", "dis", "json", "pickle", "multiprocessing", "concurrent"}
+    assert not added & unused
     traced = {"axioms", "cli", "cochains", "grading", "linsolve", "operations", "sexpr", "starproduct"}
     assert traced <= bound
     assert {f"gerstenhaber.{name}" for name in traced} <= added
