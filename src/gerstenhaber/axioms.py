@@ -6,16 +6,13 @@ terms), checks an exact identity, and reports the number of checks plus a
 witness document on failure.  The CLI's ``verify-axioms`` subcommand and the
 acceptance tests both run these suites; determinism comes from the seed, so
 a reported counterexample can always be replayed.
-
-``run_laws`` runs the suites on every CPU the process may use.  Each suite
-draws only from its own ``_law_rng(seed, name)``, so its result cannot depend
-on which process ran it or when, and the report is the same byte for byte.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from contextlib import suppress
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -703,76 +700,57 @@ def law_moyal_agreement(name: str, rng: random.Random, trials: int) -> LawResult
 def run_laws(seed: int, trials: int, names: Optional[Sequence[str]] = None) -> list[LawResult]:
     """Run the law suites with per-law derived seeds; deterministic in (seed, trials).
 
-    Every selected suite's index goes into a pipe, and this process and
-    ``min(usable CPUs, suites) - 1`` forked children claim the next one with
-    one atomic read until the pipe is empty.  Each suite whose result did not
-    come back (it raised, or its child died) then runs here in report order,
-    so the first exception in report order is raised as a one-process run
-    raises it.
-    """
+    Each suite draws only from its own ``_law_rng``, so it may run in ``_share_out``'s
+    forked child; one whose result did not come back (it raised, or the child died)
+    runs here in report order, raising what a one-process run raises."""
     wanted = None if names is None else set(names)
     selected = tuple((n, law) for n, law in ALL_LAWS if wanted is None or n in wanted)
     done = _share_out(seed, trials, selected)
-    return [
-        done[i] if i in done else law(_law_rng(seed, name), trials)
-        for i, (name, law) in enumerate(selected)
-    ]
+    return [done[i] if i in done else law(_law_rng(seed, name), trials) for i, (name, law) in enumerate(selected)]
 
 
 def _share_out(seed: int, trials: int, selected: tuple) -> dict[int, LawResult]:
-    """The results, by index, of the suites that ran to the end here or in a
-    forked child; none if ``os.pipe`` fails, fewer children if it or ``os.fork`` fails."""
+    """The results, by index, of suites claimed from a pipe here and in one forked child
+    (which stops once orphaned); none on one CPU or if ``os.pipe`` or ``os.fork`` fails."""
     import pickle
     import signal
 
-    def claim(claims: int) -> dict[int, LawResult]:
-        done = {}
-        while record := os.read(claims, 2):
+    def claim(claims: int, done: dict) -> dict[int, LawResult]:
+        while parent in (os.getpid(), os.getppid()) and (record := os.read(claims, 2)):
             i = int.from_bytes(record, "little")
-            try:
+            with suppress(Exception):  # run_laws replays it in report order
                 done[i] = selected[i][1](_law_rng(seed, selected[i][0]), trials)
-            except Exception:
-                pass  # run_laws replays it in report order
         return done
 
+    parent, fds = os.getpid(), []
     try:
-        claims, queue = os.pipe()
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if min(cpus or 1, len(selected)) < 2:
+            return {}
+        fds += os.pipe()
+        os.write(fds[1], b"".join(i.to_bytes(2, "little") for i in range(len(selected))))
+        os.close(fds.pop())
+        fds += os.pipe()
+        pid = os.fork()
     except (AttributeError, OSError):
+        for fd in fds:
+            os.close(fd)
         return {}
-    os.write(queue, b"".join(i.to_bytes(2, "little") for i in range(len(selected))))
-    os.close(queue)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    children = []
+    claims, back, out = fds
+    if pid == 0:  # never returns: no inherited stdio flushed, no exit handlers run
+        try:
+            os.close(back)
+            os.write(out, pickle.dumps(claim(claims, {})))
+        finally:
+            os._exit(0)
+    os.close(out)
+    results, done = os.fdopen(back, "rb"), {}
     try:
-        for _ in range(min(cpus or 1, len(selected)) - 1):
-            try:
-                back, out = os.pipe()
-            except OSError:
-                break
-            try:
-                pid = os.fork()
-            except (AttributeError, OSError):
-                os.close(back), os.close(out)
-                break
-            if pid == 0:  # never returns: no inherited stdio flushed, no exit handlers run
-                try:
-                    os.close(back)
-                    with os.fdopen(out, "wb") as sink:
-                        pickle.dump(claim(claims), sink)
-                finally:
-                    os._exit(0)
-            os.close(out)
-            children.append((pid, os.fdopen(back, "rb")))
-        done = claim(claims)
-        for _, results in children:
-            try:
-                done.update(pickle.load(results))
-            except Exception:  # the child was killed or could not send its results
-                pass
-    finally:  # every child has sent its results or is of no more use
-        os.close(claims)
-        for pid, results in children:
-            os.kill(pid, signal.SIGKILL)
-            results.close()
-            os.waitpid(pid, 0)
+        with suppress(Exception):  # the child was killed or could not send all its results
+            claim(claims, done)
+            done.update(pickle.load(results))
+    finally:  # the child has sent its results or is of no more use
+        results.close(), os.close(claims)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
     return done

@@ -9,6 +9,7 @@ the same way, at 80 columns.
 """
 
 import hashlib
+import os
 import random
 import sys
 
@@ -321,6 +322,15 @@ def test_cli_law_suite_digest(capsys, seed):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == LAW_SUITE_EXPECTED[seed]
+
+
+@pytest.mark.parametrize("usable", [1, 2])
+def test_cli_law_suite_digest_on_one_and_two_cpus(capsys, monkeypatch, usable):
+    """The same digests whether the law suites run in one process or are
+    shared with a forked child (``run_laws`` forks only where two CPUs are usable)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
+    for seed in sorted(LAW_SUITE_EXPECTED):
+        test_cli_law_suite_digest(capsys, seed)
 
 
 # -- evaluation at the benchmark's scale --------------------------------------------

@@ -1,18 +1,22 @@
-"""The law suites shared out over forked children report what one process reports.
+"""The law suites shared out with a forked child report what one process reports.
 
-``run_laws`` hands suite indices to this process and to forked children
-through a pipe.  These tests force the forked path by reporting two usable
-CPUs (so it runs on a one-CPU host too), force the one-process path by
-reporting one CPU or by making ``os.fork`` fail, and check that every report,
-exit code and stderr line is the same, that a child which raises or dies
-changes nothing, and that no child is left behind.
+``run_laws`` hands suite indices to this process and, where two CPUs are
+usable, to one forked child through a pipe.  These tests force the forked
+path by reporting two usable CPUs (so it runs on a one-CPU host too), force
+the one-process path by reporting one CPU or by making ``os.fork`` fail, and
+check that every report, exit code and stderr line is the same, that a child
+which raises or dies changes nothing, and that no child is left behind, not
+even when the run itself is killed.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -110,11 +114,7 @@ def test_forked_and_one_process_runs_give_equal_results(monkeypatch, seed, subse
     assert_no_children()
 
 
-@pytest.mark.parametrize(
-    "usable, names, children",
-    [(8, SUBSETS["two"], 1), (8, SUBSETS["one"], 0), (1, None, 0), (3, None, 2)],
-)
-def test_a_run_forks_at_most_one_child_per_further_cpu(monkeypatch, usable, names, children):
+def counted_forks(monkeypatch):
     forks = []
     fork = os.fork
 
@@ -122,9 +122,30 @@ def test_a_run_forks_at_most_one_child_per_further_cpu(monkeypatch, usable, name
         forks.append(1)
         return fork()
 
-    cpus(monkeypatch, usable)
     monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize(
+    "usable, names, children",
+    [(8, SUBSETS["two"], 1), (8, SUBSETS["one"], 0), (1, None, 0), (2, None, 1), (64, None, 1)],
+)
+def test_a_run_forks_one_child_only_where_two_cpus_are_usable(monkeypatch, usable, names, children):
+    cpus(monkeypatch, usable)
+    forks = counted_forks(monkeypatch)
     axioms.run_laws(5, 2, names)
+    assert len(forks) == children
+    assert_no_children()
+
+
+@pytest.mark.parametrize("count, children", [(None, 0), (1, 0), (4, 1)])
+def test_without_an_affinity_set_the_cpu_count_decides(monkeypatch, count, children):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    forks = counted_forks(monkeypatch)
+    assert axioms.run_laws(5, 2, SUBSETS["two"]) == [
+        law(axioms._law_rng(5, name), 2) for name, law in axioms.ALL_LAWS if name in SUBSETS["two"]
+    ]
     assert len(forks) == children
     assert_no_children()
 
@@ -216,3 +237,49 @@ def test_an_interrupt_here_kills_and_reaps_every_child(monkeypatch, tmp_path):
         axioms.run_laws(5, 2)
     assert marker.exists() and time.monotonic() - start < 30
     assert_no_children()
+
+
+def process_gone(pid):
+    """True once ``pid`` has exited (a zombie nobody reaps has exited too)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_a_killed_run_leaves_its_child_one_suite_at_most(tmp_path):
+    """SIGKILL a run while its child is busy: the orphaned child runs no suite
+    after the one it was running, so it is gone long before the suites left
+    (0.5 s each, over 10 s in all) could have run."""
+    log = tmp_path / "claims"
+    script = "\n".join([
+        "import os, time",
+        "from gerstenhaber import axioms",
+        "def slow(rng, trials):",
+        f"    with open({str(log)!r}, 'a') as f: f.write(f'{{os.getpid()}}\\n')",
+        "    time.sleep(0.5)",
+        "axioms.ALL_LAWS = tuple((name, slow) for name, _ in axioms.ALL_LAWS)",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "axioms.run_laws(5, 1)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.DEVNULL)
+
+    def claims():
+        lines = log.read_text().split("\n")[:-1] if log.exists() else []
+        return [int(line) for line in lines if int(line) != run.pid]
+
+    deadline = time.monotonic() + 30
+    while not claims() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    run.kill()
+    run.wait()
+    at_kill = claims()
+    assert at_kill, "the child never claimed a suite"
+    deadline = time.monotonic() + 8
+    while not process_gone(at_kill[0]) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert process_gone(at_kill[0])
+    assert len(claims()) <= len(at_kill) + 1

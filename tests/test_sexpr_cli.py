@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 from itertools import chain
@@ -633,28 +634,30 @@ def test_cli_verify_axioms_small(capsys):
     assert witness[0] == "witness" and witness[1] == (1, 0) and witness[2] == (-1, 0)
 
 
-@pytest.mark.parametrize(
-    "attr, broken, failed, digest",
-    [
-        (
-            "bracket",
-            lambda f, g: bracket(f, g) * 2,
-            {"evaluation-coherence": 1, "weight-eigenvalue": 2},
-            "7bc7e3b5392b4fd2b9b6cd9762ac7fdfa31a545c8d564aad10c2e89de68123b7",
-        ),
-        (
-            "hochschild_delta",
-            lambda f: hochschild_delta(f) + f,
-            {
-                "delta-squared-zero": 0,
-                "delta-bracket-agreement": 1,
-                "mc-order-correctness": 2,
-                "moyal-agreement": 3,
-            },
-            "c155e2b5214b0b9f43dbccf7f10ed5d0aea83d570fbd6064482b034777c30f07",
-        ),
-    ],
-)
+# operation name, its broken stand-in, the laws it fails with their check
+# counts, and the sha256 of the seed-3, 8-trial report
+BROKEN_OPERATIONS = [
+    (
+        "bracket",
+        lambda f, g: bracket(f, g) * 2,
+        {"evaluation-coherence": 1, "weight-eigenvalue": 2},
+        "7bc7e3b5392b4fd2b9b6cd9762ac7fdfa31a545c8d564aad10c2e89de68123b7",
+    ),
+    (
+        "hochschild_delta",
+        lambda f: hochschild_delta(f) + f,
+        {
+            "delta-squared-zero": 0,
+            "delta-bracket-agreement": 1,
+            "mc-order-correctness": 2,
+            "moyal-agreement": 3,
+        },
+        "c155e2b5214b0b9f43dbccf7f10ed5d0aea83d570fbd6064482b034777c30f07",
+    ),
+]
+
+
+@pytest.mark.parametrize("attr, broken, failed, digest", BROKEN_OPERATIONS)
 def test_cli_verify_axioms_reports_broken_operation(capsys, monkeypatch, attr, broken, failed, digest):
     """A wrong operation fails the laws that detect it, each with its check
     count and witness; the whole report is pinned byte for byte."""
@@ -665,6 +668,16 @@ def test_cli_verify_axioms_reports_broken_operation(capsys, monkeypatch, attr, b
     assert {e[1]: e[3] for e in laws if e[2] == "fail"} == failed
     assert all(e[4][0] == "counterexample" for e in laws if e[2] == "fail")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("usable", [1, 2])
+def test_cli_verify_axioms_broken_operation_digests_on_one_and_two_cpus(capsys, monkeypatch, usable):
+    """The same reports whether the law suites run in one process or are
+    shared with a forked child (``run_laws`` forks only where two CPUs are usable)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
+    for case in BROKEN_OPERATIONS:
+        with monkeypatch.context() as m:
+            test_cli_verify_axioms_reports_broken_operation(capsys, m, *case)
 
 
 # Degree 8 to 10 operands with pairwise coprime denominators up to ~10^6
