@@ -12,8 +12,9 @@ Semigroup membership in Z^n is decided by an exhaustive bounded search with
 certificates.  The answer is three-valued: a negative is only reported when
 the search space is provably exhausted, which happens exactly when the
 origin is outside the convex hull of the generators (then any representation
-has a certified length bound).  Otherwise a search that hits the cap reports
-``inconclusive`` rather than guessing.
+has a certified length bound, read off the hull's exact minimum-norm point,
+which Wolfe's nearest-point algorithm finds).  Otherwise a search that hits
+the cap reports ``inconclusive`` rather than guessing.
 
 The grading works once per distinct value, not once per term.  ``_buckets``
 groups the terms of a cochain by weight or bigrade; a term's slot sum is one
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import lcm
 from operator import mul
 from struct import Struct
@@ -168,15 +168,26 @@ def scaling_field(dimension: int, i: int) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
+def _check_vector(v: Sequence[int], dimension: int, what: str) -> Index:
+    """``v`` as a tuple, refused unless it is ``dimension`` integers."""
+    v = tuple(v)
+    if len(v) != dimension:
+        raise DimensionMismatchError(f"{what} {v} has length {len(v)}, expected {dimension}")
+    if not all(isinstance(entry, int) for entry in v):
+        raise ValueError(f"{what} {v} must have integer entries")
+    return v
+
+
 class SemigroupSpec(_Record):
     """Additive subsemigroup of Z^n given by generators.
 
     Membership means a nonempty nonnegative integer combination of the
     generators; the zero vector belongs only if the generators can cancel.
     ``search_cap`` bounds the total number of generator uses the membership
-    search will try.  The generators are kept sorted and without repeats.
-    The lattice basis and the convex hull's minimum-norm point depend only
-    on the generators; each is computed on first use and kept on the spec.
+    search will try.  The generators, integer vectors, are kept sorted and
+    without repeats.  The lattice basis and the convex hull's minimum-norm
+    point depend only on the generators; each is computed on first use, the
+    point by ``_min_norm_hull_point``, and kept on the spec.
     """
 
     _names = ("dimension", "generators", "search_cap")
@@ -184,12 +195,7 @@ class SemigroupSpec(_Record):
     def __init__(self, dimension: int, generators: Iterable[Sequence[int]], search_cap: int = 32):
         if dimension < 1:
             raise DimensionMismatchError("dimension must be positive")
-        gens = []
-        for g in generators:
-            g = tuple(g)
-            if len(g) != dimension:
-                raise DimensionMismatchError(f"generator {g} has length {len(g)}, expected {dimension}")
-            gens.append(g)
+        gens = [_check_vector(g, dimension, "generator") for g in generators]
         if search_cap < 1:
             raise ValueError("search_cap must be positive")
         self._set(dimension, tuple(sorted(set(gens))), search_cap)
@@ -240,41 +246,38 @@ class Membership(_Record):
 def _min_norm_hull_point(
     generators: tuple[Index, ...],
 ) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Exact minimum-norm point of the convex hull of the generators.
-
-    Enumerates affinely independent subsets (Caratheodory bound n+1),
-    projects the origin onto each affine hull, and keeps the best projection
-    that lands inside its simplex; the first at the origin ends the search.
-    Returns the point and its squared norm; a squared norm of zero means the
-    origin lies in the hull, i.e. the generators admit cancellation.
+    """Exact minimum-norm point of the convex hull of the generators and its
+    squared norm, zero when the origin lies in the hull, i.e. the generators
+    cancel: P. Wolfe's nearest-point algorithm ("Finding the nearest point in
+    a polytope", Math. Programming 11, 1976) in ``Fraction``s.  The point is
+    a positive combination of a *corral* of affinely independent generators,
+    at first one of least norm.  It moves toward the corral's affine minimum
+    until a weight reaches zero and that generator leaves; at the minimum
+    ``x``, the generator least in ``<x, g>`` joins while that is below ``|x|^2``.
     """
-    n = len(generators[0])
-    best: Optional[tuple[Fraction, ...]] = None
-    best_sq: Optional[Fraction] = None
-    for size in range(1, min(len(generators), n + 1) + 1):
-        for subset in combinations(generators, size):
-            rows: list[list[Fraction]] = [[Fraction(1)] * size]
-            rhs: list[Fraction] = [Fraction(1)]
-            base = subset[0]
-            for j in range(1, size):
-                direction = [subset[j][i] - base[i] for i in range(n)]
-                rows.append(
-                    [Fraction(sum(subset[m][i] * direction[i] for i in range(n))) for m in range(size)]
-                )
-                rhs.append(Fraction(0))
-            weights = solve_unique(rows, rhs)
-            if weights is None or any(w < 0 for w in weights):
-                continue
-            point = tuple(
-                sum((w * p[i] for w, p in zip(weights, subset)), Fraction(0)) for i in range(n)
-            )
-            sq = sum((v * v for v in point), Fraction(0))
-            if not sq:  # the origin, the unique minimum
-                return point, sq
-            if best_sq is None or sq < best_sq:
-                best, best_sq = point, sq
-    assert best is not None and best_sq is not None
-    return best, best_sq
+    def dot(p, q):
+        return sum(map(mul, p, q))
+
+    corral, weights = [min(generators, key=lambda g: dot(g, g))], [Fraction(1)]
+    while True:
+        # The affine minimum: weights summing to 1 whose point is orthogonal to each corral[j] - corral[0].
+        directions = [[q - b for q, b in zip(g, corral[0])] for g in corral[1:]]
+        affine = solve_unique([[1] * len(corral)] + [[dot(p, d) for p in corral] for d in directions],
+                              [1] + [0] * len(directions))
+        if affine is None:
+            raise ArithmeticError(f"corral {corral} is affinely dependent")
+        # An entering generator's affine weight is positive, so w - a > 0 wherever a <= 0.
+        steps = [w / (w - a) for w, a in zip(weights, affine) if a <= 0]
+        if steps:  # as far toward the affine minimum as the weights stay nonnegative
+            theta = min(steps)
+            weights = [w + theta * (a - w) for w, a in zip(weights, affine)]
+            corral, weights = [p for p, w in zip(corral, weights) if w], [w for w in weights if w]
+            continue
+        x = tuple(dot(affine, column) for column in zip(*corral))
+        entering = min(generators, key=lambda g: dot(x, g))
+        if dot(x, entering) >= (sq := dot(x, x)):  # x is optimal, the origin included
+            return x, sq
+        corral, weights = corral + [entering], affine + [Fraction(0)]
 
 
 def semigroup_member(spec: SemigroupSpec, a: Sequence[int], min_count: int = 1) -> Membership:
@@ -286,11 +289,7 @@ def semigroup_member(spec: SemigroupSpec, a: Sequence[int], min_count: int = 1) 
     the length bound ``<a, w> / |w|^2`` given by the hull's minimum-norm
     point ``w``.  Otherwise a cap-bound search is reported as inconclusive.
     """
-    a = tuple(a)
-    if len(a) != spec.dimension:
-        raise DimensionMismatchError(
-            f"target {a} has length {len(a)}, expected {spec.dimension}"
-        )
+    a = _check_vector(a, spec.dimension, "target")
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
     return _memberships(spec, (a,), min_count)[a]

@@ -418,8 +418,9 @@ def test_integer_hull_limit_is_the_fraction_length_bound():
 
 
 def full_hull_point(generators):
-    """``_min_norm_hull_point`` without its early exit: every affinely
-    independent subset is tried, the origin's included."""
+    """``_min_norm_hull_point`` by enumeration: every affinely independent
+    subset of at most n + 1 generators is tried, and the least projection of
+    the origin that lands in its simplex kept."""
     n = len(generators[0])
     best = best_sq = None
     for size in range(1, min(len(generators), n + 1) + 1):
@@ -440,30 +441,103 @@ def full_hull_point(generators):
     return best, best_sq
 
 
+def pointed_cone(rng, n, size):
+    """``size`` distinct generators in dimension ``n`` with first coordinate 1..3
+    and the others +-2..6: the origin is outside their hull."""
+    gens = set()
+    while len(gens) < size:
+        gens.add((rng.randint(1, 3),) + tuple(rng.choice((-1, 1)) * rng.randint(2, 6) for _ in range(n - 1)))
+    return tuple(sorted(gens))
+
+
+def assert_hull_point_is_the_enumerated_one(gens):
+    got = grading._min_norm_hull_point(gens)
+    assert got == full_hull_point(gens)
+    point, sq = got
+    assert all(type(v) is Fraction for v in point) and type(sq) is Fraction
+    return got
+
+
 def test_hull_point_matches_the_full_enumeration():
-    """The search that stops at the origin finds the point and squared norm
-    of the full enumeration, in dimensions 1-3, with opposite and
-    duplicate-direction generators."""
+    """Wolfe's search finds exactly the point and squared norm of the full
+    enumeration, in dimensions 1-4 on up to 10 generators: with opposite,
+    zero, collinear and duplicate-direction generators, and pointed cones."""
     rng = random.Random(113)
     seen = set()
     for trial in range(240):
-        n = 1 + trial % 3
-        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))]
-        if trial % 4 == 0:  # an opposite pair: the origin lies in the hull
+        n, kind = 1 + trial % 4, trial // 4 % 5
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+        if kind == 0:  # an opposite pair: the origin lies in the hull
             gens.append(tuple(-2 * x for x in gens[0]))
-        if trial % 3 == 0:  # a second generator in the direction of the first
-            gens.append(tuple(3 * x for x in gens[0]))
+        elif kind == 1:  # two more generators in the direction of the first
+            gens += [tuple(3 * x for x in gens[0]), tuple(2 * x for x in gens[0])]
+        elif kind == 2:  # the origin is a generator
+            gens.append((0,) * n)
+        elif kind == 3:  # collinear generators off the origin
+            step = tuple(rng.randint(-2, 2) for _ in range(n))
+            gens += [tuple(x + k * y for x, y in zip(gens[0], step)) for k in (1, 2)]
         gens = tuple(sorted(set(gens)))
-        got = grading._min_norm_hull_point(gens)
-        assert got == full_hull_point(gens)
-        seen.add("origin" if not got[1] else "away")
-    assert seen == {"origin", "away"}
+        if kind == 4:
+            gens = pointed_cone(rng, n, rng.randint(1, 3 if n == 1 else 10))  # dimension 1 has only 3
+        point, sq = assert_hull_point_is_the_enumerated_one(gens)
+        seen.add((n, "origin" if not sq else "away"))
+    assert seen == {(n, side) for n in (1, 2, 3, 4) for side in ("origin", "away")}
+
+
+@pytest.mark.parametrize(
+    "gens, point",
+    [
+        (((0, 0), (1, 2), (3, -1)), (0, 0)),  # a zero generator
+        (((1, 0), (-1, 0), (0, 1)), (0, 0)),  # the origin on an edge of the hull
+        (((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0)),
+        (((1, 1), (2, 2), (3, 3)), (1, 1)),  # collinear through the origin
+        (((-1, -1), (1, 1), (2, 2)), (0, 0)),
+        (((1, 0), (1, 1), (1, 2)), (1, 0)),  # collinear off the origin
+        (((1, -1), (1, 1), (2, -2), (2, 2)), (1, 0)),  # duplicate directions
+        (((1, 2), (2, 1)), (Fraction(3, 2), Fraction(3, 2))),  # an edge's interior
+        (((1, 0, 1), (0, 1, 1), (-1, -1, 1)), (0, 0, 1)),  # a facet's interior
+    ],
+)
+def test_hull_point_of_degenerate_specs(gens, point):
+    assert assert_hull_point_is_the_enumerated_one(tuple(sorted(gens))) == (point, sum(x * x for x in point))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=10, unique=True)
+    )
+)
+def test_hull_point_matches_the_full_enumeration_on_drawn_specs(gens):
+    assert_hull_point_is_the_enumerated_one(tuple(sorted(gens)))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("size", [24, 32, 64])
+def test_hull_search_solves_few_systems_on_pointed_cones(monkeypatch, n, size):
+    """On a pointed cone, where no exit at the origin applies, the search
+    solves at most n + 1 systems per generator; the subset enumeration solves
+    one per subset of up to n + 1, 12 950 on 24 generators in dimension 3."""
+    gens = pointed_cone(random.Random(131 * n + size), n, size)
+    calls = []
+    solve = grading.solve_unique
+    monkeypatch.setattr(grading, "solve_unique", lambda rows, rhs: calls.append(1) or solve(rows, rhs))
+    point, sq = grading._min_norm_hull_point(gens)
+    assert sq and sq == sum(x * x for x in point)
+    assert all(sum(x * g for x, g in zip(point, gen)) >= sq for gen in gens)  # no generator is nearer
+    assert len(calls) <= (n + 1) * size
+
+
+def test_hull_search_raises_when_a_corral_has_no_affine_minimum(monkeypatch):
+    monkeypatch.setattr(grading, "solve_unique", lambda rows, rhs: None)
+    with pytest.raises(ArithmeticError, match="affinely dependent"):
+        grading._min_norm_hull_point(((1, 0), (0, 1)))
 
 
 def test_hull_search_stops_at_the_origin(monkeypatch):
     """On 32 generators in dimension 3 holding an opposite pair, the search
-    ends among the pairs: it solves at most one system per generator and per
-    pair, not one per subset of up to four."""
+    reaches the origin within one system per generator and per pair, not one
+    per subset of up to four."""
     rng = random.Random(127)
     gens = {(1, 2, -1), (-1, -2, 1)}
     while len(gens) < 32:
@@ -475,6 +549,20 @@ def test_hull_search_stops_at_the_origin(monkeypatch):
     assert grading._min_norm_hull_point(gens) == ((0, 0, 0), 0)
     # The full enumeration solves one system per subset of 1 to 4 generators: 41448.
     assert len(calls) <= 32 + comb(32, 2) < sum(comb(32, k) for k in range(1, 5)) == 41448
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: semigroup_member(SemigroupSpec(2, [(0.5, 1)]), (1, 2)), r"generator \(0.5, 1\)"),
+        (lambda: SemigroupSpec(2, [("1", 0)]), r"generator \('1', 0\)"),
+        (lambda: semigroup_member(SemigroupSpec(2, [(1, 0)]), (0.5, 0)), r"target \(0.5, 0\)"),
+    ],
+    ids=["float-generator", "str-generator", "float-target"],
+)
+def test_non_integer_semigroup_input_is_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{message} must have integer entries$"):
+        make()
 
 
 def test_ideal_membership_examples():
