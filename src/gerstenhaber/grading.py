@@ -196,6 +196,8 @@ class SemigroupSpec(_Record):
         if dimension < 1:
             raise DimensionMismatchError("dimension must be positive")
         gens = [_check_vector(g, dimension, "generator") for g in generators]
+        if not isinstance(search_cap, int):
+            raise ValueError(f"search_cap {search_cap} must be an integer")
         if search_cap < 1:
             raise ValueError("search_cap must be positive")
         self._set(dimension, tuple(sorted(set(gens))), search_cap)

@@ -1,21 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Sparse exact elimination on integers: each row, right-hand side included,
-is scaled by the lcm of its own denominators to a ``{column: int}`` dict and
-reduced against the echelon rows found so far with integer row operations.
-Echelon rows are stored primitive (divided by the gcd of their entries) with
-a positive pivot.  Back-substitution runs in ``Fraction``s and sets every
-free variable to zero.  The pivot columns of any echelon form are those of
-the reduced row echelon form, so the solution is the reduced-echelon
-particular solution; callers rely on that for reproducible output.
-``pivot_columns`` finds them from the columns, with the same ``_reduce``.
+One sparse exact elimination on integers: each row is given as its nonzero
+``(column, value)`` pairs; with its right-hand side it is scaled by the lcm
+of its own denominators to a ``{column: int}`` dict and reduced against the
+echelon rows found so far with integer row operations.  Echelon rows are
+stored primitive (divided by the gcd of their entries) with a positive
+pivot.  Back-substitution runs in ``Fraction``s and sets every free variable
+to zero.  The pivot columns of any echelon form are those of the reduced row
+echelon form, so the solution is the reduced-echelon particular solution
+whatever the row order; callers rely on that for reproducible output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
+
+Row = Sequence[tuple[int, object]]  # nonzero (column, value) pairs, values int or Fraction
 
 
 def _reduce(row: dict[int, int], echelon: dict[int, dict[int, int]]) -> Optional[int]:
@@ -46,21 +48,17 @@ def _reduce(row: dict[int, int], echelon: dict[int, dict[int, int]]) -> Optional
     return None
 
 
-def _eliminate(
-    matrix: Sequence[Sequence], rhs: Sequence
-) -> Optional[tuple[list[Fraction], int]]:
-    """The solution with free variables zero and the rank; None when inconsistent.
+def _eliminate(rows: Sequence[Row], rhs: Sequence, n: int) -> Optional[tuple[list[Fraction], int]]:
+    """The solution of the ``n``-column system with free variables zero and the
+    rank; None when inconsistent.
 
     Entries are ``int`` or ``Fraction``; both have ``numerator`` and ``denominator``.
     """
-    if len(matrix) != len(rhs):
+    if len(rows) != len(rhs):
         raise ValueError("matrix and right-hand side sizes differ")
-    n = len(matrix[0]) if matrix else 0
     echelon: dict[int, dict[int, int]] = {}  # pivot column -> primitive row, positive there
-    for coeffs, b in zip(matrix, rhs):
-        entries = [(j, v) for j, v in enumerate(coeffs) if v]
-        if b:
-            entries.append((n, b))  # the right-hand side sits in column n
+    for row, b in zip(rows, rhs):
+        entries = [*row, (n, b)] if b else row  # the right-hand side sits in column n
         scale = lcm(*[v.denominator for _, v in entries])
         if _reduce({j: v.numerator * (scale // v.denominator) for j, v in entries}, echelon) == n:
             return None  # 0 = nonzero: inconsistent
@@ -75,29 +73,21 @@ def _eliminate(
     return solution, len(echelon)
 
 
-def pivot_columns(columns: Sequence[Mapping[int, int]]) -> tuple[tuple[int, int], ...]:
-    """The pivot columns j of ``{row: int}`` columns (those outside the span of the
-    columns before them), each with the lead row of its remainder; the matrix on
-    the pivot columns and those rows is nonsingular."""
-    echelon: dict[int, dict[int, int]] = {}  # lead row -> primitive remainder
-    return tuple((j, lead) for j, column in enumerate(columns) if (lead := _reduce(dict(column), echelon)) is not None)
-
-
-def solve_particular(
-    matrix: Sequence[Sequence], rhs: Sequence
-) -> Optional[list[Fraction]]:
-    """Solve ``matrix @ x = rhs`` exactly; None when inconsistent.
+def solve_particular(rows: Sequence[Row], rhs: Sequence, n: int) -> Optional[list[Fraction]]:
+    """Solve the sparse ``n``-column system ``rows @ x = rhs`` exactly; None when
+    inconsistent.
 
     Returns the reduced-echelon particular solution with all free variables
     set to zero.
     """
-    solved = _eliminate(matrix, rhs)
+    solved = _eliminate(rows, rhs, n)
     return None if solved is None else solved[0]
 
 
 def solve_unique(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
-    """Solve ``matrix @ x = rhs`` when the solution is unique; else None."""
-    solved = _eliminate(matrix, rhs)
-    if not matrix or solved is None or solved[1] < len(matrix[0]):
+    """Solve the dense system ``matrix @ x = rhs`` when the solution is unique; else None."""
+    n = len(matrix[0]) if matrix else 0
+    solved = _eliminate([[(j, v) for j, v in enumerate(coeffs) if v] for coeffs in matrix], rhs, n)
+    if not matrix or solved is None or solved[1] < n:
         return None
     return solved[0]

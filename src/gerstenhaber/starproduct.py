@@ -11,10 +11,10 @@ builds each ``B_k`` and inverts the coboundary on the finite bigrade blocks
 it touches: the coboundary preserves the bigrade, and a fixed bigrade pins
 both the x-exponent and the total slot order, leaving finitely many basis
 terms per arity.  The coboundary carries the x-exponent through, so a
-block's sparse columns and pivot columns depend only on its slot total.
-Each block's square system on its pivot columns is solved exactly, the
-other variables pinned to zero, so the output is a deterministic function
-of the input (no cocycle is ever added); one coboundary checks it.
+block's sparse columns depend only on its slot total.  Each block's sparse
+rows are reduced exactly, free variables pinned to zero, so the output is a
+deterministic function of the input (no cocycle is ever added); one
+coboundary checks it.
 
 Conventions: callers hand the solver a Poisson bivector ``pi1`` and the head
 coefficient is ``p_1 = pi1 / 2``; all reported cochains are the ``p_k``.
@@ -43,7 +43,7 @@ from .cochains import (
     index_splits,
 )
 from .grading import SemigroupSpec, _buckets, in_ideal, in_subalgebra
-from .linsolve import pivot_columns, solve_particular
+from .linsolve import solve_particular
 from .operations import _delta_term, bracket, hochschild_delta
 
 HALF = Fraction(1, 2)
@@ -119,13 +119,12 @@ class BlockSystem(_Record):
     ``cochains``), whose integer order is the order of the lists and is the
     row order.  ``columns[c]`` is the coboundary of ``slots2[c]``: integer
     coefficients (structure constants) keyed by arity-3 slot list.
-    ``pivots`` are its ``pivot_columns``, each with its row.
     """
 
-    _names = ("slots2", "columns", "pivots")
+    _names = ("slots2", "columns")
 
-    def __init__(self, slots2: tuple[int, ...], columns: tuple[dict[int, int], ...], pivots: tuple[tuple[int, int], ...]):
-        self._set(slots2, columns, pivots)
+    def __init__(self, slots2: tuple[int, ...], columns: tuple[dict[int, int], ...]):
+        self._set(slots2, columns)
 
 
 @lru_cache(maxsize=None)
@@ -136,16 +135,18 @@ def build_block(slot_total: Index) -> BlockSystem:
     n = len(slot_total)
     slots2 = tuple(sorted(pieces for pieces, _ in index_splits(n, _pack(slot_total), 2)))
     columns = tuple(dict(_delta_term(n, slots, 2)) for slots in slots2)
-    return BlockSystem(slots2, columns, pivot_columns(columns))
+    return BlockSystem(slots2, columns)
 
 
 def solve_delta(target: Cochain) -> Cochain:
     """Exact preimage of an arity-3 cochain under the coboundary.
 
-    Solves each bigrade block's square system on its pivot columns and
-    their rows, the other variables zero: the reduced-echelon particular
-    solution, so the result is deterministic.  Raises ``CoboundaryError``
-    naming the first block where the preimage's coboundary misses the target.
+    Reduces each bigrade block's sparse rows, the ``build_block`` columns
+    transposed, in decreasing row order (increasing order takes many times
+    the reduction steps), and takes the reduced-echelon particular solution,
+    free variables zero, so the result is deterministic.  An inconsistent
+    block gets no terms.  Raises ``CoboundaryError`` naming the first block
+    where the preimage's coboundary misses the target.
     """
     if target.is_zero:
         return Cochain.zero(target.dimension)
@@ -165,11 +166,17 @@ def solve_delta(target: Cochain) -> Cochain:
         # A preimage's slots split the slot total, so its exponents are at most these.
         bound = max(bound, _within_budget(max(*x_part, *slot_total), "preimage exponent bound"))
         block = build_block(slot_total)
-        square = [[block.columns[c].get(row, 0) for c, _ in block.pivots] for _, row in block.pivots]
-        x = solve_particular(square, [component.get(row, 0) for _, row in block.pivots])
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for c, column in enumerate(block.columns):
+            for key, v in column.items():
+                rows.setdefault(key, []).append((c, v))
+        keys = sorted(rows, reverse=True)
+        x = solve_particular([rows[key] for key in keys], [component.get(key, 0) for key in keys], len(block.columns))
+        if x is None:
+            continue  # inconsistent: the check below names the first such block
         top = _pack(x_part, 1) << (2 * width)  # the sentinel and x-part of an arity-2 key
         # Blocks have distinct bigrades, so their basis terms never overlap.
-        solution.update((top | block.slots2[c], v) for (c, _), v in zip(block.pivots, x) if v)
+        solution.update((top | slots, v) for slots, v in zip(block.slots2, x) if v)
     d = lcm(*[v.denominator for v in solution.values()])
     num = {key: v.numerator * (d // v.denominator) for key, v in solution.items()}
     preimage = Cochain._reduced(n, num, d * target._den, bound)

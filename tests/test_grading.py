@@ -565,6 +565,13 @@ def test_non_integer_semigroup_input_is_refused(make, message):
         make()
 
 
+@pytest.mark.parametrize("cap, shown", [(2.5, "2.5"), (Fraction(5, 2), "5/2")], ids=["float", "fraction"])
+def test_non_integer_search_cap_is_refused(cap, shown):
+    # Accepted, such a cap never ends the search for (0, -1), outside the semigroup.
+    with pytest.raises(ValueError, match=f"^search_cap {shown} must be an integer$"):
+        semigroup_member(SemigroupSpec(2, [(1, 0), (-1, 0), (0, 1)], search_cap=cap), (0, -1))
+
+
 def test_ideal_membership_examples():
     spec = SemigroupSpec(dimension=2, generators=((-1, -1),))
     w2 = random_weight_homogeneous(random.Random(1), 2, (-2, -2))

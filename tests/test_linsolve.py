@@ -14,7 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerstenhaber.linsolve import _eliminate, pivot_columns, solve_particular, solve_unique
+from gerstenhaber.linsolve import solve_particular, solve_unique
 
 # Mostly zeros, like the coboundary blocks the solver hands over.
 ENTRY = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2, -3])
@@ -33,6 +33,11 @@ def tall_systems(draw):
 
 def _times(matrix, y):
     return [sum((a * v for a, v in zip(row, y)), Fraction(0)) for row in matrix]
+
+
+def _particular(matrix, rhs):
+    """``solve_particular`` on the sparse rows of a dense matrix."""
+    return solve_particular([[(j, v) for j, v in enumerate(row) if v] for row in matrix], rhs, len(matrix[0]) if matrix else 0)
 
 
 def _rational(v):
@@ -66,7 +71,7 @@ def test_consistent_rhs_matches_sympy_rref(system):
     rhs = _times(matrix, y)
     expected, rank = _reference(matrix, rhs)
     assert expected is not None
-    _assert_same(solve_particular(matrix, rhs), expected)
+    _assert_same(_particular(matrix, rhs), expected)
     _assert_same(solve_unique(matrix, rhs), expected if rank == len(y) else None)
 
 
@@ -77,7 +82,7 @@ def test_perturbed_rhs_inconsistent_exactly_when_sympy_pivots_augmented_column(s
     rhs = _times(matrix, y)
     rhs[data.draw(st.integers(0, len(rhs) - 1))] += data.draw(VALUE.filter(bool))
     expected, rank = _reference(matrix, rhs)
-    _assert_same(solve_particular(matrix, rhs), expected)
+    _assert_same(_particular(matrix, rhs), expected)
     unique = expected if expected is not None and rank == len(y) else None
     _assert_same(solve_unique(matrix, rhs), unique)
 
@@ -91,7 +96,7 @@ def test_solve_unique_none_on_rank_deficient_input(system, data):
     matrix = [row + [row[source]] for row in matrix]
     rhs = _times(matrix, y + [Fraction(1)])
     assert solve_unique(matrix, rhs) is None
-    _assert_same(solve_particular(matrix, rhs), _reference(matrix, rhs)[0])
+    _assert_same(_particular(matrix, rhs), _reference(matrix, rhs)[0])
 
 
 # Large integers make the integer row operations grow their rows, so the
@@ -118,7 +123,7 @@ def test_consistent_systems_match_sympy_rref(kind, data):
     matrix, y = data.draw(systems(ENTRIES[kind]))
     rhs = _times(matrix, y)
     expected, rank = _reference(matrix, rhs)
-    _assert_same(solve_particular(matrix, rhs), expected)
+    _assert_same(_particular(matrix, rhs), expected)
     unique = solve_unique(matrix, rhs)
     assert (unique is None) == (rank < len(y))
     _assert_same(unique, expected if rank == len(y) else None)
@@ -137,49 +142,40 @@ def test_inconsistent_rhs_gives_none(kind, data):
     matrix.insert(at, combined)
     rhs.insert(at, sum(w * b for w, b in zip(weights, rhs)) + data.draw(VALUE.filter(bool)))
     assert _reference(matrix, rhs)[0] is None
-    assert solve_particular(matrix, rhs) is None
+    assert _particular(matrix, rhs) is None
     assert solve_unique(matrix, rhs) is None
 
 
 @pytest.mark.parametrize("kind", ["small", "big"])
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_pivot_solve_matches_elimination(kind, data):
-    """The column-pivot solve: the square system on the pivot columns and
-    their rows, every other variable zero, then a check against all rows."""
+def test_row_permutation_leaves_solution_unchanged(kind, data):
+    """The solution does not depend on the order of the rows, consistent or
+    not; the coboundary solve reduces its rows in the order that fills in least."""
     cols = data.draw(st.integers(1, 6))
     matrix = [[data.draw(ENTRIES[kind]) for _ in range(cols)] for _ in range(data.draw(st.integers(cols, 3 * cols)))]
     rhs = _times(matrix, [data.draw(VALUE) for _ in range(cols)])
     if data.draw(st.booleans()):  # often inconsistent, sometimes not
         rhs = [b + data.draw(st.sampled_from([0, 0, 1, Fraction(-1, 2)])) for b in rhs]
-    columns = [{r: row[j] for r, row in enumerate(matrix) if row[j]} for j in range(cols)]
-    pivots = pivot_columns(columns)
-    reference_pivots = list(sympy.Matrix(matrix).rref()[1])
-    assert [j for j, _ in pivots] == reference_pivots
-    assert len(pivots) == _eliminate(matrix, [0] * len(matrix))[1]
-    square = [[columns[j].get(r, 0) for j, _ in pivots] for _, r in pivots]
-    x = solve_unique(square, [rhs[r] for _, r in pivots]) if pivots else []
-    assert x is not None  # nonsingular
-    full = [Fraction(0)] * cols
-    for (j, _), v in zip(pivots, x):
-        full[j] = v
-    expected = solve_particular(matrix, rhs)
-    assert (_times(matrix, full) == rhs) == (expected is not None)
-    if expected is not None:
-        _assert_same(full, expected)
+    order = data.draw(st.permutations(range(len(matrix))))
+    expected = _particular(matrix, rhs)
+    _assert_same(expected, _reference(matrix, rhs)[0])
+    _assert_same(_particular([matrix[i] for i in order], [rhs[i] for i in order]), expected)
 
 
 def test_free_variables_pinned_to_zero():
     # x0 + x1 = 2, x2 free: the pivot is x0.
-    assert solve_particular([[1, 1, 0], [2, 2, 0]], [2, 4]) == [2, 0, 0]
+    assert solve_particular([[(0, 1), (1, 1)], [(0, 2), (1, 2)]], [2, 4], 3) == [2, 0, 0]
 
 
 def test_empty_system():
-    assert solve_particular([], []) == []
+    assert solve_particular([], [], 0) == []
+    assert solve_particular([], [], 2) == [0, 0]
+    assert solve_particular([[]], [1], 2) is None  # 0 = 1
     assert solve_unique([], []) is None
 
 
-@pytest.mark.parametrize("solve", [solve_particular, solve_unique])
+@pytest.mark.parametrize("solve", [pytest.param(_particular, id="solve_particular"), solve_unique])
 @pytest.mark.parametrize("matrix, rhs", [([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 2]), ([], [1])])
 def test_size_mismatch_raises(solve, matrix, rhs):
     with pytest.raises(ValueError, match="sizes differ"):

@@ -101,9 +101,9 @@ RECORDS = [
     (Deformation, (2, (HALF_PI,)), {"dimension": 2, "cochains": (HALF_PI,)}, {"cochains": (HALF_PI, HALF_PI)}, True),
     (
         BlockSystem,
-        ((5, 9), ({7: 1}, {7: -1}), ((0, 7),)),
-        {"slots2": (5, 9), "columns": ({7: 1}, {7: -1}), "pivots": ((0, 7),)},
-        {"pivots": ()},
+        ((5, 9), ({7: 1}, {7: -1})),
+        {"slots2": (5, 9), "columns": ({7: 1}, {7: -1})},
+        {"columns": ({7: 1},)},
         True,
     ),
     (LawResult, ("law", True, 4), {"name": "law", "ok": True, "checks": 4, "witness": None}, {"ok": False}, False),

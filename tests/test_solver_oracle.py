@@ -46,9 +46,9 @@ def exponential_term(k):
     return Cochain(2, terms)
 
 
-def test_solver_reproduces_exponential_series_through_order_eight():
-    deformation = solve_maurer_cartan(constant_bivector(), 8)
-    for k in range(1, 9):
+def test_solver_reproduces_exponential_series_through_order_sixteen():
+    deformation = solve_maurer_cartan(constant_bivector(), 16)
+    for k in range(1, 17):
         expected = exponential_term(k)
         assert deformation.coefficient(k) == expected
         assert hochschild_delta(deformation.coefficient(k) - expected).is_zero

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerstenhaber import (
     BasisTerm,
@@ -24,8 +26,9 @@ from gerstenhaber import (
     weight_of,
 )
 from gerstenhaber.cochains import ArityError, DimensionMismatchError, _indices
-from gerstenhaber.linsolve import solve_unique
+from gerstenhaber.linsolve import solve_particular, solve_unique
 from gerstenhaber.axioms import random_homogeneous_cochain, random_polynomial
+from pivot_reference import block_pivots, reference_solve_delta
 
 
 def term(x_part, *slots):
@@ -128,11 +131,20 @@ def test_block_composition_count():
     for column in block.columns:
         assert column and {slot_list(s, 3) for s in column} <= slots3
     # One 2-cocycle in the block, so the coboundary has rank 9 - 1; the
-    # pivots and their rows carry a nonsingular square system.
-    assert len(block.pivots) == 8
-    assert {slot_list(row, 3) for _, row in block.pivots} <= slots3
-    square = [[block.columns[c].get(row, 0) for c, _ in block.pivots] for _, row in block.pivots]
+    # reference's pivots and their rows carry a nonsingular square system.
+    pivots = block_pivots((2, 2))
+    assert len(pivots) == 8
+    assert {slot_list(row, 3) for _, row in pivots} <= slots3
+    square = [[block.columns[c].get(row, 0) for c, _ in pivots] for _, row in pivots]
     assert solve_unique(square, [0] * 8) == [0] * 8
+    # The sparse rows have the same rank: the cocycle is the one free variable.
+    keys = sorted({s for column in block.columns for s in column}, reverse=True)
+    rows = [[(c, column[key]) for c, column in enumerate(block.columns) if key in column] for key in keys]
+    assert solve_particular(rows, [0] * len(rows), 9) == [0] * 9
+    free = set(range(9)) - {c for c, _ in pivots}
+    assert len(free) == 1
+    solution = solve_particular(rows, [sum(v for c, v in row if c in free) for row in rows], 9)
+    assert solution is not None and all(v == 0 for c, v in enumerate(solution) if c in free)
 
 
 def test_diagonal_block_is_single_term():
@@ -215,6 +227,62 @@ def test_solve_delta_names_the_smaller_of_two_inconsistent_blocks():
     with pytest.raises(CoboundaryError) as caught:
         solve_delta(target)
     assert caught.value.bigrade == bigrade_of(NOT_EXACT)
+
+
+# -- solve_delta against the column-pivot reference ----------------------------
+
+COEFFICIENT = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+X_PART = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def slot_lists(draw, slot_total, arity):
+    """An ordered list of ``arity`` slots summing to ``slot_total``."""
+    slots, left = [], slot_total
+    for _ in range(arity - 1):
+        slot = tuple(draw(st.integers(0, r)) for r in left)
+        slots.append(slot)
+        left = tuple(r - s for r, s in zip(left, slot))
+    return (*slots, left)
+
+
+@st.composite
+def block_cochains(draw, slot_total):
+    """An arity-2 cochain in the blocks of ``slot_total`` at one or two x-parts."""
+    pairs = [
+        (term(x_part, *draw(slot_lists(slot_total, 2))), draw(COEFFICIENT))
+        for x_part in draw(st.lists(X_PART, min_size=1, max_size=2))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return Cochain(2, pairs)
+
+
+SLOT_TOTAL = st.tuples(st.integers(0, 8), st.integers(0, 8))
+
+
+@pytest.mark.parametrize("slot_total", [(a, b) for a in range(9) for b in range(9)], ids=lambda t: f"{t[0]}-{t[1]}")
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_solve_delta_matches_column_pivot_reference(slot_total, data):
+    """Closed targets, the coboundaries of random 2-cochains in this slot
+    total (and maybe one more), give exactly the reference preimage; a
+    perturbed target raises where the reference does, naming its bigrade."""
+    y = data.draw(block_cochains(slot_total))
+    if data.draw(st.booleans()):
+        y = y + data.draw(block_cochains(data.draw(SLOT_TOTAL)))
+    target = hochschild_delta(y)
+    assert solve_delta(target) == reference_solve_delta(target)
+    noise = term(data.draw(X_PART), *data.draw(slot_lists(data.draw(st.sampled_from([slot_total, (8, 8)])), 3)))
+    perturbed = target + Cochain(2, {noise: data.draw(COEFFICIENT.filter(bool))})
+    try:
+        expected = reference_solve_delta(perturbed)
+    except CoboundaryError as err:
+        with pytest.raises(CoboundaryError) as caught:
+            solve_delta(perturbed)
+        assert caught.value.bigrade == err.bigrade
+    else:
+        assert hochschild_delta(perturbed).is_zero  # only a closed target is exact
+        assert solve_delta(perturbed) == expected
 
 
 def test_solve_delta_requires_arity_three():
