@@ -326,7 +326,8 @@ def _cmd_verify(args) -> tuple:
     return ("report", 2, *body), EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``gerst`` parser; with only the subcommand ``command``, when that names one."""
     parser = _Parser(
         prog="gerst",
         description=(
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit the JSON mirror of the document")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, arguments in _COMMANDS:
+    for name, help_text, handler, arguments in [c for c in _COMMANDS if c[0] == command] or _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=globals()[handler])
         for flags, options in arguments:
@@ -348,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        # argparse runs the first argument after any --json as the subcommand.
+        args = build_parser(next((arg for arg in argv if arg != "--json"), None)).parse_args(argv)
         _stdin_text.cache_clear()
         document, code = args.handler(args)
         if document is not None:

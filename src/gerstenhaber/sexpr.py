@@ -18,13 +18,13 @@ report is its node ``("report", dimension, *body)``.  In these nodes the
 term records of a store are one ``Terms`` item, printed straight from the
 store's sorted packed keys and numerators.
 
-Reading and printing convert each distinct index once.  The tokenizer takes
-an index list of short numerals, such as ``(6 3)``, as one token, which the
-atom cache converts once; the reader checks each distinct index once and
-packs it into its field group, and a term's key is its groups after the
-sentinel.  The printer renders each distinct field group and each distinct
-numerator once per document (in JSON, once per indent depth), and each
-distinct list of plain ints, such as a grade, once per s-expression.
+Reading and printing convert each distinct index once.  A ``cochain`` or
+``poly`` document in the printer's layout is read in one regex pass; other
+text is tokenized, an index list such as ``(6 3)`` one token, and read from
+its node.  Either reader checks and packs each distinct index into its field
+group once; a term's key is its groups after the sentinel.  The printer
+renders each distinct field group and numerator once per document (in JSON,
+once per indent depth), and each distinct list of ints once per s-expression.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from reprlib import repr as _brief  # depth- and length-bounded repr for error messages
 from typing import Union
 
@@ -438,8 +438,55 @@ def to_node(document) -> Node:
     return _TYPED[kind_of(document)][2](document)
 
 
+# A ``cochain`` or ``poly`` document as the printer writes it: this head, one
+# record a line, then ")".  The loose record pattern is linear; the reader checks it.
+_PRINTED_HEAD = re.compile(r"\((cochain|poly) ([1-9][0-9]{0,4})")
+_PRINTED_RECORD = re.compile(r"\n  \(term ([-0-9/]+) \(([0-9 ()]+)\)\)")
+
+
+def _read_printed(text: str):
+    """The value of a ``cochain`` or ``poly`` document in the printer's layout, read
+    in one pass; None for other text, and for a record the token parser must read
+    or refuse.  Each distinct coefficient and index is converted and checked once."""
+    head = _PRINTED_HEAD.match(text)
+    end = len(text) - text.endswith(")\n") - 1  # the closing ')'
+    if head is None or end < head.end() or text[end] != ")":
+        return None
+    records = _PRINTED_RECORD.findall(text, head.end(), end)
+    if 13 * len(records) + sum(map(len, chain.from_iterable(records))) != end - head.end():
+        return None  # the records do not tile the body
+    cls, dimension = _TYPED[head[1]][0], int(head[2])
+    maxsplit = 0 if cls is Polynomial else -1  # a polynomial's record has one index
+
+    def group(index: str) -> int:  # numerals one space apart
+        if (packed := _index_group(tuple(map(int, index.split(" "))), dimension)) < 0:
+            raise ValueError
+        return packed
+
+    def coefficient(token: str) -> Node:  # _atom raises where the token parser refuses
+        value = _atom(token, text, 0)
+        if not isinstance(value, (int, Fraction)):
+            raise ValueError
+        return value
+
+    groups, coefficients, width, acc = _Memo(group), _Memo(coefficient), _WIDTH * dimension, {}
+    try:
+        for c, indices in records:
+            key = 1
+            for index in indices.split(") (", maxsplit):
+                key = key << width | groups[index]
+            coeff = coefficients[c]
+            acc[key] = coeff if (old := acc.get(key)) is None else old + coeff
+    except ValueError:
+        return None
+    bound = max((max(map(int, index.split(" "))) for index in groups), default=0)
+    return cls._raw(dimension, *_over_lcm(acc), bound)
+
+
 def parse_document(text: str):
     """The document in ``text``: a typed value, or the node of a report."""
+    if (value := _read_printed(text)) is not None:
+        return value
     node = _expect_list(parse_sexpr(text), "document")
     if len(node) < 2 or node[0] not in KINDS or not isinstance(node[1], int):
         raise ValueError("document must start with a kind and a dimension")

@@ -1,6 +1,8 @@
 """Error paths, exactness guards, and off-plane (dimension != 2) behavior."""
 
+import contextlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,9 @@ from gerstenhaber import (
 from gerstenhaber.axioms import LawResult
 from gerstenhaber.sexpr import ORDER_LIMIT, SexprError, parse_sexpr, print_document
 from gerstenhaber.starproduct import obstruction
+from gerstenhaber import cli
 from gerstenhaber.cli import main
+from test_cli_fuzz import WALL_BOUND_S
 
 
 def test_float_coefficients_rejected():
@@ -326,6 +330,29 @@ def test_cli_overlong_integer_literal_is_refused_with_its_position(tmp_path, coe
     ]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(cochain 2\n  (term 1 (" + "9" * 100_000 + " 0)))\n",
+         "line 2, column 12: integer literal of 100000 digits exceeds the limit of 4300"),
+        ("(cochain 2" + "\n  (term 1 (1 2)" * 50_000, "line 50001, column 3: unexpected end of input inside list"),
+    ],
+    ids=["long-index-numeral", "unclosed-records"],
+)
+def test_cli_printer_layout_lookalike_is_refused_with_its_position(tmp_path, text, message):
+    """Documents in nearly the printer's layout: a 100 000-digit index entry,
+    and 50 000 records left open.  The one-pass reader neither backtracks
+    nor hides the position the token parser reports."""
+    path = tmp_path / "c.sexp"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    result = _run_cli("bigrade", str(path))
+    assert time.perf_counter() - start < WALL_BOUND_S
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {message}"]
+
+
 def test_integer_literal_at_the_digit_limit_parses():
     assert parse_sexpr("(term " + "7" * 4300 + ")") == ("term", int("7" * 4300))
     assert parse_sexpr("(term 1/" + "3" * 4300 + ")") == ("term", Fraction(1, int("3" * 4300)))
@@ -467,6 +494,35 @@ def test_cli_malformed_command_line_exits_one_on_one_line(args, message):
     assert result.stdout == ""
     [line] = result.stderr.splitlines()
     assert line.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "args, built",
+    [
+        (["delta", "missing.sexp"], ["delta"]),
+        (["--json", "--json", "theta", "--help"], ["theta"]),
+        (["--help", "delta"], None),
+        (["--js", "delta"], None),
+        (["nosuch"], None),
+        ([], None),
+    ],
+    ids=["command", "json-then-help", "help-first", "abbreviated-json", "unknown", "none"],
+)
+def test_cli_builds_only_the_subcommand_that_runs(monkeypatch, capsys, args, built):
+    """The parser gets only the subcommand argparse will run; with no command,
+    an unknown one or an option other than --json before it, every subcommand
+    (None), so usage and choice lists are those of the whole table."""
+    seen, build_parser = [], cli.build_parser
+
+    def build(command=None):
+        parser = build_parser(command)
+        seen.append(list(parser._subparsers._group_actions[0].choices))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    with contextlib.suppress(SystemExit):
+        main(args)
+    assert seen == [built or [name for name, *_ in cli._COMMANDS]]
 
 
 CONSTANT_BIVECTOR = "(cochain 2(term 1 (0 0) (1 0) (0 1)) (term -1 (0 0) (0 1) (1 0)))"

@@ -21,7 +21,16 @@ from gerstenhaber import (
 from gerstenhaber.axioms import _fail, random_cochain, random_polynomial
 from gerstenhaber.cli import main
 from gerstenhaber.cochains import _indices
-from gerstenhaber.sexpr import SexprError, Terms, format_sexpr, parse_document, parse_sexpr, print_document
+from gerstenhaber.sexpr import (
+    SexprError,
+    Terms,
+    _node_to_store,
+    _read_printed,
+    format_sexpr,
+    parse_document,
+    parse_sexpr,
+    print_document,
+)
 
 
 def term(x_part, *slots):
@@ -259,6 +268,79 @@ def test_print_then_parse_is_the_identity(drawn):
     for built, from_records, from_print in pairs:
         assert from_records._bound == built._bound
         assert from_print._bound == _largest_exponent(built) <= built._bound
+
+
+def _layout(kind: str, dimension: int, records, seps=None) -> str:
+    """A document in the printer's layout: each ``(coefficient, [index, ...])``
+    text record after its separator, one a line by default."""
+    seps = seps or ["\n  "] * len(records)
+    body = "".join(sep + f"(term {c} " + " ".join(indices) + ")" for sep, (c, indices) in zip(seps, records))
+    return f"({kind} {dimension}{body})\n"
+
+
+def _token_read(text: str):
+    """The store that ``parse_sexpr`` and ``_node_to_store`` read from ``text``."""
+    node = parse_sexpr(text)
+    return _node_to_store(node, node[0], Polynomial if node[0] == "poly" else Cochain)
+
+
+def _outcome(read, text: str) -> tuple:
+    """The type and reduced form of ``read(text)``, or the type and text of its error."""
+    try:
+        value = read(text)
+    except ValueError as err:
+        return type(err), str(err)
+    return type(value), value._num, value._den, value._bound
+
+
+# One-edit perturbations of a printer-layout record: its coefficient, the
+# first entry of its first index, or the separator before it.
+COEFFICIENT_EDITS = {
+    "sign": "+3", "leading zero": "03", "zero denominator": "1/0", "not rational": "1-2", "641 digits": "7" * 641,
+}
+ENTRY_EDITS = {"6-digit entry": "000003", "past the budget": "65536", "negative": "-1"}
+SEPARATOR_EDITS = {"comment": "\n  ; note (\n  ", "CRLF": "\r\n  ", "tab": "\n\t", "double space": "\n   "}
+EDITS = (*COEFFICIENT_EDITS, *ENTRY_EDITS, *SEPARATOR_EDITS, "short index", "extra index", "trailing", "unclosed")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("cochain", "poly")), st.data())
+def test_printer_layout_reader_matches_the_token_parser(kind, data):
+    """A ``cochain`` or ``poly`` document in the printer's layout, with repeated
+    and cancelling keys, is read in one pass to the store the token parser
+    builds; after one edit, ``parse_document`` still gives the token parser's
+    value, or its error with the same line and column."""
+    dimension, drawn = data.draw(term_records((0, 3) if kind == "cochain" else (0, 0)))
+    records = [
+        (str(n) if d == 1 else f"{n}/{d}", ["(" + " ".join(map(str, i)) + ")" for i in key])
+        for (n, d), key in drawn
+    ]
+    text = _layout(kind, dimension, records)
+    assert _read_printed(text) is not None
+    assert _outcome(parse_document, text) == _outcome(_token_read, text)
+
+    edit = data.draw(st.sampled_from(EDITS if records else ("trailing", "unclosed")))
+    seps = ["\n  "] * len(records)
+    if records:
+        k = data.draw(st.integers(0, len(records) - 1))
+        c, indices = records[k]
+        first = indices[0][1:-1].split(" ")
+        if edit in COEFFICIENT_EDITS:
+            records[k] = (COEFFICIENT_EDITS[edit], indices)
+        elif edit in ENTRY_EDITS:
+            records[k] = (c, ["(" + " ".join([ENTRY_EDITS[edit], *first[1:]]) + ")", *indices[1:]])
+        elif edit in SEPARATOR_EDITS:
+            seps[k] = SEPARATOR_EDITS[edit]
+        elif edit == "short index":
+            records[k] = (c, ["(" + " ".join(first[:-1]) + ")", *indices[1:]])
+        elif edit == "extra index":  # two indices in a poly record
+            records[k] = (c, [*indices, "(" + " ".join(["0"] * dimension) + ")"])
+    text = _layout(kind, dimension, records, seps)
+    if edit == "trailing":
+        text += "(term 1)"
+    elif edit == "unclosed":
+        text = text[:-2]
+    assert _outcome(parse_document, text) == _outcome(_token_read, text)
 
 
 def test_a_cochain_node_shows_and_compares_its_terms():
